@@ -1,0 +1,10 @@
+"""Lets ``python3 -m pytest perfbench`` import the benchmark's modules and
+specvar from this checkout's ``src/``."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE, HERE.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
