@@ -25,8 +25,8 @@ print()
 print("== triangular split and the delta bound ==")
 m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
 parts = sv.split_dlu(m)
-low2 = sv.frobenius_norm(parts.strictly_lower) ** 2
-up2 = sv.frobenius_norm(parts.strictly_upper) ** 2
+low2 = np.linalg.norm(parts.strictly_lower) ** 2
+up2 = np.linalg.norm(parts.strictly_upper) ** 2
 print(f"||L||_F^2 + ||U||_F^2 = {low2 + up2:.6f}")
 print(f"delta(M)^2            = {sv.delta(m) ** 2:.6f}  (always >= the left side)")
 recon = parts.diagonal + parts.strictly_lower + parts.strictly_upper

@@ -13,7 +13,8 @@ term, evaluated in closed form at one of three eps choices:
 - eps at the interior stationary point of phi (condition C1),
 
 falling back to eps = 1 otherwise.  The case splits are the main
-correctness hazard, so every result records the branch it took.
+correctness hazard: :func:`plan` alone makes them, and every result
+records the branch it took.
 
 This module is a pure formula layer: the tolerance-laden s(.) values are
 injected by the caller (see :mod:`specvar.harness`), never computed here.
@@ -24,15 +25,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .exceptions import DimensionError, DomainError
-from .jordan import PerturbationInstance
+from .jordan import PerturbationInstance, optimal_epsilon
 from .linalg import as_matrix, delta
-
-# below this, E is treated as exactly zero and every bound reports 0
-ZERO_PERTURBATION_RTOL = 1e-14
 
 
 class BoundId(enum.Enum):
@@ -83,9 +82,50 @@ BRANCH_C2 = "C2"
 BRANCH_ZERO = "zero-perturbation"
 BRANCH_SINGLE = "single"
 
+S_KEYS = ("s1", "s2", "s3", "s4")
+
 
 # ---------------------------------------------------------------------------
-# envelope cores: phi(eps) minus its |tr E|^2/n term, in closed form
+# the branch planner and the envelope cores
+
+
+class Step(NamedTuple):
+    """How one envelope variant is evaluated: the branch label, the s-key
+    (``s1``..``s4``) whose value the UP2 bound reads as its factor, and the
+    eps at which phi is evaluated.  eps = 0 stands for the eps -> 0 limit,
+    reached when delta(E_Q) = 0; the zero-perturbation step reads no s."""
+
+    branch: str
+    s_key: str | None
+    eps: float
+
+
+def plan(inst: PerturbationInstance) -> tuple[Step, Step, Step]:
+    """The single decision of branch and eps for the three envelope
+    variants: (||E_Q||_F, delta(E_Q), stationary point), in that order.
+
+    Every eps = 1 fallback reads ``s2``.  C1 (n - p + 2 sqrt(n-p) delta >
+    (m-1) delta^2) needs m >= 2; the m = 1 case is routed to C2, whose
+    eps = 1 formula contains the diagonalizable case.
+    """
+    if inst.norm_eq == 0.0:
+        return (Step(BRANCH_ZERO, None, 0.0),) * 3
+    n, p, m = inst.spec.n, inst.spec.p, inst.spec.m
+    d = inst.delta_eq
+    if inst.norm_eq < 1.0:
+        by_norm = Step(BRANCH_NORM_SMALL, "s1", inst.norm_eq ** (1.0 / m))
+    else:
+        by_norm = Step(BRANCH_NORM_LARGE, "s2", 1.0)
+    if d < 1.0:
+        by_delta = Step(BRANCH_DELTA_SMALL, "s3", d ** (1.0 / m))
+    else:
+        by_delta = Step(BRANCH_DELTA_LARGE, "s2", 1.0)
+    if m >= 2 and (n - p + 2.0 * math.sqrt(n - p) * d) > (m - 1) * d * d:
+        stationary = Step(BRANCH_C1, "s4", optimal_epsilon(inst) if d > 0.0 else 0.0)
+    else:
+        stationary = Step(BRANCH_C2, "s2", 1.0)
+    return by_norm, by_delta, stationary
+
 
 def _core_small_norm(n, p, m, d, norm_eq):
     ratio = (d * d) / (norm_eq * norm_eq)
@@ -106,10 +146,20 @@ def _core_stationary(n, p, m, d):
     return m * (drift / (m - 1)) ** (1.0 - 1.0 / m) * d ** (2.0 / m)
 
 
-def _condition_c1(n, p, m, d):
-    """C1: n - p + 2 sqrt(n-p) delta > (m-1) delta^2.  The m = 1 case is
-    routed to C2, whose eps = 1 formula contains the diagonalizable case."""
-    return m >= 2 and (n - p + 2.0 * math.sqrt(n - p) * d) > (m - 1) * d * d
+def _core(inst: PerturbationInstance, branch: str) -> float:
+    """phi minus its |tr E|^2/n term, in closed form, on a planned branch.
+
+    The closed forms hold the eps -> 0 limits at delta = 0 exactly, where
+    phi(eps) itself cannot be evaluated."""
+    n, p, m = inst.spec.n, inst.spec.p, inst.spec.m
+    d = inst.delta_eq
+    if branch == BRANCH_NORM_SMALL:
+        return _core_small_norm(n, p, m, d, inst.norm_eq)
+    if branch == BRANCH_DELTA_SMALL:
+        return _core_small_delta(n, p, m, d)
+    if branch == BRANCH_C1:
+        return _core_stationary(n, p, m, d)
+    return _core_unit(n, p, d)
 
 
 def _check_s(name: str, value: int, n: int) -> int:
@@ -117,11 +167,6 @@ def _check_s(name: str, value: int, n: int) -> int:
     if not 1 <= value <= n:
         raise DomainError(f"{name} must lie in [1, {n}], got {value}")
     return value
-
-
-def _is_zero_perturbation(inst: PerturbationInstance) -> bool:
-    a_norm = float(np.linalg.norm(inst.a))
-    return inst.norm_eq <= ZERO_PERTURBATION_RTOL * (1.0 + a_norm)
 
 
 def _scalar_inputs(inst: PerturbationInstance, **extra) -> dict:
@@ -195,26 +240,22 @@ def baseline_bounds(inst: PerturbationInstance, s1: int, s2: int) -> list[BoundR
     s1 = _check_s("s1", s1, n)
     s2 = _check_s("s2", s2, n)
     inputs = _scalar_inputs(inst, s1=s1, s2=s2)
-    if _is_zero_perturbation(inst):
-        return [
-            BoundResult(bid, 0.0, BRANCH_ZERO, inputs=inputs)
-            for bid in (BoundId.SONG, BoundId.LI_CHEN)
-        ]
+    branch = plan(inst)[0].branch
     norm_eq = inst.norm_eq
-    if norm_eq < 1.0:
+    if branch == BRANCH_ZERO:
+        song = li_chen = 0.0
+    elif branch == BRANCH_NORM_SMALL:
         song = math.sqrt(n) * (math.sqrt(n - p) + 1.0) * norm_eq ** (1.0 / m)
         li_chen = (
             math.sqrt(s1 * (n - p + 1.0 + 2.0 * math.sqrt(n - p) * norm_eq))
             * norm_eq ** (1.0 / m)
         )
-        branch = BRANCH_NORM_SMALL
     else:
         song = math.sqrt(n) * (math.sqrt(n - p) + 1.0) * norm_eq
         li_chen = (
             math.sqrt(s2 * (n - p + 2.0 * math.sqrt(n - p) + norm_eq))
             * math.sqrt(norm_eq)
         )
-        branch = BRANCH_NORM_LARGE
     return [
         BoundResult(BoundId.SONG, float(song), branch, inputs=inputs),
         BoundResult(BoundId.LI_CHEN, float(li_chen), branch, inputs=inputs),
@@ -224,38 +265,17 @@ def baseline_bounds(inst: PerturbationInstance, s1: int, s2: int) -> list[BoundR
 # ---------------------------------------------------------------------------
 # the envelope-derived families
 
-def _up_family(inst, k_small, k_unit, k_delta, k_stat, ids, inputs):
-    """Shared branch logic for UP1_*/UP2_*/UP3_*: k_* are the leading
-    factors of the three variants' branches (small-eps / eps=1 pairs)."""
-    n, p, m = inst.spec.n, inst.spec.p, inst.spec.m
-    d = inst.delta_eq
-    tr2 = abs(inst.trace_e) ** 2 / n
-    if _is_zero_perturbation(inst):
-        return [BoundResult(bid, 0.0, BRANCH_ZERO, inputs=inputs) for bid in ids]
-    unit = _core_unit(n, p, d)
-    if inst.norm_eq < 1.0:
-        v1 = math.sqrt(k_small * _core_small_norm(n, p, m, d, inst.norm_eq) + tr2)
-        b1 = BRANCH_NORM_SMALL
-    else:
-        v1 = math.sqrt(k_unit * unit + tr2)
-        b1 = BRANCH_NORM_LARGE
-    if d < 1.0:
-        v2 = math.sqrt(k_delta * _core_small_delta(n, p, m, d) + tr2)
-        b2 = BRANCH_DELTA_SMALL
-    else:
-        v2 = math.sqrt(k_unit * unit + tr2)
-        b2 = BRANCH_DELTA_LARGE
-    if _condition_c1(n, p, m, d):
-        v3 = math.sqrt(k_stat * _core_stationary(n, p, m, d) + tr2)
-        b3 = BRANCH_C1
-    else:
-        v3 = math.sqrt(k_unit * unit + tr2)
-        b3 = BRANCH_C2
-    return [
-        BoundResult(ids[0], float(v1), b1, inputs=inputs),
-        BoundResult(ids[1], float(v2), b2, inputs=inputs),
-        BoundResult(ids[2], float(v3), b3, inputs=inputs),
-    ]
+def _up_family(inst, factor, ids, inputs):
+    """UP1_*/UP2_*/UP3_* on the planned branches: ``factor`` maps each
+    step's s-key to the family's leading factor."""
+    tr2 = abs(inst.trace_e) ** 2 / inst.spec.n
+    results = []
+    for bid, step in zip(ids, plan(inst)):
+        value = 0.0
+        if step.branch != BRANCH_ZERO:
+            value = math.sqrt(factor[step.s_key] * _core(inst, step.branch) + tr2)
+        results.append(BoundResult(bid, float(value), step.branch, inputs=inputs))
+    return results
 
 
 def new_bounds_complex(
@@ -272,15 +292,16 @@ def new_bounds_complex(
     s2 = _check_s("s2", s2, n)
     s3 = _check_s("s3", s3, n)
     s4 = _check_s("s4", s4, n)
+    s = dict(zip(S_KEYS, (s1, s2, s3, s4)))
     up1 = _up_family(
-        inst, n, n, n, n,
+        inst, dict.fromkeys(s, n),
         (BoundId.UP1_1, BoundId.UP1_2, BoundId.UP1_3),
         _scalar_inputs(inst),
     )
     up2 = _up_family(
-        inst, s1, s2, s3, s4,
+        inst, s,
         (BoundId.UP2_1, BoundId.UP2_2, BoundId.UP2_3),
-        _scalar_inputs(inst, s1=s1, s2=s2, s3=s3, s4=s4),
+        _scalar_inputs(inst, **s),
     )
     return up1 + up2
 
@@ -305,7 +326,7 @@ def new_bounds_real(inst: PerturbationInstance) -> list[BoundResult]:
             )
             for bid in ids
         ]
-    return _up_family(inst, 2.0, 2.0, 2.0, 2.0, ids, inputs)
+    return _up_family(inst, dict.fromkeys(S_KEYS, 2.0), ids, inputs)
 
 
 # ---------------------------------------------------------------------------

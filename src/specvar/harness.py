@@ -25,7 +25,6 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import bounds as bounds_mod
 from .blocks import s_number
 from .bounds import (
     BoundId,
@@ -35,6 +34,7 @@ from .bounds import (
     new_bounds_complex,
     new_bounds_real,
     normal_bounds,
+    plan,
     verify_instance,
 )
 from .exceptions import (
@@ -53,13 +53,11 @@ from .jordan import (
     jordan_matrix,
     make_instance,
     make_jordan_spec,
-    optimal_epsilon,
     phi,
     scalar_shift,
+    scaled_similarity,
     scaling_inequalities,
-    scaling_matrix,
 )
-from .linalg import kappa2
 from .spectrum import Spectrum, eigenvalues, optimal_match
 
 BLOCK_PROFILES = ("diagonalizable", "single-jordan", "mixed", "user-file")
@@ -94,7 +92,6 @@ class SweepConfig:
     s_mode: str = "pessimistic"
     real_eigenvalues: bool = False
     jordan_file: str | None = None  # required by the user-file profile
-    eps_grid_points: int = 16
     tolerances: dict = field(default_factory=default_tolerances)
 
 
@@ -120,8 +117,6 @@ def validate_config(config: SweepConfig) -> None:
         raise ConfigError("single-jordan profile needs n >= 2")
     if config.block_profile == "user-file" and not config.jordan_file:
         raise ConfigError("user-file profile needs jordan_file")
-    if config.eps_grid_points < 1:
-        raise ConfigError("eps_grid_points must be >= 1")
 
 
 def _random_lambda(rng, real: bool) -> complex:
@@ -157,10 +152,7 @@ def gen_instance(config: SweepConfig, trial_index: int) -> PerturbationInstance:
         lo, hi = config.n_range
         n = int(rng.integers(lo, hi + 1))
         blocks = _draw_blocks(config, n, rng)
-        if config.target_kappa <= 1.0:
-            q = random_conditioned(n, 1.0, rng)
-        else:
-            q = random_conditioned(n, config.target_kappa, rng)
+        q = random_conditioned(n, config.target_kappa, rng)
         spec = make_jordan_spec(blocks, q)
     if config.perturbation == "scalar":
         e = config.amount * np.eye(n, dtype=np.complex128)
@@ -197,13 +189,14 @@ def s_values(
 
     Pessimistic mode assumes s(.) = 1 everywhere (always valid), which
     keeps soundness sweeps independent of the tolerance-laden s
-    computation.  Computed mode evaluates s(.) only for the factors the
-    instance's branch actually uses; the rest stay at the pessimistic n.
-    ``s_tilde`` is s(A+E) itself (for the normal-A bound family).
+    computation.  Computed mode evaluates s(T^-1 Q^-1 (A+E) Q T) once for
+    each s-key the branch plan (:func:`specvar.bounds.plan`) names, at that
+    step's eps; the rest, and the eps -> 0 limits, stay at the pessimistic
+    n.  ``s_tilde`` is s(A+E) itself (for the normal-A bound family).
     """
     if mode not in S_MODES:
         raise ConfigError(f"unknown s_mode '{mode}'")
-    n, m = inst.spec.n, inst.spec.m
+    n = inst.spec.n
     out = {"s1": n, "s2": n, "s3": n, "s4": n, "s_tilde": 1}
     if mode == "pessimistic":
         return out
@@ -214,24 +207,10 @@ def s_values(
         )
         return dec.s
 
-    d, norm_eq = inst.delta_eq, inst.norm_eq
     g = jordan_matrix(inst.spec) + inst.e_q  # Q^-1 (A+E) Q
-
-    def s_of_scaled(eps: float) -> int:
-        t_diag = np.diag(scaling_matrix(inst.spec, eps))
-        return s_of(g * (t_diag[None, :] / t_diag[:, None]))
-
-    need_unit = norm_eq >= 1.0 or d >= 1.0 or not bounds_mod._condition_c1(
-        n, inst.spec.p, m, d
-    )
-    if 0.0 < norm_eq < 1.0:
-        out["s1"] = n + 1 - s_of_scaled(norm_eq ** (1.0 / m))
-    if need_unit:
-        out["s2"] = n + 1 - s_of(g)
-    if 0.0 < d < 1.0:
-        out["s3"] = n + 1 - s_of_scaled(d ** (1.0 / m))
-    if d > 0.0 and bounds_mod._condition_c1(n, inst.spec.p, m, d) and m >= 2:
-        out["s4"] = n + 1 - s_of_scaled(optimal_epsilon(inst))
+    planned = {step.s_key: step.eps for step in plan(inst) if step.eps > 0.0}
+    for key, eps in planned.items():
+        out[key] = n + 1 - s_of(scaled_similarity(inst.spec, g, eps))
     out["s_tilde"] = s_of(inst.a + inst.e)
     return out
 
@@ -327,7 +306,7 @@ def run_trial(inst: PerturbationInstance, config: SweepConfig, trial: int) -> Tr
         n=spec.n,
         p=spec.p,
         m=spec.m,
-        kappa_q=kappa2(spec.q),
+        kappa_q=spec.kappa_q,
         norm_e=inst.norm_e,
         norm_eq=inst.norm_eq,
         delta_eq=inst.delta_eq,
@@ -371,9 +350,7 @@ def run_trial(inst: PerturbationInstance, config: SweepConfig, trial: int) -> Tr
     violations = [
         bid.name for bid, s in slacks if is_violation(by_id[bid].value, s, slack_tol)
     ]
-    env_min, sn_min, ct_min, sd_max = _margin_ratios(
-        inst, eps_grid(config.eps_grid_points)
-    )
+    env_min, sn_min, ct_min, sd_max = _margin_ratios(inst, eps_grid())
     return TrialRecord(
         **base,
         status="ok",
@@ -564,6 +541,7 @@ def report_to_doc(report: Report) -> dict:
 def report_from_doc(doc: dict) -> Report:
     cfg = dict(doc["config"])
     cfg["n_range"] = tuple(cfg["n_range"])
+    cfg.pop("eps_grid_points", None)  # retired field: the grid is fixed
     config = SweepConfig(**cfg)
     records = []
     for d in doc["records"]:

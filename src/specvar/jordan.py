@@ -40,11 +40,13 @@ def _frozen_copy(m: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class JordanSpec:
     """Prescribed Jordan data: ordered (eigenvalue, size) blocks plus the
-    similarity transform Q.  Block order is the user's order and is never
-    re-sorted; it fixes the correspondence with Lambda."""
+    similarity transform Q and its condition number kappa2(Q).  Block order
+    is the user's order and is never re-sorted; it fixes the correspondence
+    with Lambda."""
 
     blocks: tuple[tuple[complex, int], ...]
     q: np.ndarray
+    kappa_q: float
 
     @property
     def n(self) -> int:
@@ -98,8 +100,9 @@ def make_jordan_spec(blocks, q=None) -> JordanSpec:
         raise DimensionError(
             f"Q has order {q.shape[0]} but blocks sum to {n}"
         )
-    kappa2(q)  # raises SingularMatrixError if singular to working precision
-    return JordanSpec(blocks=blocks, q=_frozen_copy(q))
+    q = _frozen_copy(q)
+    # kappa2 raises SingularMatrixError if Q is singular to working precision
+    return JordanSpec(blocks=blocks, q=q, kappa_q=kappa2(q))
 
 
 def jordan_matrix(spec: JordanSpec) -> np.ndarray:
@@ -255,28 +258,24 @@ def optimal_epsilon(inst: PerturbationInstance) -> float:
     return 1.0
 
 
-def _scaled_ratio(spec: JordanSpec, eps: float) -> np.ndarray:
+def scaled_similarity(spec: JordanSpec, m, eps: float) -> np.ndarray:
+    """T^-1 M T for T = T(eps), evaluated entrywise as M_ij t_j / t_i."""
     t = _scaling_vector(spec, eps)
-    return t[None, :] / t[:, None]
+    return m * (t[None, :] / t[:, None])
 
 
 def envelope_margin(inst: PerturbationInstance, eps: float) -> float:
-    """phi(eps) minus the squared deviation it bounds, recomputed from the
-    instance matrices:
+    """phi(eps) minus the squared deviation it bounds:
 
         phi(eps) - || T^-1 Q^-1 (A+E) Q T - Lambda ||_F^2.
 
-    Q^-1 (A+E) Q is evaluated as J + Q^-1 E Q with a fresh solve (exact
-    algebra for the prescribed instance; re-extracting J from the assembled
-    A would only add O(u kappa2(Q)^2) reconstruction noise).  Nonnegative
-    up to rounding; exactly zero when E = 0.
+    Q^-1 (A+E) Q is evaluated as J + E_Q from the instance's cached
+    transport (exact algebra for the prescribed instance; re-extracting J
+    from the assembled A would only add O(u kappa2(Q)^2) reconstruction
+    noise).  Nonnegative up to rounding; exactly zero when E = 0.
     """
     value = phi(inst, eps)
-    if scalar_shift(inst.e) is not None:
-        e_q = inst.e
-    else:
-        e_q = solve(inst.spec.q, inst.e @ inst.spec.q)
-    f = (jordan_matrix(inst.spec) + e_q) * _scaled_ratio(inst.spec, eps)
+    f = scaled_similarity(inst.spec, jordan_matrix(inst.spec) + inst.e_q, eps)
     f -= lambda_matrix(inst.spec)
     return value - float(np.vdot(f, f).real)
 
@@ -297,7 +296,7 @@ def scaling_inequalities(inst: PerturbationInstance, eps: float) -> dict[str, fl
     """
     n, p, m = inst.spec.n, inst.spec.p, inst.spec.m
     d = inst.delta_eq
-    scaled = inst.e_q * _scaled_ratio(inst.spec, eps)
+    scaled = scaled_similarity(inst.spec, inst.e_q, eps)
     omega = superdiagonal_part(inst.spec, eps)
     lhs_norm2 = float(np.vdot(scaled, scaled).real)
     rhs_norm2 = eps ** (2 * (1 - m)) * d * d + abs(inst.trace_e) ** 2 / n
@@ -320,7 +319,7 @@ def eq_norm_majorant(inst: PerturbationInstance) -> float:
     return float(
         min(
             np.sqrt(rank) * np.linalg.norm(inst.e_q, 2),
-            kappa2(inst.spec.q) * inst.norm_e,
+            inst.spec.kappa_q * inst.norm_e,
         )
     )
 

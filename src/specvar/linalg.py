@@ -1,9 +1,9 @@
 """Dense complex-matrix primitives.
 
-Norms, triangular splits, the trace-deflated measure ``delta`` and the
-spectral condition number ``kappa2``.  Every function here is pure: inputs
-are validated, never mutated, and results depend on nothing but the
-arguments, so values are freely shareable across threads.
+Validation, solves, triangular splits, the trace-deflated measure
+``delta`` and the spectral condition number ``kappa2``.  Every function
+here is pure: inputs are validated, never mutated, and results depend on
+nothing but the arguments, so values are freely shareable across threads.
 """
 
 from __future__ import annotations
@@ -35,37 +35,6 @@ def as_matrix(a, *, square: bool = False, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(m.real).all() or not np.isfinite(m.imag).all():
         raise NonFiniteError(f"{name} contains NaN/Inf entries")
     return m
-
-
-def frobenius_norm(m) -> float:
-    """Frobenius norm ||M||_F."""
-    return float(np.linalg.norm(as_matrix(m)))
-
-
-def spectral_norm(m) -> float:
-    """Spectral norm ||M||_2, i.e. the largest singular value."""
-    return float(np.linalg.norm(as_matrix(m), 2))
-
-
-def trace(m) -> complex:
-    """Trace of a square matrix."""
-    return complex(np.trace(as_matrix(m, square=True)))
-
-
-def adjoint(m) -> np.ndarray:
-    """Conjugate transpose M*."""
-    return as_matrix(m).conj().T
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product A @ B with an explicit inner-dimension check."""
-    a = as_matrix(a, name="left factor")
-    b = as_matrix(b, name="right factor")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(
-            f"inner dimensions differ: {a.shape} vs {b.shape}"
-        )
-    return a @ b
 
 
 def solve(q, b) -> np.ndarray:

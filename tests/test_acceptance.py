@@ -227,10 +227,10 @@ def test_criterion_8_trace_deflated_norm_suite():
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         parts = sv.split_dlu(m)
         lhs = (
-            sv.frobenius_norm(parts.strictly_lower) ** 2
-            + sv.frobenius_norm(parts.strictly_upper) ** 2
+            np.linalg.norm(parts.strictly_lower) ** 2
+            + np.linalg.norm(parts.strictly_upper) ** 2
         )
-        excess = lhs - sv.delta(m) ** 2 - 1e-12 * sv.frobenius_norm(m) ** 2
+        excess = lhs - sv.delta(m) ** 2 - 1e-12 * np.linalg.norm(m) ** 2
         worst_excess = max(worst_excess, excess)
     assert worst_excess <= 0.0
     worst_scalar = 0.0

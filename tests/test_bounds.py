@@ -10,14 +10,12 @@ import specvar as sv
 from specvar.bounds import (
     BRANCH_C1,
     BRANCH_C2,
+    BRANCH_DELTA_LARGE,
     BRANCH_DELTA_SMALL,
     BRANCH_NORM_LARGE,
     BRANCH_NORM_SMALL,
     BRANCH_ZERO,
-    _core_small_delta,
-    _core_small_norm,
-    _core_stationary,
-    _core_unit,
+    plan,
 )
 
 UP1 = (sv.BoundId.UP1_1, sv.BoundId.UP1_2, sv.BoundId.UP1_3)
@@ -55,6 +53,37 @@ def normal_instance(seed, n=5, e_norm=0.5, real=False):
     spec = sv.make_jordan_spec([(lam, 1) for lam in lams], u)
     g = sv.complex_gaussian(n, n, rng)
     return sv.make_instance(spec, g * (e_norm / np.linalg.norm(g)))
+
+
+def corner_instance(blocks, c, t=0.0):
+    """Identity Q and E = t I + c e_1 e_n^T, so delta(E_Q) = c up to rounding
+    and ||E_Q||_F^2 = n t^2 + c^2; both equal c exactly when t = 0."""
+    spec = sv.make_jordan_spec(blocks)
+    n = spec.n
+    e = t * np.eye(n, dtype=complex)
+    e[0, n - 1] = c
+    return sv.make_instance(spec, e)
+
+
+def scalar_instance(blocks, t, kappa=5.0, seed=0):
+    spec = sv.make_jordan_spec(
+        blocks, sv.random_conditioned(sum(s for _, s in blocks), kappa,
+                                      np.random.default_rng(seed))
+    )
+    return sv.make_instance(spec, t * np.eye(spec.n))
+
+
+def branch_instances():
+    """Instances that between them reach every branch of the plan."""
+    return [
+        mixed_instance(0, e_norm=0.3),                    # ||E_Q||, delta < 1; C1
+        corner_instance([(0.0, 2), (1.0, 1)], 0.3, t=0.8),  # ||E_Q|| > 1 > delta
+        mixed_instance(2, e_norm=6.0, kappa=1.0),         # ||E_Q||, delta > 1; C2
+        corner_instance([(0.0, 2), (1.0, 1)], 1.0),       # ||E_Q|| = delta = 1
+        corner_instance([(0.0, 2)], 5.0),                 # m = 2 under C2
+        normal_instance(3, n=4, e_norm=0.4),              # m = 1
+        scalar_instance([(1.0, 2), (3.0, 2)], 0.05),      # delta = 0: eps -> 0
+    ]
 
 
 def true_d2(inst):
@@ -272,33 +301,115 @@ class TestNewBoundsComplex:
                 assert not sv.is_violation(value, slack), (bid, slack)
 
 
+class TestPlan:
+    def test_instances_reach_every_branch(self):
+        steps = [step for inst in branch_instances() for step in plan(inst)]
+        assert {step.branch for step in steps} == {
+            BRANCH_NORM_SMALL, BRANCH_NORM_LARGE, BRANCH_DELTA_SMALL,
+            BRANCH_DELTA_LARGE, BRANCH_C1, BRANCH_C2,
+        }
+        assert any(step.eps == 0.0 for step in steps)
+
+    def test_zero_perturbation_plans_no_eps(self):
+        inst = sv.make_instance(sv.make_jordan_spec([(1.0, 2)]), np.zeros((2, 2)))
+        assert [step.branch for step in plan(inst)] == [BRANCH_ZERO] * 3
+        assert all(step.s_key is None for step in plan(inst))
+
+    def test_up_values_are_phi_at_planned_eps(self):
+        for inst in branch_instances():
+            n = inst.spec.n
+            tr2 = abs(inst.trace_e) ** 2 / n
+            res = by_id(sv.new_bounds_complex(inst, n, n, n, n))
+            for bid, step in zip(UP1, plan(inst)):
+                assert res[bid].branch == step.branch
+                if step.eps > 0.0:
+                    expected = math.sqrt(n * (sv.phi(inst, step.eps) - tr2) + tr2)
+                    assert res[bid].value == pytest.approx(expected, rel=1e-10)
+
+    def test_up2_reads_the_planned_s_key(self):
+        inst = mixed_instance(0, e_norm=0.3)
+        n = inst.spec.n
+        svals = {"s1": 1, "s2": 2, "s3": 3, "s4": min(4, n)}
+        res = by_id(sv.new_bounds_complex(inst, **svals))
+        tr2 = abs(inst.trace_e) ** 2 / n
+        for b1, b2, step in zip(UP1, UP2, plan(inst)):
+            core = (res[b1].value ** 2 - tr2) / n
+            expected = math.sqrt(svals[step.s_key] * core + tr2)
+            assert res[b2].value == pytest.approx(expected, rel=1e-10)
+
+    def test_computed_s_at_planned_eps(self):
+        for inst in branch_instances():
+            n = inst.spec.n
+            out = sv.s_values(inst, mode="computed")
+            # Q^-1 (A+E) Q from the assembled matrices, independently of E_Q
+            g = np.linalg.solve(inst.spec.q, (inst.a + inst.e) @ inst.spec.q)
+            planned = {step.s_key: step.eps for step in plan(inst) if step.eps > 0.0}
+            for key in ("s1", "s2", "s3", "s4"):
+                if key not in planned:
+                    assert out[key] == n
+                    continue
+                t = sv.scaling_matrix(inst.spec, planned[key])
+                scaled = np.linalg.solve(t, g @ t)
+                assert out[key] == n + 1 - sv.s_number(scaled).s, key
+
+
 class TestBranchContinuity:
+    # each case split of the plan is continuous: just below a boundary and
+    # at it, the two branches give the same bound
+    SPECS = (
+        [(0.0, 2), (1.0, 2), (2.0, 1)],          # n, p, m = 5, 3, 2
+        [(0.0, 4), (1.0, 2)],                    # 6, 2, 4
+        [(0.0, 1), (1.0, 1), (2.0, 1), (3.0, 1)],  # 4, 4, 1
+    )
+
+    def sides(self, blocks):
+        below = corner_instance(blocks, 1.0 - 1e-12)
+        at = corner_instance(blocks, 1.0)
+        return (by_id(sv.new_bounds_complex(inst, 1, 1, 1, 1)) for inst in (below, at))
+
     def test_norm_branch_boundary(self):
-        # the two sides of the ||E_Q||_F split agree at the boundary value 1
-        for n, p, m, d in ((5, 3, 2, 0.4), (6, 2, 4, 0.0), (4, 4, 1, 0.7)):
-            small = _core_small_norm(n, p, m, d, 1.0)
-            unit = _core_unit(n, p, d)
-            assert small == pytest.approx(unit, rel=1e-13)
+        for blocks in self.SPECS:
+            below, at = self.sides(blocks)
+            for bid in (sv.BoundId.UP1_1, sv.BoundId.UP2_1):
+                assert below[bid].branch == BRANCH_NORM_SMALL
+                assert at[bid].branch == BRANCH_NORM_LARGE
+                assert below[bid].value == pytest.approx(at[bid].value, rel=1e-10)
+
+    def test_norm_branch_boundary_at_zero_delta(self):
+        # scalar E: the split at ||E_Q||_F = 1 with delta(E_Q) = 0
+        blocks = self.SPECS[1]
+        n = 6
+        below = scalar_instance(blocks, (1.0 - 1e-9) / math.sqrt(n))
+        above = scalar_instance(blocks, (1.0 + 1e-9) / math.sqrt(n))
+        assert below.norm_eq < 1.0 <= above.norm_eq
+        lo = by_id(sv.new_bounds_complex(below, n, n, n, n))[sv.BoundId.UP1_1]
+        hi = by_id(sv.new_bounds_complex(above, n, n, n, n))[sv.BoundId.UP1_1]
+        assert (lo.branch, hi.branch) == (BRANCH_NORM_SMALL, BRANCH_NORM_LARGE)
+        assert lo.value == pytest.approx(hi.value, rel=1e-7)
 
     def test_delta_branch_boundary(self):
-        for n, p, m in ((5, 3, 2), (6, 2, 4), (4, 4, 1)):
-            small = _core_small_delta(n, p, m, 1.0)
-            unit = _core_unit(n, p, 1.0)
-            assert small == pytest.approx(unit, rel=1e-13)
+        for blocks in self.SPECS:
+            below, at = self.sides(blocks)
+            for bid in (sv.BoundId.UP1_2, sv.BoundId.UP2_2):
+                assert below[bid].branch == BRANCH_DELTA_SMALL
+                assert at[bid].branch == BRANCH_DELTA_LARGE
+                assert below[bid].value == pytest.approx(at[bid].value, rel=1e-10)
 
     def test_c1_boundary(self):
         # when the stationary point hits eps = 1 the two branches agree:
         # drift = (m-1) delta^2 makes the interior formula collapse to phi(1)
-        m, n_minus_p = 3, 2.0
-        # solve drift(delta) = (m-1) delta^2 for delta > 0
         from scipy.optimize import brentq
 
-        f = lambda d: n_minus_p + 2 * math.sqrt(n_minus_p) * d - (m - 1) * d * d
+        blocks = [(0.0, 3), (1.0, 1), (2.0, 1), (3.0, 1)]  # n - p = 2, m = 3
+        f = lambda d: 2.0 + 2 * math.sqrt(2.0) * d - 2 * d * d
         d = brentq(f, 0.5, 10.0)
-        n, p = 6, 4
-        assert _core_stationary(n, p, m, d) == pytest.approx(
-            _core_unit(n, p, d), rel=1e-10
-        )
+        below = corner_instance(blocks, d * (1.0 - 1e-9))
+        above = corner_instance(blocks, d * (1.0 + 1e-9))
+        assert plan(below)[2].eps == pytest.approx(1.0, abs=1e-6)
+        lo = by_id(sv.new_bounds_complex(below, 6, 6, 6, 6))[sv.BoundId.UP1_3]
+        hi = by_id(sv.new_bounds_complex(above, 6, 6, 6, 6))[sv.BoundId.UP1_3]
+        assert (lo.branch, hi.branch) == (BRANCH_C1, BRANCH_C2)
+        assert lo.value == pytest.approx(hi.value, rel=1e-7)
 
 
 class TestNewBoundsReal:

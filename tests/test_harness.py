@@ -1,6 +1,8 @@
 """Tests for instance generation, sweeps, the reference table and report
 serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,18 @@ class TestRunSweep:
         b = sv.run_sweep(small_config(trials=6))
         assert a == b
 
+    def test_tiny_perturbation_is_not_read_as_zero(self):
+        # ||E||_F = 1e-14 is small, not zero: the 1/m root of a 7x7 Jordan
+        # block moves the spectrum by D2 ~ 0.02, and the bounds must say so
+        rep = sv.run_sweep(sv.SweepConfig(
+            seed=1, trials=40, block_profile="single-jordan", amount=1e-14,
+            target_kappa=1,
+        ))
+        assert rep.summary["ok"] == 40
+        assert rep.summary["violation_count"] == 0
+        for rec in rep.records:
+            assert all(r.value > 0.0 for r in rec.results if r.applicable)
+
     def test_real_sweep_exercises_up3(self):
         rep = sv.run_sweep(small_config(trials=6, real_eigenvalues=True))
         assert "UP3_1" in rep.summary["min_slack"]
@@ -193,6 +207,11 @@ class TestReportFiles:
         rep = sv.run_sweep(small_config(trials=5))
         path = tmp_path / "report.json"
         sv.write_report(rep, path, format="structured-text")
+        assert sv.read_report(path) == rep
+        # reports from before the eps grid was fixed at 16 points carry its size
+        doc = json.loads(path.read_text())
+        doc["config"]["eps_grid_points"] = 16
+        path.write_text(json.dumps(doc))
         assert sv.read_report(path) == rep
 
     def test_csv_deterministic_modulo_timestamp(self, tmp_path):
