@@ -3,18 +3,28 @@
 s(M) is the largest s such that U* M U = diag(M_1, ..., M_s) for some
 unitary U.  It equals n exactly when M is normal and 1 when M is unitarily
 irreducible.  There is no closed-form procedure, so we use the standard
-construction for the *-algebra generated by {M, M*}:
+construction for the *-algebra generated by {M, M*}, solved inside the
+eigenspaces of one of its Hermitian elements (Murota, Kanno, Kojima &
+Kojima 2010; Maehara & Murota 2011):
 
-1. compute an orthonormal basis of the commutant
-   {X : MX = XM and M*X = XM*}  (numerical null space of a stacked
-   2n^2 x n^2 linear operator);
-2. draw a random Hermitian element H of that commutant; with probability
+1. draw a seeded Hermitian element H = a(M + M*) + i b(M - M*) of the
+   algebra, take H = V diag(w) V* and cluster w.  Every element X of the
+   commutant {X : MX = XM and M*X = XM*} commutes with H, so it has the
+   form X = V blockdiag(Y_1, ..., Y_c) V* with one block per cluster;
+2. compute an orthonormal basis of the commutant as the numerical null
+   space of X -> (MX - XM, M*X - XM*) restricted to that form: a
+   2n^2 x K operator with K = sum k_c^2 unknowns (K = n when H has a
+   simple spectrum, K = n^2 when H is scalar -- the unrestricted case);
+3. draw a random Hermitian element of the commutant; with probability
    one its eigenspaces are exactly the finest M-reducing subspaces;
-3. cluster H's eigenvalues, order the eigenvectors by cluster, and merge
-   any clusters that still couple in U* M U.
+4. cluster that element's eigenvalues, order the eigenvectors by cluster,
+   and merge any clusters that still couple in U* M U.
 
-The draw is fully determined by the seed, and three independent draws must
-agree on s or an ``AmbiguityError`` is raised, so results are reproducible.
+The restriction in step 2 is exact for any H, so degenerate inputs
+(diag(B, B), normal matrices with repeated eigenvalues, scalars) only make
+the clusters, and K, larger.  Every draw is fully determined by the seed,
+and three independent draws in step 3 must agree on s or an
+``AmbiguityError`` is raised, so results are reproducible.
 """
 
 from __future__ import annotations
@@ -23,13 +33,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import AmbiguityError, SizeLimitError
+from .exceptions import AmbiguityError, DimensionError, SizeLimitError
 from .linalg import as_matrix
 
-# O(n^6) null-space solve: honest rejection beats silent crawling.
+# The commutant operator has 2 n^2 K entries for K ansatz unknowns; refuse
+# past 2 * 40^4 (the full operator at n = 40, ~80 MB): honest rejection
+# beats silent crawling.  This also caps K at 40^2.
 COMMUTANT_MAX_SIZE = 40
 
-DEFAULT_TOL = 1e-8         # null-space singular value cutoff, relative
+DEFAULT_TOL = 1e-8         # null-space cutoff, relative to 2 ||M||_2
 DEFAULT_CLUSTER_GAP = 1e-6  # eigenvalue gap threshold, relative to ||H||_2
 DEFAULT_BLOCK_TOL = 1e-8   # off-block coupling threshold, relative to ||M||_F
 
@@ -51,35 +63,56 @@ def is_normal(m, tol: float = 1e-10) -> bool:
     return float(np.linalg.norm(comm)) <= tol * float(np.linalg.norm(m)) ** 2
 
 
-def commutant_basis(m, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
+def commutant_basis(
+    m, tol: float = DEFAULT_TOL, *, v=None, sizes=None
+) -> list[np.ndarray]:
     """Orthonormal basis (Frobenius inner product) of
     {X : MX = XM and M*X = XM*}.
 
     Obtained as the numerical null space of the stacked operator
-    X -> (MX - XM, M*X - XM*), with cutoff at singular values
-    <= tol * sigma_max.  Always nonempty (contains the identity).
+    X -> (MX - XM, M*X - XM*) over the ansatz X = V blockdiag(Y_c) V*,
+    where the unitary ``v`` is cut into consecutive column groups of the
+    given ``sizes``.  The ansatz must contain the commutant, as it does
+    when the groups are eigenspaces of a Hermitian element of the
+    *-algebra; the default, V = I with one group, is the whole matrix
+    space.  Singular values <= tol * 2 ||M||_2, a bound on the largest
+    singular value of X -> MX - XM, count as zero, so the cutoff does not
+    depend on the ansatz.  Always nonempty (contains the identity).
     """
     m = as_matrix(m, square=True)
     n = m.shape[0]
-    if n > COMMUTANT_MAX_SIZE:
-        raise SizeLimitError(
-            f"commutant null space is an SVD of a {2 * n * n} x {n * n} "
-            f"operator; n={n} exceeds the cap of {COMMUTANT_MAX_SIZE}"
+    if v is None:
+        v, sizes = np.eye(n), (n,)
+    v = as_matrix(v, square=True, name="eigenvector matrix")
+    if v.shape[0] != n or sum(sizes) != n:
+        raise DimensionError(
+            f"ansatz of order {v.shape[0]} in groups {list(sizes)} for n={n}"
         )
-    eye = np.eye(n)
-    # Column-major vec convention: vec(M X) = (I (x) M) vec(X),
-    # vec(X M) = (M^T (x) I) vec(X).
-    ma = m.conj().T
-    op = np.vstack(
-        [
-            np.kron(eye, m) - np.kron(m.T, eye),
-            np.kron(eye, ma) - np.kron(ma.T, eye),
-        ]
-    )
-    sigma, vh = np.linalg.svd(op)[1:]
-    cutoff = tol * (sigma[0] if sigma.size else 0.0)
+    # the unknowns are the entries (p, q) of the diagonal blocks of Y
+    edges = np.cumsum([0, *sizes])
+    groups = [np.arange(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    p = np.concatenate([np.repeat(g, g.size) for g in groups])
+    q = np.concatenate([np.tile(g, g.size) for g in groups])
+    k = p.size
+    if n * n * k > COMMUTANT_MAX_SIZE**4:
+        raise SizeLimitError(
+            f"commutant null space is an SVD of a {2 * n * n} x {k} "
+            f"operator; it exceeds the cap of {2 * COMMUTANT_MAX_SIZE**4} "
+            f"entries (n = {COMMUTANT_MAX_SIZE} with no restriction)"
+        )
+    b = v.conj().T @ m @ v
+    unknown = np.arange(k)
+    op = np.zeros((2, n, n, k), dtype=np.complex128)
+    for part, c in zip(op, (b, b.conj().T)):
+        # C E_pq - E_pq C: column p of C in column q, minus row q of C in row p
+        part[:, q, unknown] = c[:, p]
+        part[p, :, unknown] -= c[q, :]
+    sigma, vh = np.linalg.svd(op.reshape(2 * n * n, k), full_matrices=False)[1:]
+    cutoff = tol * 2.0 * np.linalg.norm(m, 2)
     rank = int(np.sum(sigma > cutoff))
-    return [vh[k].conj().reshape((n, n), order="F") for k in range(rank, n * n)]
+    y = np.zeros((k - rank, n, n), dtype=np.complex128)
+    y[:, p, q] = vh[rank:].conj()
+    return list(v @ y @ v.conj().T)
 
 
 def _cluster_sizes(w: np.ndarray, gap_tol: float) -> list[int]:
@@ -178,16 +211,21 @@ def s_number(
 ) -> BlockDecomposition:
     """Maximal unitary block-diagonalization of M with its witness U.
 
-    Draws a seeded random Hermitian element of the commutant of {M, M*},
-    whose eigenspace decomposition attains the finest reduction (and hence
-    the maximal block count) with probability one.  Three reseeded draws
-    must agree on s; otherwise an ``AmbiguityError`` carrying the candidate
-    values is raised.  s is a tolerance-dependent quantity: the reported
+    Restricts the commutant of {M, M*} to the eigenspaces of a seeded
+    Hermitian element of the *-algebra, then draws a seeded random
+    Hermitian element of the commutant, whose eigenspace decomposition
+    attains the finest reduction (and hence the maximal block count) with
+    probability one.  Three reseeded draws must agree on s; otherwise an
+    ``AmbiguityError`` carrying the candidate values is raised.  s is a tolerance-dependent quantity: the reported
     value is for the given cutoffs, which matters for matrices that are
     merely close to block-diagonalizable.
     """
     m = as_matrix(m, square=True)
-    basis = commutant_basis(m, tol)
+    # streams [seed, 0..2] belong to the three commutant draws below
+    a, b = np.random.default_rng([seed, 3]).standard_normal(2)
+    ma = m.conj().T
+    w, v = np.linalg.eigh(a * (m + ma) + 1j * b * (m - ma))
+    basis = commutant_basis(m, tol, v=v, sizes=_cluster_sizes(w, cluster_gap))
     draws = [
         _decompose_once(
             m, basis, np.random.default_rng([seed, k]), cluster_gap, block_tol

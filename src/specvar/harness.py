@@ -21,7 +21,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -184,6 +184,7 @@ def s_values(
     seed: int = 0,
     cluster_gap: float = 1e-6,
     block_tol: float = 1e-8,
+    with_s_tilde: bool = False,
 ) -> dict[str, int]:
     """The s-dependent factors the bounds need, as n+1-s(.) values.
 
@@ -192,7 +193,9 @@ def s_values(
     computation.  Computed mode evaluates s(T^-1 Q^-1 (A+E) Q T) once for
     each s-key the branch plan (:func:`specvar.bounds.plan`) names, at that
     step's eps; the rest, and the eps -> 0 limits, stay at the pessimistic
-    n.  ``s_tilde`` is s(A+E) itself (for the normal-A bound family).
+    n.  ``s_tilde`` is s(A+E) itself, which only the normal-A bound family
+    reads: it is computed with ``with_s_tilde=True`` and stays at the
+    pessimistic 1 otherwise.
     """
     if mode not in S_MODES:
         raise ConfigError(f"unknown s_mode '{mode}'")
@@ -211,7 +214,8 @@ def s_values(
     planned = {step.s_key: step.eps for step in plan(inst) if step.eps > 0.0}
     for key, eps in planned.items():
         out[key] = n + 1 - s_of(scaled_similarity(inst.spec, g, eps))
-    out["s_tilde"] = s_of(inst.a + inst.e)
+    if with_s_tilde:
+        out["s_tilde"] = s_of(inst.a + inst.e)
     return out
 
 
@@ -300,6 +304,7 @@ def run_trial(inst: PerturbationInstance, config: SweepConfig, trial: int) -> Tr
     """Evaluate one instance end to end; infrastructure failures are caught
     and recorded, never raised."""
     spec = inst.spec
+    normal = _is_constructed_normal(config)
     base = dict(
         trial=trial,
         digest=instance_digest(inst),
@@ -322,6 +327,7 @@ def run_trial(inst: PerturbationInstance, config: SweepConfig, trial: int) -> Tr
             seed=config.seed,
             cluster_gap=config.tolerances["cluster_gap"],
             block_tol=config.tolerances["block_tol"],
+            with_s_tilde=normal,
         )
     except (EigensolverError, AmbiguityError, SizeLimitError) as exc:
         return TrialRecord(
@@ -341,8 +347,8 @@ def run_trial(inst: PerturbationInstance, config: SweepConfig, trial: int) -> Tr
     results = evaluate_bounds(
         inst,
         sv,
-        include_normal_family=_is_constructed_normal(config),
-        hermitian_a=_is_constructed_normal(config) and config.real_eigenvalues,
+        include_normal_family=normal,
+        hermitian_a=normal and config.real_eigenvalues,
     )
     slacks = verify_instance(inst, results, match.d2)
     slack_tol = config.tolerances["slack"]
@@ -510,9 +516,16 @@ def example_scalar_table(
 # ---------------------------------------------------------------------------
 # report serialization
 
+def _shallow_fields(obj) -> dict:
+    """A dataclass as a dict without ``asdict``'s deep copy; callers copy
+    the mutable fields they hand out."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def _result_to_doc(r: BoundResult) -> dict:
-    d = asdict(r)
+    d = _shallow_fields(r)
     d["id"] = r.id.name
+    d["inputs"] = dict(r.inputs)
     return d
 
 
@@ -532,8 +545,10 @@ def report_to_doc(report: Report) -> dict:
     cfg["n_range"] = list(report.config.n_range)
     records = []
     for rec in report.records:
-        d = asdict(rec)
+        d = _shallow_fields(rec)
         d["results"] = [_result_to_doc(r) for r in rec.results]
+        d["slacks"] = dict(rec.slacks)
+        d["violations"] = list(rec.violations)
         records.append(d)
     return {"config": cfg, "records": records, "summary": report.summary}
 

@@ -1,15 +1,37 @@
 """Tests for the unitary block-structure computation."""
 
+import time
+
 import numpy as np
 import pytest
 
 import specvar as sv
+from specvar import blocks
+from specvar.bounds import plan
+from specvar.jordan import scaled_similarity
 
 
 def jordan_block(lam, size):
     j = lam * np.eye(size, dtype=complex)
     j += np.diag(np.ones(size - 1), k=1) if size > 1 else 0.0
     return j
+
+
+def hidden(blocks_, rng):
+    """diag(blocks_) conjugated by a random unitary."""
+    n = sum(b.shape[0] for b in blocks_)
+    m = np.zeros((n, n), dtype=complex)
+    off = 0
+    for b in blocks_:
+        k = b.shape[0]
+        m[off : off + k, off : off + k] = b
+        off += k
+    u = sv.random_unitary(n, rng)
+    return u @ m @ u.conj().T
+
+
+def gaussian(n, rng):
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
 def random_normal_matrix(n, rng):
@@ -176,3 +198,88 @@ class TestSNumber:
         assert a.s == b.s
         assert a.block_sizes == b.block_sizes
         assert np.array_equal(a.u, b.u)
+
+
+def differential_matrices():
+    """Sweep matrices at every planned eps, A + E, and structured cases."""
+    for profile in ("mixed", "single-jordan", "diagonalizable"):
+        for kappa in (1.0, 10.0, 100.0):
+            cfg = sv.SweepConfig(seed=11, trials=6, n_range=(2, 12),
+                                 block_profile=profile, target_kappa=kappa)
+            for idx in range(cfg.trials):
+                inst = sv.gen_instance(cfg, idx)
+                g = sv.jordan_matrix(inst.spec) + inst.e_q
+                for step in plan(inst):
+                    if step.eps > 0.0:
+                        yield scaled_similarity(inst.spec, g, step.eps)
+                yield inst.a + inst.e
+    rng = np.random.default_rng(12)
+    for n in (4, 8, 12):
+        yield hidden([gaussian(2, rng) for _ in range(n // 2)], rng)
+        yield hidden([gaussian(4, rng) for _ in range(n // 4)], rng)
+        yield hidden([jordan_block(0.3 - 1j, n)], rng)
+        b = gaussian(n // 2, rng)
+        yield hidden([b, b], rng)
+    yield hidden([np.diag([1.0, 1.0, 2.0])], rng)
+    yield 3.0 * np.eye(5)
+    yield np.zeros((4, 4))
+
+
+class TestRestrictedCommutant:
+    def test_matches_unrestricted_commutant(self, monkeypatch):
+        # s_number restricted to the eigenspaces of H against the same draws
+        # fed with the commutant over the whole matrix space
+        restricted = []
+        for m in differential_matrices():
+            dec = sv.s_number(m)
+            restricted.append((m, dec))
+            res = sv.offblock_residual(m, dec.u, dec.block_sizes)
+            assert res <= 1e-8 * np.linalg.norm(m)
+        full = blocks.commutant_basis
+        monkeypatch.setattr(
+            blocks, "commutant_basis", lambda m, tol, **ansatz: full(m, tol)
+        )
+        assert len(restricted) > 100
+        for m, dec in restricted:
+            ref = sv.s_number(m)
+            assert dec.s == ref.s
+            assert sorted(dec.block_sizes) == sorted(ref.block_sizes)
+
+    def test_restricted_basis_spans_the_commutant(self):
+        rng = np.random.default_rng(13)
+        b = gaussian(3, rng)
+        m = hidden([b, b, np.diag([2.0 + 1j])], rng)
+        ma = m.conj().T
+        w, v = np.linalg.eigh(0.6 * (m + ma) + 0.8j * (m - ma))
+        # eigenvalues of H come in pairs (one per copy of B)
+        cuts = np.flatnonzero(np.diff(w) > 1e-6 * np.max(np.abs(w))) + 1
+        sizes = np.diff([0, *cuts, w.size])
+        assert sorted(sizes) == [1, 2, 2, 2]
+        basis = sv.commutant_basis(m, v=v, sizes=sizes)
+        # diag(B, B, c): commutant M_2(C) (x) I_3 + C, dimension 5
+        assert len(basis) == len(sv.commutant_basis(m)) == 5
+        gram = np.array([[np.vdot(x, y) for y in basis] for x in basis])
+        assert np.allclose(gram, np.eye(5), atol=1e-12)
+        for x in basis:
+            assert np.linalg.norm(m @ x - x @ m) < 1e-8
+            assert np.linalg.norm(ma @ x - x @ ma) < 1e-8
+
+    def test_ansatz_must_cover_the_matrix(self):
+        with pytest.raises(sv.DimensionError):
+            sv.commutant_basis(np.eye(3), v=np.eye(3), sizes=[1, 1])
+        with pytest.raises(sv.DimensionError):
+            sv.commutant_basis(np.eye(3), v=np.eye(2), sizes=[1, 1])
+
+    def test_order_64_past_the_old_cap(self):
+        rng = np.random.default_rng(14)
+        m = hidden([gaussian(4, rng) for _ in range(16)], rng)
+        elapsed = []
+        for _ in range(2):
+            start = time.perf_counter()
+            dec = sv.s_number(m)
+            elapsed.append(time.perf_counter() - start)
+        assert dec.s == 16
+        assert dec.block_sizes == (4,) * 16
+        assert np.linalg.norm(dec.u.conj().T @ dec.u - np.eye(64)) <= 1e-8 * 8
+        assert sv.offblock_residual(m, dec.u, dec.block_sizes) <= 1e-8 * np.linalg.norm(m)
+        assert min(elapsed) < 1.0

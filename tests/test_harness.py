@@ -2,12 +2,14 @@
 serialization."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import specvar as sv
 from specvar import harness
+from specvar.bounds import plan
 
 
 def small_config(**kw):
@@ -118,6 +120,47 @@ class TestSValues:
         with pytest.raises(sv.ConfigError):
             sv.s_values(inst, mode="exact")
 
+    def test_s_tilde_only_for_the_normal_family(self, monkeypatch):
+        # a computed trial takes one s(.) per planned s-key with eps > 0,
+        # plus s(A+E) only when the normal-A family reads it
+        calls = []
+        real = harness.s_number
+
+        def counting(m, *args, **kw):
+            calls.append(m.shape[0])
+            return real(m, *args, **kw)
+
+        monkeypatch.setattr(harness, "s_number", counting)
+        for cfg, extra in (
+            (small_config(s_mode="computed", n_range=(2, 8)), 0),
+            (small_config(s_mode="computed", block_profile="single-jordan"), 0),
+            (small_config(s_mode="computed", block_profile="diagonalizable",
+                          target_kappa=1.0), 1),
+        ):
+            for idx in range(cfg.trials):
+                inst = sv.gen_instance(cfg, idx)
+                calls.clear()
+                rec = harness.run_trial(inst, cfg, idx)
+                assert rec.status == "ok"
+                keys = {step.s_key for step in plan(inst) if step.eps > 0.0}
+                assert len(calls) == len(keys) + extra
+
+    def test_hermitian_s_tilde_is_unambiguous(self):
+        # A + E = A + 0.5 I is Hermitian with 12 distinct eigenvalues, so
+        # s(A+E) = 12; the commutant-wide draws used to disagree (s in [11, 12])
+        cfg = sv.SweepConfig(
+            seed=152, block_profile="diagonalizable", target_kappa=1.0,
+            real_eigenvalues=True, amount=0.5, s_mode="computed",
+            perturbation="scalar",
+        )
+        inst = sv.gen_instance(cfg, 2)
+        rec = harness.run_trial(inst, cfg, 2)
+        assert rec.status == "ok", rec.failure_reason
+        assert rec.n == 12
+        out = sv.s_values(inst, mode="computed", seed=cfg.seed, with_s_tilde=True)
+        assert out["s_tilde"] == 12
+        assert {r.inputs["s_tilde"] for r in rec.results if "s_tilde" in r.inputs} == {12}
+
 
 class TestRunTrial:
     def test_zero_perturbation_trial(self):
@@ -213,6 +256,32 @@ class TestReportFiles:
         doc["config"]["eps_grid_points"] = 16
         path.write_text(json.dumps(doc))
         assert sv.read_report(path) == rep
+
+    def test_structured_text_matches_asdict_conversion(self):
+        # report_to_doc converts shallowly; the JSON text must be what the
+        # deep-copying dataclasses.asdict conversion produced
+        def reference(report):
+            cfg = asdict(report.config)
+            cfg["n_range"] = list(report.config.n_range)
+            records = []
+            for rec in report.records:
+                d = asdict(rec)
+                d["results"] = [dict(asdict(r), id=r.id.name) for r in rec.results]
+                records.append(d)
+            return {"config": cfg, "records": records, "summary": report.summary}
+
+        for cfg in (
+            small_config(trials=6),
+            small_config(trials=6, s_mode="computed", block_profile="diagonalizable",
+                         target_kappa=1.0, real_eigenvalues=True),
+        ):
+            rep = sv.run_sweep(cfg)
+            doc = harness.report_to_doc(rep)
+            assert json.dumps(doc, indent=1) == json.dumps(reference(rep), indent=1)
+            # the document shares no mutable state with the report
+            doc["records"][0]["slacks"].clear()
+            doc["records"][0]["results"][0]["inputs"].clear()
+            assert rep.records[0].slacks and rep.records[0].results[0].inputs
 
     def test_csv_deterministic_modulo_timestamp(self, tmp_path):
         rep = sv.run_sweep(small_config(trials=5))
