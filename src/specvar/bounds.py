@@ -29,6 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .blocks import is_normal
 from .exceptions import DimensionError, DomainError
 from .jordan import PerturbationInstance, optimal_epsilon
 from .linalg import as_matrix, delta
@@ -190,7 +191,8 @@ def normal_bounds(e, a_tilde, hermitian_a: bool, s_tilde: int) -> list[BoundResu
 
     HW, SUN and their s(.)-refined / trace-deflated descendants, all in
     terms of E directly; ``s_tilde`` is s(A+E) computed by the caller.
-    The Hermitian refinement is marked inapplicable unless ``hermitian_a``.
+    HW is marked inapplicable unless ``a_tilde`` = A + E is normal too,
+    the Hermitian refinement unless ``hermitian_a``.
     """
     e = as_matrix(e, square=True, name="E")
     a_tilde = as_matrix(a_tilde, square=True, name="A+E")
@@ -212,8 +214,9 @@ def normal_bounds(e, a_tilde, hermitian_a: bool, s_tilde: int) -> list[BoundResu
             inputs=inputs,
         )
 
+    hw_applies = is_normal(a_tilde)
     return [
-        res(BoundId.HW, fro),
+        res(BoundId.HW, fro, hw_applies, "" if hw_applies else "A + E is not normal"),
         res(BoundId.SUN, math.sqrt(n) * fro),
         res(BoundId.LI_SUN, math.sqrt(n - s_tilde + 1) * fro),
         res(BoundId.XU1, math.sqrt(fro * fro + (n - 1) * d * d)),

@@ -11,7 +11,11 @@ eigenvalues and builds the diagonalizable p = n case.
 The diagonal scaling T(eps) = diag(1, eps, ..., eps^(m_i - 1)) per block
 shrinks the Jordan superdiagonal to eps, and phi(eps) is the closed-form
 envelope bounding || T^-1 Q^-1 (A+E) Q T - Lambda ||_F^2 from which every
-bound in :mod:`specvar.bounds` is derived.
+bound in :mod:`specvar.bounds` is derived.  ``envelope_margins`` checks
+that inequality, and the three estimates behind it, on a whole eps grid
+at once: the deviation is T^-1 E_Q T + Omega (Omega the in-block
+superdiagonal, every entry eps), evaluated as one (k, n, n) broadcast from
+the cached E_Q and the block positions ``JordanSpec`` derives once.
 """
 
 from __future__ import annotations
@@ -42,23 +46,29 @@ class JordanSpec:
     """Prescribed Jordan data: ordered (eigenvalue, size) blocks plus the
     similarity transform Q and its condition number kappa2(Q).  Block order
     is the user's order and is never re-sorted; it fixes the correspondence
-    with Lambda."""
+    with Lambda.
+
+    The structure is derived once, at construction: the order ``n``, the
+    block count ``p``, the largest block ``m`` and ``positions``, each
+    index's place inside its block (0, 1, ..., size-1 per block, float64,
+    read-only), which is the exponent of eps in T(eps)."""
 
     blocks: tuple[tuple[complex, int], ...]
     q: np.ndarray
     kappa_q: float
+    n: int = field(init=False)
+    p: int = field(init=False)
+    m: int = field(init=False)
+    positions: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @property
-    def n(self) -> int:
-        return sum(size for _, size in self.blocks)
-
-    @property
-    def p(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def m(self) -> int:
-        return max(size for _, size in self.blocks)
+    def __post_init__(self):
+        sizes = [size for _, size in self.blocks]
+        positions = np.concatenate([np.arange(size, dtype=np.float64) for size in sizes])
+        positions.flags.writeable = False
+        object.__setattr__(self, "n", sum(sizes))
+        object.__setattr__(self, "p", len(sizes))
+        object.__setattr__(self, "m", max(sizes))
+        object.__setattr__(self, "positions", positions)
 
     @property
     def block_sizes(self) -> tuple[int, ...]:
@@ -105,23 +115,18 @@ def make_jordan_spec(blocks, q=None) -> JordanSpec:
     return JordanSpec(blocks=blocks, q=q, kappa_q=kappa2(q))
 
 
+def _superdiagonal_rows(spec: JordanSpec) -> np.ndarray:
+    """Rows i whose superdiagonal entry (i, i+1) lies inside a block."""
+    return np.flatnonzero(spec.positions[1:])
+
+
 def jordan_matrix(spec: JordanSpec) -> np.ndarray:
     """J = diag(J_1, ..., J_p): each block upper bidiagonal with the
     eigenvalue on the diagonal and 1 on the superdiagonal."""
-    j = np.zeros((spec.n, spec.n), dtype=np.complex128)
-    off = 0
-    for lam, size in spec.blocks:
-        for k in range(size):
-            j[off + k, off + k] = lam
-            if k + 1 < size:
-                j[off + k, off + k + 1] = 1.0
-        off += size
+    j = np.diag(spec.eigenvalues)
+    sup = _superdiagonal_rows(spec)
+    j[sup, sup + 1] = 1.0
     return j
-
-
-def lambda_matrix(spec: JordanSpec) -> np.ndarray:
-    """Lambda = diag(lambda_1 I_{m_1}, ..., lambda_p I_{m_p}), block order."""
-    return np.diag(spec.eigenvalues)
 
 
 def assemble(spec: JordanSpec) -> np.ndarray:
@@ -134,28 +139,12 @@ def assemble(spec: JordanSpec) -> np.ndarray:
 def _scaling_vector(spec: JordanSpec, eps: float) -> np.ndarray:
     if not (0.0 < eps <= 1.0):
         raise DomainError(f"eps must lie in (0, 1], got {eps}")
-    return np.concatenate(
-        [eps ** np.arange(size, dtype=np.float64) for _, size in spec.blocks]
-    )
+    return eps ** spec.positions
 
 
 def scaling_matrix(spec: JordanSpec, eps: float) -> np.ndarray:
     """T = diag(T_1, ..., T_p) with T_i = diag(1, eps, ..., eps^(m_i-1))."""
     return np.diag(_scaling_vector(spec, eps)).astype(np.complex128)
-
-
-def superdiagonal_part(spec: JordanSpec, eps: float) -> np.ndarray:
-    """Omega: the within-block superdiagonal entries, all equal to eps.
-    T^-1 J T = Lambda + Omega, and ||Omega||_F^2 = (n - p) eps^2."""
-    if not (0.0 < eps <= 1.0):
-        raise DomainError(f"eps must lie in (0, 1], got {eps}")
-    om = np.zeros((spec.n, spec.n), dtype=np.complex128)
-    off = 0
-    for _, size in spec.blocks:
-        for k in range(size - 1):
-            om[off + k, off + k + 1] = eps
-        off += size
-    return om
 
 
 def scalar_shift(e) -> complex | None:
@@ -212,7 +201,7 @@ def make_instance(spec: JordanSpec, e) -> PerturbationInstance:
     )
 
 
-def phi(inst: PerturbationInstance, eps: float) -> float:
+def phi(inst: PerturbationInstance, eps):
     """Envelope value
 
         phi(eps) = eps^(2(1-m)) delta(E_Q)^2
@@ -220,9 +209,10 @@ def phi(inst: PerturbationInstance, eps: float) -> float:
                    + (n-p) eps^2 + |tr E|^2 / n.
 
     For m = 1 the first exponent is 0, i.e. the coefficient is
-    delta(E_Q)^2 itself.
+    delta(E_Q)^2 itself.  ``eps`` is a float or an array of them; the
+    value has its shape.
     """
-    if not (0.0 < eps <= 1.0):
+    if not np.all((0.0 < eps) & (eps <= 1.0)):
         raise DomainError(f"eps must lie in (0, 1], got {eps}")
     n, p, m = inst.spec.n, inst.spec.p, inst.spec.m
     d = inst.delta_eq
@@ -264,49 +254,51 @@ def scaled_similarity(spec: JordanSpec, m, eps: float) -> np.ndarray:
     return m * (t[None, :] / t[:, None])
 
 
-def envelope_margin(inst: PerturbationInstance, eps: float) -> float:
-    """phi(eps) minus the squared deviation it bounds:
-
-        phi(eps) - || T^-1 Q^-1 (A+E) Q T - Lambda ||_F^2.
-
-    Q^-1 (A+E) Q is evaluated as J + E_Q from the instance's cached
-    transport (exact algebra for the prescribed instance; re-extracting J
-    from the assembled A would only add O(u kappa2(Q)^2) reconstruction
-    noise).  Nonnegative up to rounding; exactly zero when E = 0.
-    """
-    value = phi(inst, eps)
-    f = scaled_similarity(inst.spec, jordan_matrix(inst.spec) + inst.e_q, eps)
-    f -= lambda_matrix(inst.spec)
-    return value - float(np.vdot(f, f).real)
+def _sum_squares(stack: np.ndarray) -> np.ndarray:
+    """||X_k||_F^2 for each matrix of a (k, n, n) stack."""
+    v = np.ascontiguousarray(stack).view(np.float64)  # complex as (re, im) pairs
+    return np.einsum("kij,kij->k", v, v)
 
 
-def scaling_inequalities(inst: PerturbationInstance, eps: float) -> dict[str, float]:
-    """Margins of the three elementwise estimates behind the envelope.
+def envelope_margins(inst: PerturbationInstance, eps) -> dict[str, np.ndarray]:
+    """phi and the margins of the inequalities behind it, for an array of
+    k eps values, from one broadcast over a (k, n, n) stack.
 
-    Returns a dict with:
+    With S = T^-1 E_Q T (from the cached transport, entrywise as in
+    :func:`scaled_similarity`) and Omega the in-block superdiagonal (every
+    entry eps), T^-1 Q^-1 (A+E) Q T - Lambda = S + Omega exactly.  Forming
+    the deviation this way never subtracts Lambda from lambda + e_ii, a
+    cancellation that would swamp a tiny E.  Returns arrays of shape (k,):
 
-    - ``scaled_norm_margin``: eps^(2(1-m)) delta^2 + |tr E|^2/n
-      minus ||T^-1 E_Q T||_F^2,
-    - ``cross_term_margin``: eps^2 sqrt(n-p) delta
-      minus Re tr(Omega* T^-1 E_Q T),
+    - ``phi``: phi(eps),
+    - ``envelope_margin``: phi(eps) - ||S + Omega||_F^2,
+    - ``scaled_norm_margin``: eps^(2(1-m)) delta^2 + |tr E|^2/n - ||S||_F^2,
+    - ``cross_term_margin``: eps^2 sqrt(n-p) delta - Re tr(Omega* S),
     - ``superdiag_norm_error``: | ||Omega||_F^2 - (n-p) eps^2 |.
 
-    The first two are nonnegative up to rounding; the third is an exact
+    The three margins are nonnegative up to rounding; the last is an exact
     identity.
     """
-    n, p, m = inst.spec.n, inst.spec.p, inst.spec.m
+    eps = np.atleast_1d(np.asarray(eps, dtype=np.float64))
+    value = phi(inst, eps)
+    spec = inst.spec
+    n, p, m = spec.n, spec.p, spec.m
     d = inst.delta_eq
-    scaled = scaled_similarity(inst.spec, inst.e_q, eps)
-    omega = superdiagonal_part(inst.spec, eps)
-    lhs_norm2 = float(np.vdot(scaled, scaled).real)
-    rhs_norm2 = eps ** (2 * (1 - m)) * d * d + abs(inst.trace_e) ** 2 / n
-    cross = float(np.vdot(omega, scaled).real)
+    t = eps[:, None] ** spec.positions  # row k: the diagonal of T(eps_k)
+    s = inst.e_q * (t[:, None, :] / t[:, :, None])
+    omega = np.zeros(s.shape)
+    sup = _superdiagonal_rows(spec)
+    omega[:, sup, sup + 1] = eps[:, None]
     return {
-        "scaled_norm_margin": rhs_norm2 - lhs_norm2,
-        "cross_term_margin": float(eps * eps * np.sqrt(n - p) * d - cross),
-        "superdiag_norm_error": abs(
-            float(np.vdot(omega, omega).real) - (n - p) * eps * eps
+        "phi": value,
+        "envelope_margin": value - _sum_squares(s + omega),
+        "scaled_norm_margin": (
+            eps ** (2 * (1 - m)) * d * d + abs(inst.trace_e) ** 2 / n - _sum_squares(s)
         ),
+        "cross_term_margin": (
+            eps * eps * np.sqrt(n - p) * d - np.einsum("kij,kij->k", omega, s.real)
+        ),
+        "superdiag_norm_error": np.abs(_sum_squares(omega) - (n - p) * eps * eps),
     }
 
 

@@ -128,6 +128,17 @@ class TestNormalBounds:
         res = by_id(sv.normal_bounds(e, np.eye(2), hermitian_a=True, s_tilde=2))
         assert res[sv.BoundId.XU_HERMITIAN].applicable
 
+    def test_hw_needs_normal_a_tilde(self):
+        e = np.diag([0.1, 0.2]).astype(complex)
+        res = by_id(sv.normal_bounds(e, np.eye(2), hermitian_a=False, s_tilde=2))
+        assert res[sv.BoundId.HW].applicable
+        jordan_like = np.array([[1.0, 1.0], [0.0, 2.0]])
+        res = by_id(sv.normal_bounds(e, jordan_like, hermitian_a=False, s_tilde=2))
+        assert not res[sv.BoundId.HW].applicable
+        assert res[sv.BoundId.HW].reason
+        assert res[sv.BoundId.HW].value == 0.0
+        assert res[sv.BoundId.SUN].applicable
+
     def test_s_tilde_validated(self):
         with pytest.raises(sv.DomainError):
             sv.normal_bounds(np.eye(2), np.eye(2), hermitian_a=False, s_tilde=3)

@@ -210,6 +210,32 @@ class TestRunTrial:
         ids = {r.id for r in rec.results}
         assert sv.BoundId.HW not in ids
 
+    def test_hw_needs_a_normal_a_plus_e(self):
+        # A is normal but A + E is not: D2 = 0.50309 > ||E||_F = 0.5, so
+        # Hoffman-Wielandt must not be applied
+        cfg = sv.SweepConfig(
+            seed=2005103, block_profile="diagonalizable", target_kappa=1.0,
+            real_eigenvalues=True, amount=0.5, s_mode="computed",
+        )
+        rec = sv.run_trial(sv.gen_instance(cfg, 2), cfg, 2)
+        assert rec.status == "ok", rec.failure_reason
+        assert rec.n == 3 and rec.d2 > rec.norm_e
+        assert rec.violations == []
+        hw = {r.id: r for r in rec.results}[sv.BoundId.HW]
+        assert not hw.applicable and hw.reason
+        assert "HW" not in rec.slacks
+
+    def test_hw_kept_for_scalar_e(self):
+        # A + tI is normal whenever A is: HW stays applicable
+        cfg = sv.SweepConfig(
+            seed=152, trials=10, block_profile="diagonalizable", target_kappa=1.0,
+            real_eigenvalues=True, amount=0.5, perturbation="scalar",
+        )
+        rep = sv.run_sweep(cfg)
+        assert rep.summary["violation_count"] == 0
+        for rec in rep.records:
+            assert {r.id: r for r in rec.results}[sv.BoundId.HW].applicable
+
 
 class TestRunSweep:
     def test_summary_shape_and_zero_violations(self):
@@ -238,6 +264,17 @@ class TestRunSweep:
         assert rep.summary["violation_count"] == 0
         for rec in rep.records:
             assert all(r.value > 0.0 for r in rec.results if r.applicable)
+
+    def test_tiny_perturbation_margins_are_not_negative(self):
+        # the deviation must not cancel lambda against lambda + e_ii: at
+        # ||E||_F = 1e-14 that reads envelope ratios down to -8e-3
+        cfg = sv.SweepConfig(
+            seed=1, trials=20, block_profile="diagonalizable", amount=1e-14,
+            target_kappa=1.0,
+        )
+        rep = sv.run_sweep(cfg)
+        assert rep.summary["ok"] == 20
+        assert rep.summary["envelope_ratio_min"] >= -cfg.tolerances["envelope"]
 
     def test_real_sweep_exercises_up3(self):
         rep = sv.run_sweep(small_config(trials=6, real_eigenvalues=True))

@@ -81,11 +81,12 @@ class TestScaling:
 
     def test_domain(self):
         spec = sv.make_jordan_spec([(0.0, 2)])
+        inst = sv.make_instance(spec, np.zeros((2, 2)))
         for eps in (0.0, -0.5, 1.5):
             with pytest.raises(sv.DomainError):
                 sv.scaling_matrix(spec, eps)
             with pytest.raises(sv.DomainError):
-                sv.superdiagonal_part(spec, eps)
+                sv.envelope_margins(inst, [0.5, eps])
 
     def test_scaled_similarity_splits_into_diagonal_plus_superdiag(self):
         spec = sv.make_jordan_spec([(1.5, 3), (2j, 2), (0.0, 1)])
@@ -93,7 +94,9 @@ class TestScaling:
             t = np.diag(sv.scaling_matrix(spec, eps))
             j = sv.jordan_matrix(spec)
             scaled = j * (t[None, :] / t[:, None])
-            expected = sv.lambda_matrix(spec) + sv.superdiagonal_part(spec, eps)
+            # Lambda + Omega: the in-block superdiagonal shrinks to eps
+            omega = eps * np.diag([1.0, 1.0, 0.0, 1.0, 0.0], k=1)
+            expected = np.diag(spec.eigenvalues) + omega
             assert np.allclose(scaled, expected, atol=1e-15)
 
     def test_superdiag_norm_identity(self):
@@ -101,12 +104,28 @@ class TestScaling:
         for _ in range(10):
             sizes = [int(rng.integers(1, 5)) for _ in range(int(rng.integers(1, 4)))]
             spec = sv.make_jordan_spec([(rng.uniform(-1, 1), s) for s in sizes])
-            eps = float(rng.uniform(0.05, 1.0))
-            om = sv.superdiagonal_part(spec, eps)
+            inst = sv.make_instance(spec, np.zeros((spec.n, spec.n)))
+            eps = rng.uniform(0.05, 1.0, size=4)
+            err = sv.envelope_margins(inst, eps)["superdiag_norm_error"]
             n_minus_p = spec.n - spec.p
-            assert np.linalg.norm(om) ** 2 == pytest.approx(
-                n_minus_p * eps * eps, rel=1e-13, abs=1e-300
-            )
+            assert np.all(err <= 1e-13 * n_minus_p * eps * eps)
+
+    def test_structure_computed_once(self):
+        spec = sv.make_jordan_spec([(1.0, 3), (2.0, 1), (0.5j, 2)])
+        assert np.array_equal(spec.positions, [0.0, 1.0, 2.0, 0.0, 0.0, 1.0])
+        assert spec.positions.dtype == np.float64
+        assert not spec.positions.flags.writeable
+        assert np.array_equal(sv.scaling_matrix(spec, 0.5).real, np.diag(
+            np.concatenate([0.5 ** np.arange(3.0), [1.0], 0.5 ** np.arange(2.0)])
+        ))
+        assert np.array_equal(sv.jordan_matrix(spec), np.array([
+            [1, 1, 0, 0, 0, 0],
+            [0, 1, 1, 0, 0, 0],
+            [0, 0, 1, 0, 0, 0],
+            [0, 0, 0, 2, 0, 0],
+            [0, 0, 0, 0, 0.5j, 1],
+            [0, 0, 0, 0, 0, 0.5j],
+        ]))
 
 
 class TestInstance:
@@ -247,15 +266,106 @@ class TestOptimalEpsilon:
             sv.optimal_epsilon(inst)
 
 
+def reference_margins(inst, eps):
+    """The margins at one eps as computed before the broadcast pass: J and
+    Omega built entry by entry, T^-1 (J + E_Q) T - Lambda formed by
+    subtracting Lambda, one eps at a time."""
+    spec = inst.spec
+    n, p, m = spec.n, spec.p, spec.m
+    d = inst.delta_eq
+    j = np.zeros((n, n), dtype=complex)
+    omega = np.zeros((n, n), dtype=complex)
+    off = 0
+    for lam, size in spec.blocks:
+        for k in range(size):
+            j[off + k, off + k] = lam
+            if k + 1 < size:
+                j[off + k, off + k + 1] = 1.0
+                omega[off + k, off + k + 1] = eps
+        off += size
+    t = np.diag(sv.scaling_matrix(spec, eps)).real
+    ratio = t[None, :] / t[:, None]  # T^-1 M T = M_ij t_j / t_i
+    value = sv.phi(inst, eps)
+    f = (j + inst.e_q) * ratio - np.diag(spec.eigenvalues)
+    scaled = inst.e_q * ratio
+    rhs_norm2 = eps ** (2 * (1 - m)) * d * d + abs(inst.trace_e) ** 2 / n
+    return {
+        "phi": value,
+        "envelope_margin": value - np.vdot(f, f).real,
+        "scaled_norm_margin": rhs_norm2 - np.vdot(scaled, scaled).real,
+        "cross_term_margin": eps * eps * np.sqrt(n - p) * d - np.vdot(omega, scaled).real,
+        "superdiag_norm_error": abs(np.vdot(omega, omega).real - (n - p) * eps * eps),
+    }
+
+
+MARGIN_KEYS = (
+    "envelope_margin", "scaled_norm_margin", "cross_term_margin", "superdiag_norm_error"
+)
+
+
+def acceptance_cell_instances(trials):
+    """Sweep instances of every profile x perturbation x kappa x ||E|| cell
+    of the acceptance grid, ||E|| >= 0.01."""
+    for i, profile in enumerate(("diagonalizable", "single-jordan", "mixed")):
+        for j, perturbation in enumerate(("gaussian", "scalar", "rank1")):
+            for kappa in (1.0, 10.0, 100.0):
+                for amount in (0.01, 0.5, 2.0):
+                    cfg = sv.SweepConfig(
+                        seed=10 * i + j, block_profile=profile,
+                        perturbation=perturbation, target_kappa=kappa, amount=amount,
+                    )
+                    for trial in range(trials):
+                        yield sv.gen_instance(cfg, trial)
+
+
+class TestEnvelopeMarginsDifferential:
+    ATOL = 1e-12  # on each margin / phi ratio, fixed before the comparison
+
+    def test_matches_reference_loop(self):
+        grid = sv.eps_grid(16)
+        count = 0
+        for inst in acceptance_cell_instances(trials=2):
+            fast = sv.envelope_margins(inst, grid)
+            ref = [reference_margins(inst, float(eps)) for eps in grid]
+            ref_phi = np.array([r["phi"] for r in ref])
+            assert np.allclose(fast["phi"], ref_phi, rtol=1e-14, atol=0.0)
+            live = ref_phi > 0.0
+            for key in MARGIN_KEYS:
+                got = fast[key][live] / fast["phi"][live]
+                want = np.array([r[key] for r in ref])[live] / ref_phi[live]
+                assert np.allclose(got, want, rtol=0.0, atol=self.ATOL), key
+            count += 1
+        assert count == 162
+
+    def test_sweep_records_match_reference_loop(self):
+        for block_profile in ("diagonalizable", "single-jordan", "mixed"):
+            cfg = sv.SweepConfig(seed=4, trials=4, block_profile=block_profile)
+            for rec in sv.run_sweep(cfg).records:
+                inst = sv.gen_instance(cfg, rec.trial)
+                ref = [reference_margins(inst, float(eps)) for eps in sv.eps_grid(16)]
+                ratios = {
+                    key: [r[key] / r["phi"] for r in ref if r["phi"] > 0.0]
+                    for key in MARGIN_KEYS
+                }
+                got = (
+                    rec.envelope_ratio_min, rec.scaled_norm_ratio_min,
+                    rec.cross_term_ratio_min, rec.superdiag_error_ratio_max,
+                )
+                want = (
+                    min(ratios["envelope_margin"]), min(ratios["scaled_norm_margin"]),
+                    min(ratios["cross_term_margin"]), max(ratios["superdiag_norm_error"]),
+                )
+                assert got == pytest.approx(want, rel=0.0, abs=self.ATOL)
+
+
 class TestEnvelopeMargin:
     def test_zero_perturbation_any_eps(self):
         rng = np.random.default_rng(7)
         q = sv.random_conditioned(5, 25.0, rng)
         spec = sv.make_jordan_spec([(1.0 + 1j, 3), (0.5, 2)], q)
         inst = sv.make_instance(spec, np.zeros((5, 5)))
-        for eps in (0.0625, 0.3, 0.5, 1.0):
-            margin = sv.envelope_margin(inst, eps)
-            assert abs(margin) <= 1e-14 * max(1.0, sv.phi(inst, eps))
+        out = sv.envelope_margins(inst, [0.0625, 0.3, 0.5, 1.0])
+        assert np.all(np.abs(out["envelope_margin"]) <= 1e-14 * np.maximum(1.0, out["phi"]))
 
     def test_diagonal_traceless_eq_closed_form(self):
         # diagonal traceless E with q = I: the deviation and the scaled
@@ -267,45 +377,44 @@ class TestEnvelopeMargin:
         d = inst.delta_eq
         assert d == pytest.approx(np.linalg.norm(e), rel=1e-14)
         n, p, m = 4, 2, 2
-        for eps in (0.2, 0.5, 1.0):
-            expected = (eps ** (2 * (1 - m)) - 1.0) * d * d + (
-                2.0 * eps * eps * np.sqrt(n - p) * d
-            )
-            assert sv.envelope_margin(inst, eps) == pytest.approx(
-                expected, rel=1e-12, abs=1e-14
-            )
-            assert expected >= 0.0
+        eps = np.array([0.2, 0.5, 1.0])
+        expected = (eps ** (2 * (1 - m)) - 1.0) * d * d + (
+            2.0 * eps * eps * np.sqrt(n - p) * d
+        )
+        margin = sv.envelope_margins(inst, eps)["envelope_margin"]
+        assert margin == pytest.approx(expected, rel=1e-12, abs=1e-14)
+        assert np.all(expected >= 0.0)
 
     def test_random_instances_nonnegative(self):
         for seed in range(8):
             inst = make_mixed_instance(seed, kappa=50.0, e_norm=0.8)
-            for eps in sv.eps_grid(16):
-                margin = sv.envelope_margin(inst, float(eps))
-                assert margin >= -1e-8 * sv.phi(inst, float(eps))
+            out = sv.envelope_margins(inst, sv.eps_grid(16))
+            assert np.all(out["envelope_margin"] >= -1e-8 * out["phi"])
 
     def test_at_eps_one(self):
         inst = make_mixed_instance(9)
-        assert sv.envelope_margin(inst, 1.0) >= -1e-8 * sv.phi(inst, 1.0)
+        out = sv.envelope_margins(inst, [1.0])
+        assert out["phi"][0] == sv.phi(inst, 1.0)
+        assert out["envelope_margin"][0] >= -1e-8 * out["phi"][0]
 
 
 class TestScalingInequalities:
     def test_margins_nonnegative_on_grid(self):
         for seed in range(6):
             inst = make_mixed_instance(seed, kappa=30.0, e_norm=1.5)
-            for eps in sv.eps_grid(16):
-                out = sv.scaling_inequalities(inst, float(eps))
-                tol = 1e-8 * sv.phi(inst, float(eps))
-                assert out["scaled_norm_margin"] >= -tol
-                assert out["cross_term_margin"] >= -tol
-                assert out["superdiag_norm_error"] <= tol
+            out = sv.envelope_margins(inst, sv.eps_grid(16))
+            tol = 1e-8 * out["phi"]
+            assert np.all(out["scaled_norm_margin"] >= -tol)
+            assert np.all(out["cross_term_margin"] >= -tol)
+            assert np.all(out["superdiag_norm_error"] <= tol)
 
     def test_zero_perturbation_exact(self):
         spec = sv.make_jordan_spec([(2.0, 3)])
         inst = sv.make_instance(spec, np.zeros((3, 3)))
-        out = sv.scaling_inequalities(inst, 0.5)
-        assert out["scaled_norm_margin"] == 0.0
-        assert out["cross_term_margin"] == 0.0
-        assert out["superdiag_norm_error"] <= 1e-16
+        out = sv.envelope_margins(inst, [0.5])
+        assert out["scaled_norm_margin"][0] == 0.0
+        assert out["cross_term_margin"][0] == 0.0
+        assert out["superdiag_norm_error"][0] <= 1e-16
 
 
 class TestSpecFromMatrix:
