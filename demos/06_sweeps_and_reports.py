@@ -41,16 +41,17 @@ for name, slack in sorted(rec.slacks.items()):
 
 print()
 print("== reports round-trip and reproduce ==")
-tmp = pathlib.Path(tempfile.mkdtemp())
-sv.write_report(report, tmp / "report.json", format="structured-text")
-sv.write_report(report, tmp / "report.csv", format="csv")
-back = sv.read_report(tmp / "report.json")
+with tempfile.TemporaryDirectory() as name:
+    tmp = pathlib.Path(name)
+    sv.write_report(report, tmp / "report.json", format="structured-text")
+    sv.write_report(report, tmp / "report.csv", format="csv")
+    back = sv.read_report(tmp / "report.json")
+    csv_lines = (tmp / "report.csv").read_text().splitlines()
 print("JSON round-trip preserves every record:", back == report)
 
 again = sv.run_sweep(config)
 print("re-running the identical config reproduces the report:", again == report)
 
-csv_lines = (tmp / "report.csv").read_text().splitlines()
 print("CSV header:", csv_lines[1])
 print("first data row:", csv_lines[2])
 

@@ -10,21 +10,26 @@ Kojima 2010; Maehara & Murota 2011):
 1. draw a seeded Hermitian element H = a(M + M*) + i b(M - M*) of the
    algebra, take H = V diag(w) V* and cluster w.  Every element X of the
    commutant {X : MX = XM and M*X = XM*} commutes with H, so it has the
-   form X = V blockdiag(Y_1, ..., Y_c) V* with one block per cluster;
-2. compute an orthonormal basis of the commutant as the numerical null
-   space of X -> (MX - XM, M*X - XM*) restricted to that form: a
-   2n^2 x K operator with K = sum k_c^2 unknowns (K = n when H has a
-   simple spectrum, K = n^2 when H is scalar -- the unrestricted case);
+   form X = V blockdiag(Y_1, ..., Y_c) V* with one block per cluster.
+   When every cluster is a single eigenvalue (the generic case), X is
+   V diag(y) V*, so the eigenvectors of H are already the finest split:
+   step 4 merges them and steps 2-3 are skipped;
+2. otherwise compute an orthonormal basis of the commutant as the
+   numerical null space of X -> (MX - XM, M*X - XM*) restricted to that
+   form: a 2n^2 x K operator with K = sum k_c^2 unknowns (K = n^2 when H
+   is scalar -- the unrestricted case);
 3. draw a random Hermitian element of the commutant; with probability
    one its eigenspaces are exactly the finest M-reducing subspaces;
-4. cluster that element's eigenvalues, order the eigenvectors by cluster,
-   and merge any clusters that still couple in U* M U.
+4. order the eigenvectors by cluster and merge the groups that still
+   couple in U* M U: the connected components of the coupling graph,
+   repeated until no merged group couples to another.
 
 The restriction in step 2 is exact for any H, so degenerate inputs
 (diag(B, B), normal matrices with repeated eigenvalues, scalars) only make
-the clusters, and K, larger.  Every draw is fully determined by the seed,
-and three independent draws in step 3 must agree on s or an
-``AmbiguityError`` is raised, so results are reproducible.
+the clusters, and K, larger.  Every draw is fully determined by the seed.
+On the clustered route three independent draws in step 3 must agree on s
+or an ``AmbiguityError`` is raised, so results are reproducible; the
+simple-spectrum route draws nothing after H and cannot raise it.
 """
 
 from __future__ import annotations
@@ -120,15 +125,8 @@ def _cluster_sizes(w: np.ndarray, gap_tol: float) -> list[int]:
     scale = float(np.max(np.abs(w))) if w.size else 0.0
     if scale == 0.0:
         return [w.size]
-    sizes, current = [], 1
-    for i in range(1, w.size):
-        if w[i] - w[i - 1] > gap_tol * scale:
-            sizes.append(current)
-            current = 1
-        else:
-            current += 1
-    sizes.append(current)
-    return sizes
+    cuts = np.flatnonzero(np.diff(w) > gap_tol * scale) + 1
+    return np.diff([0, *cuts, w.size]).tolist()
 
 
 def offblock_residual(m, u, block_sizes) -> float:
@@ -144,48 +142,43 @@ def offblock_residual(m, u, block_sizes) -> float:
     return float(np.linalg.norm(b[mask]))
 
 
-def _merge_coupled(m, u, sizes, block_tol):
-    """Merge clusters that still couple in U* M U beyond block_tol * ||M||_F.
+def _components(adjacency: np.ndarray) -> np.ndarray:
+    """Label each node of a symmetric graph with the smallest node of its
+    connected component, by boolean transitive closure (repeated squaring,
+    with the path counts cut back to 0/1 after every float64 product)."""
+    reach = adjacency | np.eye(adjacency.shape[0], dtype=bool)
+    while True:
+        step = reach.astype(np.float64)
+        wider = (step @ step) > 0.0
+        if np.array_equal(wider, reach):
+            return np.argmax(reach, axis=1)
+        reach = wider
 
-    Guards against an unluckily degenerate random commutant element; merged
-    groups are made contiguous by column permutation (order of first member).
+
+def _merge_coupled(m, u, sizes, block_tol) -> BlockDecomposition:
+    """Merge the column groups of U that couple in U* M U (both off-diagonal
+    blocks together) beyond block_tol * ||M||_F, by connected components.
+
+    A merged group can couple to a third above the threshold although each
+    part stays below it, so merging repeats until nothing changes.  Merged
+    groups are made contiguous by column permutation (order of first
+    member).
     """
-    m_scale = float(np.linalg.norm(m))
-    thresh = block_tol * m_scale if m_scale > 0 else block_tol
-    while len(sizes) > 1:
-        k = len(sizes)
-        edges = np.cumsum([0, *sizes])
-        b = u.conj().T @ m @ u
-        parent = list(range(k))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        coupled = False
-        for i in range(k):
-            for j in range(i + 1, k):
-                ri, rj = slice(edges[i], edges[i + 1]), slice(edges[j], edges[j + 1])
-                c = np.linalg.norm(b[ri, rj]) ** 2 + np.linalg.norm(b[rj, ri]) ** 2
-                if np.sqrt(c) > thresh:
-                    pi, pj = find(i), find(j)
-                    if pi != pj:
-                        parent[max(pi, pj)] = min(pi, pj)
-                        coupled = True
-        if not coupled:
+    thresh = block_tol * (float(np.linalg.norm(m)) or 1.0)
+    power = np.abs(u.conj().T @ m @ u) ** 2
+    sizes = np.asarray(sizes)
+    while sizes.size > 1:
+        starts = np.cumsum(sizes) - sizes
+        w = np.add.reduceat(np.add.reduceat(power, starts, axis=0), starts, axis=1)
+        label = _components(np.sqrt(w + w.T) > thresh)
+        firsts = np.unique(label)
+        if firsts.size == sizes.size:
             break
-        groups: dict[int, list[int]] = {}
-        for i in range(k):
-            groups.setdefault(find(i), []).append(i)
-        order = sorted(groups.values(), key=lambda g: g[0])
-        cols = np.concatenate(
-            [np.arange(edges[i], edges[i + 1]) for g in order for i in g]
-        )
+        cols = np.argsort(np.repeat(label, sizes), kind="stable")
         u = u[:, cols]
-        sizes = [sum(sizes[i] for i in g) for g in order]
-    return u, sizes
+        power = power[np.ix_(cols, cols)]
+        sizes = np.bincount(label, weights=sizes)[firsts].astype(int)
+    return BlockDecomposition(u=u, block_sizes=tuple(sizes.tolist()), s=sizes.size)
 
 
 def _decompose_once(m, basis, rng, cluster_gap, block_tol):
@@ -195,10 +188,8 @@ def _decompose_once(m, basis, rng, cluster_gap, block_tol):
     for g, b in zip(gamma, basis):
         h += g * (b + b.conj().T) / 2.0
     w, v = np.linalg.eigh(h)
-    sizes = _cluster_sizes(w, cluster_gap)
     # eigh returns ascending eigenvalues, so clusters are already contiguous
-    u, sizes = _merge_coupled(m, v, sizes, block_tol)
-    return BlockDecomposition(u=u, block_sizes=tuple(sizes), s=len(sizes))
+    return _merge_coupled(m, v, _cluster_sizes(w, cluster_gap), block_tol)
 
 
 def s_number(
@@ -211,21 +202,28 @@ def s_number(
 ) -> BlockDecomposition:
     """Maximal unitary block-diagonalization of M with its witness U.
 
-    Restricts the commutant of {M, M*} to the eigenspaces of a seeded
-    Hermitian element of the *-algebra, then draws a seeded random
-    Hermitian element of the commutant, whose eigenspace decomposition
-    attains the finest reduction (and hence the maximal block count) with
-    probability one.  Three reseeded draws must agree on s; otherwise an
-    ``AmbiguityError`` carrying the candidate values is raised.  s is a tolerance-dependent quantity: the reported
-    value is for the given cutoffs, which matters for matrices that are
-    merely close to block-diagonalizable.
+    When a seeded Hermitian element H of the *-algebra has a simple
+    spectrum, its eigenvectors, with the coupled ones merged, are the
+    witness.  Otherwise the commutant of {M, M*} is solved inside the
+    eigenspaces of H, and a seeded random Hermitian element of it attains
+    the finest reduction with probability one; three reseeded draws must
+    agree on s, or an ``AmbiguityError`` carrying the candidates is raised.
+
+    s is a tolerance-dependent quantity: the reported value is for the
+    given cutoffs, which matters for matrices that are merely close to
+    block-diagonalizable.  ``cluster_gap`` and ``block_tol`` govern both
+    routes; ``tol``, the null-space cutoff, only the clustered one.
     """
     m = as_matrix(m, square=True)
     # streams [seed, 0..2] belong to the three commutant draws below
     a, b = np.random.default_rng([seed, 3]).standard_normal(2)
     ma = m.conj().T
     w, v = np.linalg.eigh(a * (m + ma) + 1j * b * (m - ma))
-    basis = commutant_basis(m, tol, v=v, sizes=_cluster_sizes(w, cluster_gap))
+    clusters = _cluster_sizes(w, cluster_gap)
+    if len(clusters) == w.size:
+        # every commutant element is V diag(y) V*: nothing random to draw
+        return _merge_coupled(m, v, clusters, block_tol)
+    basis = commutant_basis(m, tol, v=v, sizes=clusters)
     draws = [
         _decompose_once(
             m, basis, np.random.default_rng([seed, k]), cluster_gap, block_tol

@@ -47,6 +47,13 @@ def test_s_number(matrix_file, capsys):
     assert "s = 1" in capsys.readouterr().out
 
 
+def test_s_number_past_the_commutant_size_cap(matrix_file, capsys):
+    rng = np.random.default_rng(1)
+    path = matrix_file("m.json", rng.standard_normal((200, 200)))
+    assert main(["s-number", "--matrix", path]) == 0
+    assert "s = " in capsys.readouterr().out
+
+
 def test_bound_exit_zero(tmp_path, matrix_file, capsys):
     rng = np.random.default_rng(0)
     q = sv.random_conditioned(3, 4.0, rng)

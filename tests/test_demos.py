@@ -2,7 +2,7 @@
 
 Each demo is executed in-process with ``runpy.run_path``; its standard
 output is captured, and files it writes go to a per-test temporary
-directory.
+directory, which must be empty again once the demo returns.
 """
 
 import contextlib
@@ -27,3 +27,4 @@ def test_demo_runs(path, tmp_path, monkeypatch):
     with contextlib.redirect_stdout(out):
         runpy.run_path(str(path), run_name="__main__")
     assert out.getvalue().strip()
+    assert list(tmp_path.iterdir()) == []
