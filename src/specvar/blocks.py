@@ -13,7 +13,8 @@ Kojima 2010; Maehara & Murota 2011):
    form X = V blockdiag(Y_1, ..., Y_c) V* with one block per cluster.
    When every cluster is a single eigenvalue (the generic case), X is
    V diag(y) V*, so the eigenvectors of H are already the finest split:
-   step 4 merges them and steps 2-3 are skipped;
+   step 4 merges them and steps 2-3 are skipped, unless the merged split
+   leaves a residual coupling past the null-space cutoff of step 2;
 2. otherwise compute an orthonormal basis of the commutant as the
    numerical null space of X -> (MX - XM, M*X - XM*) restricted to that
    form: a 2n^2 x K operator with K = sum k_c^2 unknowns (K = n^2 when H
@@ -27,9 +28,9 @@ Kojima 2010; Maehara & Murota 2011):
 The restriction in step 2 is exact for any H, so degenerate inputs
 (diag(B, B), normal matrices with repeated eigenvalues, scalars) only make
 the clusters, and K, larger.  Every draw is fully determined by the seed.
-On the clustered route three independent draws in step 3 must agree on s
-or an ``AmbiguityError`` is raised, so results are reproducible; the
-simple-spectrum route draws nothing after H and cannot raise it.
+Wherever step 2 runs, three independent draws in step 3 must agree on s
+or an ``AmbiguityError`` is raised, so results are reproducible; a split
+kept from a simple spectrum draws nothing after H and cannot raise it.
 """
 
 from __future__ import annotations
@@ -125,8 +126,15 @@ def _cluster_sizes(w: np.ndarray, gap_tol: float) -> list[int]:
     scale = float(np.max(np.abs(w))) if w.size else 0.0
     if scale == 0.0:
         return [w.size]
-    cuts = np.flatnonzero(np.diff(w) > gap_tol * scale) + 1
-    return np.diff([0, *cuts, w.size]).tolist()
+    sizes, current = [], 1
+    for i in range(1, w.size):
+        if w[i] - w[i - 1] > gap_tol * scale:
+            sizes.append(current)
+            current = 1
+        else:
+            current += 1
+    sizes.append(current)
+    return sizes
 
 
 def offblock_residual(m, u, block_sizes) -> float:
@@ -204,15 +212,16 @@ def s_number(
 
     When a seeded Hermitian element H of the *-algebra has a simple
     spectrum, its eigenvectors, with the coupled ones merged, are the
-    witness.  Otherwise the commutant of {M, M*} is solved inside the
-    eigenspaces of H, and a seeded random Hermitian element of it attains
-    the finest reduction with probability one; three reseeded draws must
-    agree on s, or an ``AmbiguityError`` carrying the candidates is raised.
+    witness if its off-block residual is at most tol ||M||_2.  Otherwise
+    the commutant of {M, M*} is solved inside the eigenspaces of H, and a
+    seeded random Hermitian element of it attains the finest reduction
+    with probability one; three reseeded draws must agree on s, or an
+    ``AmbiguityError`` carrying the candidates is raised.
 
     s is a tolerance-dependent quantity: the reported value is for the
-    given cutoffs, which matters for matrices that are merely close to
-    block-diagonalizable.  ``cluster_gap`` and ``block_tol`` govern both
-    routes; ``tol``, the null-space cutoff, only the clustered one.
+    given cutoffs (``cluster_gap``, ``block_tol`` and ``tol`` on both
+    routes), which matters for matrices that are merely close to
+    block-diagonalizable.
     """
     m = as_matrix(m, square=True)
     # streams [seed, 0..2] belong to the three commutant draws below
@@ -221,8 +230,15 @@ def s_number(
     w, v = np.linalg.eigh(a * (m + ma) + 1j * b * (m - ma))
     clusters = _cluster_sizes(w, cluster_gap)
     if len(clusters) == w.size:
-        # every commutant element is V diag(y) V*: nothing random to draw
-        return _merge_coupled(m, v, clusters, block_tol)
+        # every commutant element is V diag(y) V*: nothing random to draw.
+        # For off-block residual r, each unit X in the span of the block
+        # projectors has ||(MX - XM, M*X - XM*)||_F <= 2r: keep the split if
+        # that is within the null-space cutoff tol 2||M||_2, else solve
+        dec = _merge_coupled(m, v, clusters, block_tol)
+        if dec.s == 1 or offblock_residual(m, dec.u, dec.block_sizes) <= (
+            tol * np.linalg.norm(m, 2)
+        ):
+            return dec
     basis = commutant_basis(m, tol, v=v, sizes=clusters)
     draws = [
         _decompose_once(

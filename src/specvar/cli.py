@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("s-number", help="maximal unitary block count s(M)")
     p.add_argument("--matrix", required=True)
     p.add_argument("--tol", type=float, default=1e-8,
-                   help="null-space cutoff for clustered H (s is tolerance-dependent)")
+                   help="commutant null-space cutoff (s is tolerance-dependent)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_s_number)
 
