@@ -60,7 +60,9 @@ class BoundId(enum.Enum):
 
 @dataclass(frozen=True)
 class BoundResult:
-    """One evaluated bound: value, branch taken, and the scalar inputs used.
+    """One evaluated bound: value, branch taken, and the inputs it read
+    that its trial record does not hold (the s-values, and the normal
+    family's delta(E)).
 
     ``applicable=False`` carries a reason and a zero placeholder value that
     must never be compared against D2.
@@ -170,19 +172,6 @@ def _check_s(name: str, value: int, n: int) -> int:
     return value
 
 
-def _scalar_inputs(inst: PerturbationInstance, **extra) -> dict:
-    base = {
-        "n": inst.spec.n,
-        "p": inst.spec.p,
-        "m": inst.spec.m,
-        "delta_eq": inst.delta_eq,
-        "norm_eq": inst.norm_eq,
-        "trace_abs": abs(inst.trace_e),
-    }
-    base.update(extra)
-    return base
-
-
 # ---------------------------------------------------------------------------
 # bounds for a normal original matrix
 
@@ -202,7 +191,7 @@ def normal_bounds(e, a_tilde, hermitian_a: bool, s_tilde: int) -> list[BoundResu
     s_tilde = _check_s("s_tilde", s_tilde, n)
     fro = float(np.linalg.norm(e))
     d = delta(e)
-    inputs = {"n": n, "norm_e": fro, "delta_e": d, "s_tilde": s_tilde}
+    inputs = {"delta_e": d, "s_tilde": s_tilde}
 
     def res(bid, value, applicable=True, reason=""):
         return BoundResult(
@@ -242,7 +231,7 @@ def baseline_bounds(inst: PerturbationInstance, s1: int, s2: int) -> list[BoundR
     n, p, m = inst.spec.n, inst.spec.p, inst.spec.m
     s1 = _check_s("s1", s1, n)
     s2 = _check_s("s2", s2, n)
-    inputs = _scalar_inputs(inst, s1=s1, s2=s2)
+    inputs = {"s1": s1, "s2": s2}
     branch = plan(inst)[0].branch
     norm_eq = inst.norm_eq
     if branch == BRANCH_ZERO:
@@ -297,15 +286,9 @@ def new_bounds_complex(
     s4 = _check_s("s4", s4, n)
     s = dict(zip(S_KEYS, (s1, s2, s3, s4)))
     up1 = _up_family(
-        inst, dict.fromkeys(s, n),
-        (BoundId.UP1_1, BoundId.UP1_2, BoundId.UP1_3),
-        _scalar_inputs(inst),
+        inst, dict.fromkeys(s, n), (BoundId.UP1_1, BoundId.UP1_2, BoundId.UP1_3), {}
     )
-    up2 = _up_family(
-        inst, s,
-        (BoundId.UP2_1, BoundId.UP2_2, BoundId.UP2_3),
-        _scalar_inputs(inst, **s),
-    )
+    up2 = _up_family(inst, s, (BoundId.UP2_1, BoundId.UP2_2, BoundId.UP2_3), s)
     return up1 + up2
 
 
@@ -317,7 +300,6 @@ def new_bounds_real(inst: PerturbationInstance) -> list[BoundResult]:
     from a floating-point spectrum.  Complex-spectrum instances get
     ``applicable=False`` results rather than fake values.
     """
-    inputs = _scalar_inputs(inst)
     ids = (BoundId.UP3_1, BoundId.UP3_2, BoundId.UP3_3)
     if not inst.spec.has_real_spectrum():
         return [
@@ -325,11 +307,10 @@ def new_bounds_real(inst: PerturbationInstance) -> list[BoundResult]:
                 bid, 0.0, BRANCH_SINGLE,
                 applicable=False,
                 reason="prescribed eigenvalues are not all real",
-                inputs=inputs,
             )
             for bid in ids
         ]
-    return _up_family(inst, dict.fromkeys(S_KEYS, 2.0), ids, inputs)
+    return _up_family(inst, dict.fromkeys(S_KEYS, 2.0), ids, {})
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Generates seeded Jordan-structured instances, evaluates every applicable
 bound against the true optimal matching distance D2, checks the envelope
 margins on an eps grid, and aggregates everything into a reproducible
-report (structured JSON, or CSV with the fixed column order
-trial,bound_id,branch,value,d2,slack).
+report: compact JSON (schema 2: record scalars once, one row per result;
+schema-1 files are still read) or CSV (trial,bound_id,branch,value,d2,slack).
 
 Two report states are kept strictly apart: a *bound violation* (negative
 slack beyond tolerance -- would disprove a theorem) and a
@@ -20,7 +20,7 @@ import datetime
 import hashlib
 import json
 import math
-import os
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -49,7 +49,6 @@ from .generate import complex_gaussian, random_conditioned, rank_one
 from .jordan import (
     PerturbationInstance,
     envelope_margins,
-    eq_norm_majorant,
     jordan_matrix,
     make_instance,
     make_jordan_spec,
@@ -238,7 +237,6 @@ class TrialRecord:
     norm_eq: float
     delta_eq: float
     trace_abs: float
-    eq_majorant: float
     d2: float
     d_inf: float
     results: list[BoundResult]
@@ -319,7 +317,6 @@ def run_trial(inst: PerturbationInstance, config: SweepConfig, trial: int) -> Tr
         norm_eq=inst.norm_eq,
         delta_eq=inst.delta_eq,
         trace_abs=abs(inst.trace_e),
-        eq_majorant=eq_norm_majorant(inst),
     )
     try:
         match = optimal_match(Spectrum(spec.eigenvalues), perturbed_spectrum(inst))
@@ -407,6 +404,13 @@ def summarize(config: SweepConfig, records: list[TrialRecord]) -> dict:
             sharp_song = min(sharp_song, song - up11)
         if lichen is not None and up21 is not None:
             sharp_lichen = min(sharp_lichen, lichen - up21)
+    branches = Counter(
+        (r.id.name, r.branch) for rec in ok for r in rec.results if r.applicable
+    )
+    branch_counts: dict[str, dict[str, int]] = {}
+    for (name, branch), count in branches.items():
+        branch_counts.setdefault(name, {})[branch] = count
+    failures = Counter(r.failure_reason.split(":")[0] for r in records if r.status != "ok")
     return {
         "trials": len(records),
         "ok": len(ok),
@@ -423,6 +427,8 @@ def summarize(config: SweepConfig, records: list[TrialRecord]) -> dict:
         "superdiag_error_ratio_max": max(
             (r.superdiag_error_ratio_max for r in ok), default=0.0
         ),
+        "branch_counts": branch_counts,     # bound -> branch -> applicable results
+        "failure_reasons": dict(failures),  # exception type -> failed trials
     }
 
 
@@ -525,38 +531,55 @@ def _shallow_fields(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
-def _result_to_doc(r: BoundResult) -> dict:
-    d = _shallow_fields(r)
-    d["id"] = r.id.name
-    d["inputs"] = dict(r.inputs)
-    return d
+# the record scalars that schema-1 results repeated in their inputs
+_V1_RECORD_INPUTS = ("n", "p", "m", "norm_eq", "delta_eq", "trace_abs", "norm_e")
 
 
-def _result_from_doc(d: dict) -> BoundResult:
-    return BoundResult(
-        id=BoundId[d["id"]],
-        value=d["value"],
-        branch=d["branch"],
-        applicable=d["applicable"],
-        reason=d["reason"],
-        inputs=d["inputs"],
-    )
+def _result_row(r: BoundResult, slacks: dict) -> list:
+    """``[id, value, branch, slack]``; the slack is null only for an
+    inapplicable result, which adds its reason; non-empty inputs follow."""
+    row = [r.id.name, r.value, r.branch, slacks.get(r.id.name)]
+    if not r.applicable:
+        row.append(r.reason)
+    if r.inputs:
+        row.append(dict(r.inputs))
+    return row
+
+
+def _result_from_row(row: list) -> BoundResult:
+    name, value, branch, slack, *rest = row
+    reason = rest.pop(0) if slack is None else ""
+    inputs = rest[0] if rest else {}
+    return BoundResult(BoundId[name], value, branch, slack is not None, reason, inputs)
+
+
+def _result_from_v1(d: dict) -> BoundResult:
+    inputs = {k: v for k, v in d["inputs"].items() if k not in _V1_RECORD_INPUTS}
+    return BoundResult(**dict(d, id=BoundId[d["id"]], inputs=inputs))
 
 
 def report_to_doc(report: Report) -> dict:
+    """The schema-2 document: each record's scalars once, its results as
+    rows (:func:`_result_row`) from which the slacks are rebuilt on read."""
     cfg = asdict(report.config)
     cfg["n_range"] = list(report.config.n_range)
     records = []
     for rec in report.records:
         d = _shallow_fields(rec)
-        d["results"] = [_result_to_doc(r) for r in rec.results]
-        d["slacks"] = dict(rec.slacks)
+        d["results"] = [_result_row(r, rec.slacks) for r in rec.results]
+        del d["slacks"]
         d["violations"] = list(rec.violations)
         records.append(d)
-    return {"config": cfg, "records": records, "summary": report.summary}
+    return {"schema_version": 2, "config": cfg, "records": records,
+            "summary": report.summary}
 
 
 def report_from_doc(doc: dict) -> Report:
+    """Inverse of :func:`report_to_doc`; also reads schema 1 (no
+    ``schema_version``: result dicts, ``slacks`` and ``eq_majorant``)."""
+    version = doc.get("schema_version", 1)
+    if version not in (1, 2):
+        raise ParseError(f"unknown report schema_version {version!r}")
     cfg = dict(doc["config"])
     cfg["n_range"] = tuple(cfg["n_range"])
     cfg.pop("eps_grid_points", None)  # retired field: the grid is fixed
@@ -564,7 +587,12 @@ def report_from_doc(doc: dict) -> Report:
     records = []
     for d in doc["records"]:
         d = dict(d)
-        d["results"] = [_result_from_doc(r) for r in d["results"]]
+        if version == 1:
+            d.pop("eq_majorant")
+            d["results"] = [_result_from_v1(r) for r in d["results"]]
+        else:
+            d["slacks"] = {row[0]: row[3] for row in d["results"] if row[3] is not None}
+            d["results"] = [_result_from_row(row) for row in d["results"]]
         records.append(TrialRecord(**d))
     return Report(config=config, records=records, summary=doc["summary"])
 
@@ -572,16 +600,19 @@ def report_from_doc(doc: dict) -> Report:
 def write_report(report: Report, path, format: str = "structured-text") -> None:
     """Write a report.
 
-    ``structured-text`` is the lossless JSON form (read back with
-    :func:`read_report`); ``csv`` is the flat per-bound view with the fixed
+    ``structured-text`` is the lossless compact JSON form of
+    :func:`report_to_doc` (``schema_version`` 2; read back with
+    :func:`read_report`).  ``csv`` is the flat per-bound view with the fixed
     column order trial,bound_id,branch,value,d2,slack, preceded by a
     timestamp comment line that is excluded from reproducibility
-    comparisons.
+    comparisons; it has one row per applicable result of an ok trial, and
+    one status row per failed trial (bound_id = status, branch = failure
+    reason, the numbers empty).
     """
     if format == "structured-text":
+        text = json.dumps(report_to_doc(report), allow_nan=False, separators=(",", ":"))
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report_to_doc(report), fh, allow_nan=False, indent=1)
-            fh.write(os.linesep)
+            fh.write(text + "\n")
         return
     if format != "csv":
         raise ConfigError(f"unknown report format '{format}'")
@@ -591,23 +622,18 @@ def write_report(report: Report, path, format: str = "structured-text") -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for rec in report.records:
-            for r in rec.results:
-                if not r.applicable:
-                    continue
-                writer.writerow(
-                    [
-                        rec.trial,
-                        r.id.name,
-                        r.branch,
-                        repr(r.value),
-                        repr(rec.d2),
-                        repr(rec.slacks[r.id.name]),
-                    ]
-                )
+            if rec.status != "ok":
+                writer.writerow([rec.trial, rec.status, rec.failure_reason, "", "", ""])
+            writer.writerows(
+                [rec.trial, r.id.name, r.branch, repr(r.value), repr(rec.d2),
+                 repr(rec.slacks[r.id.name])]
+                for r in rec.results if r.applicable
+            )
 
 
 def read_report(path) -> Report:
-    """Read back a structured-text report written by :func:`write_report`."""
+    """Read back a structured-text report written by :func:`write_report`,
+    of schema version 1 or 2; anything else raises ``ParseError``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -615,4 +641,7 @@ def read_report(path) -> Report:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
-    return report_from_doc(doc)
+    try:
+        return report_from_doc(doc)
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path} is not a sweep report: {exc!r}") from exc

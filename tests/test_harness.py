@@ -1,15 +1,18 @@
 """Tests for instance generation, sweeps, the reference table and report
 serialization."""
 
+import itertools
 import json
-from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import specvar as sv
 from specvar import harness
-from specvar.bounds import plan
+from specvar.bounds import BRANCH_NORM_LARGE, BRANCH_NORM_SMALL, plan
+
+DATA = Path(__file__).parent / "data"
 
 
 def small_config(**kw):
@@ -193,9 +196,17 @@ class TestRunTrial:
         rep = sv.run_sweep(small_config(trials=3))
         assert rep.summary["failed_infrastructure"] == 3
         assert rep.summary["sharpness_song_min"] is None
+        assert rep.summary["branch_counts"] == {}
+        assert rep.summary["failure_reasons"] == {"EigensolverError": 3}
         path = tmp_path / "failed.json"
         sv.write_report(rep, path, format="structured-text")
         assert sv.read_report(path) == rep
+        # the CSV keeps each failed trial as one status row
+        sv.write_report(rep, tmp_path / "failed.csv", format="csv")
+        rows = (tmp_path / "failed.csv").read_text().splitlines()[2:]
+        assert rows == [
+            f"{i},failed-infrastructure,EigensolverError: stalled,,," for i in range(3)
+        ]
 
     def test_normal_family_included_for_normal_construction(self):
         cfg = small_config(block_profile="diagonalizable", target_kappa=1.0)
@@ -276,6 +287,24 @@ class TestRunSweep:
         assert rep.summary["ok"] == 20
         assert rep.summary["envelope_ratio_min"] >= -cfg.tolerances["envelope"]
 
+    def test_branch_counts_across_the_norm_boundary(self):
+        # ||E||_F = 0.5 at kappa 5 puts ||E_Q||_F on both sides of 1
+        rep = sv.run_sweep(small_config(trials=12))
+        small = sum(rec.norm_eq < 1.0 for rec in rep.records)
+        assert 0 < small < 12
+        counts = rep.summary["branch_counts"]
+        for name in ("SONG", "LI_CHEN", "UP1_1", "UP2_1"):
+            assert counts[name] == {
+                BRANCH_NORM_SMALL: small, BRANCH_NORM_LARGE: 12 - small
+            }
+        assert "UP3_1" not in counts  # inapplicable results take no branch
+        for rec in rep.records:
+            for r in rec.results:
+                assert r.applicable == (r.id.name in counts)
+        assert sum(counts["UP1_2"].values()) == 12
+        assert rep.summary["failure_reasons"] == {}
+        assert json.loads(json.dumps(rep.summary)) == rep.summary
+
     def test_real_sweep_exercises_up3(self):
         rep = sv.run_sweep(small_config(trials=6, real_eigenvalues=True))
         assert "UP3_1" in rep.summary["min_slack"]
@@ -283,10 +312,33 @@ class TestRunSweep:
 
 
 class TestReportFiles:
-    def test_structured_round_trip(self, tmp_path):
-        rep = sv.run_sweep(small_config(trials=5))
+    def test_structured_round_trip(self, monkeypatch, tmp_path):
+        # computed s on the normal family with a complex spectrum: s-value
+        # and delta_e inputs, inapplicable HW / XU_HERMITIAN / UP3_* rows
+        # with their reasons, and one trial whose eigensolve fails
+        real, calls = harness.eigenvalues, itertools.count()
+
+        def flaky(matrix):
+            if next(calls) == 1:
+                raise sv.EigensolverError("stalled")
+            return real(matrix)
+
+        monkeypatch.setattr(harness, "eigenvalues", flaky)
+        rep = sv.run_sweep(small_config(
+            trials=4, s_mode="computed", block_profile="diagonalizable", target_kappa=1.0,
+        ))
+        failed = [rec for rec in rep.records if rec.status != "ok"]
+        assert [rec.trial for rec in failed] == [1]
+        results = [r for rec in rep.records for r in rec.results]
+        reasons = {r.id.name: r.reason for r in results if not r.applicable}
+        assert {"XU_HERMITIAN", "UP3_1", "UP3_2", "UP3_3"} <= set(reasons)
+        assert all(reasons.values())
+        assert {"s1", "s2", "s3", "s4", "s_tilde", "delta_e"} <= {
+            key for r in results for key in r.inputs
+        }
         path = tmp_path / "report.json"
         sv.write_report(rep, path, format="structured-text")
+        assert json.loads(path.read_text())["schema_version"] == 2
         assert sv.read_report(path) == rep
         # reports from before the eps grid was fixed at 16 points carry its size
         doc = json.loads(path.read_text())
@@ -294,31 +346,50 @@ class TestReportFiles:
         path.write_text(json.dumps(doc))
         assert sv.read_report(path) == rep
 
-    def test_structured_text_matches_asdict_conversion(self):
-        # report_to_doc converts shallowly; the JSON text must be what the
-        # deep-copying dataclasses.asdict conversion produced
-        def reference(report):
-            cfg = asdict(report.config)
-            cfg["n_range"] = list(report.config.n_range)
-            records = []
-            for rec in report.records:
-                d = asdict(rec)
-                d["results"] = [dict(asdict(r), id=r.id.name) for r in rec.results]
-                records.append(d)
-            return {"config": cfg, "records": records, "summary": report.summary}
-
-        for cfg in (
-            small_config(trials=6),
-            small_config(trials=6, s_mode="computed", block_profile="diagonalizable",
-                         target_kappa=1.0, real_eigenvalues=True),
+    def test_schema_1_reports_read_as_the_current_sweep(self):
+        # written by the schema-1 writer (indented JSON, result dicts whose
+        # inputs repeat the record scalars, a per-record eq_majorant)
+        histograms = {"branch_counts", "failure_reasons"}
+        for name, config in (
+            ("mixed", small_config(trials=3)),
+            ("normal", small_config(trials=3, s_mode="computed", target_kappa=1.0,
+                                    block_profile="diagonalizable", real_eigenvalues=True)),
         ):
-            rep = sv.run_sweep(cfg)
-            doc = harness.report_to_doc(rep)
-            assert json.dumps(doc, indent=1) == json.dumps(reference(rep), indent=1)
-            # the document shares no mutable state with the report
-            doc["records"][0]["slacks"].clear()
-            doc["records"][0]["results"][0]["inputs"].clear()
-            assert rep.records[0].slacks and rep.records[0].results[0].inputs
+            path = DATA / f"report_v1_{name}.json"
+            assert "schema_version" not in json.loads(path.read_text())
+            old, new = sv.read_report(path), sv.run_sweep(config)
+            assert old.config == new.config
+            assert old.records == new.records
+            assert set(new.summary) - set(old.summary) == histograms
+            assert old.summary == {
+                k: v for k, v in new.summary.items() if k not in histograms
+            }
+
+    def test_document_shares_no_mutable_state_with_the_report(self):
+        rep = sv.run_sweep(small_config(trials=2, s_mode="computed"))
+        doc = harness.report_to_doc(rep)
+        row = doc["records"][0]["results"][0]
+        row[-1].clear()
+        row.clear()
+        doc["records"][0]["violations"].append("SONG")
+        assert rep.records[0].results[0].inputs == {"s1": rep.records[0].n,
+                                                    "s2": rep.records[0].n}
+        assert rep.records[0].violations == []
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda doc: {}, "KeyError"),
+        (lambda doc: [1, 2], "AttributeError"),
+        (lambda doc: dict(doc, schema_version=3), "schema_version 3"),
+        (lambda doc: dict(doc, config=dict(doc["config"], colour="blue")), "TypeError"),
+        (lambda doc: dict(doc, records=[dict(doc["records"][0], results=[["SONG", 1.0]])]),
+         "IndexError"),
+    ], ids=["empty-object", "list", "schema-3", "unknown-config-key", "short-row"])
+    def test_read_report_rejects_what_is_not_a_report(self, tmp_path, corrupt, message):
+        path = tmp_path / "r.json"
+        sv.write_report(sv.run_sweep(small_config(trials=1)), path)
+        path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+        with pytest.raises(sv.ParseError, match=message):
+            sv.read_report(path)
 
     def test_csv_deterministic_modulo_timestamp(self, tmp_path):
         rep = sv.run_sweep(small_config(trials=5))
