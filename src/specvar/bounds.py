@@ -181,7 +181,8 @@ def normal_bounds(e, a_tilde, hermitian_a: bool, s_tilde: int) -> list[BoundResu
     HW, SUN and their s(.)-refined / trace-deflated descendants, all in
     terms of E directly; ``s_tilde`` is s(A+E) computed by the caller.
     HW is marked inapplicable unless ``a_tilde`` = A + E is normal too,
-    the Hermitian refinement unless ``hermitian_a``.
+    the Hermitian refinement unless ``hermitian_a``.  Any unitary
+    similarity of the pair works: the harness passes E_Q and J + E_Q.
     """
     e = as_matrix(e, square=True, name="E")
     a_tilde = as_matrix(a_tilde, square=True, name="A+E")

@@ -18,15 +18,12 @@ from .bounds import is_violation
 from .exceptions import SpecvarError
 from .fileio import read_jordan_spec, read_matrix
 from .harness import (
-    Report,
     SweepConfig,
     evaluate_bounds,
     example_scalar_table,
     perturbed_spectrum,
-    run_trial,
     run_sweep,
     s_values,
-    summarize,
     write_report,
 )
 from .jordan import make_instance

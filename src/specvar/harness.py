@@ -49,10 +49,8 @@ from .generate import complex_gaussian, random_conditioned, rank_one
 from .jordan import (
     PerturbationInstance,
     envelope_margins,
-    jordan_matrix,
     make_instance,
     make_jordan_spec,
-    scalar_shift,
     scaled_similarity,
 )
 from .spectrum import Spectrum, eigenvalues, optimal_match
@@ -165,13 +163,11 @@ def gen_instance(config: SweepConfig, trial_index: int) -> PerturbationInstance:
 # per-instance machinery
 
 def perturbed_spectrum(inst: PerturbationInstance) -> Spectrum:
-    """Spectrum of A + E: exact shift for a bitwise-scalar E (every
-    eigenvalue moves by exactly t, no eigensolver involved), dense
-    eigensolve otherwise."""
-    t = scalar_shift(inst.e)
-    if t is not None:
-        return Spectrum(inst.spec.eigenvalues + t)
-    return eigenvalues(inst.a + inst.e)
+    """Spectrum of A + E, from a dense eigensolve of J + E_Q (similar to
+    it, and free of the rounding of assembling A).  For a bitwise-scalar E
+    it is exact: J + tI is triangular, LAPACK's balancing isolates every
+    diagonal entry, and each eigenvalue comes back as lambda + t."""
+    return eigenvalues(inst.perturbed)
 
 
 def s_values(
@@ -187,12 +183,13 @@ def s_values(
 
     Pessimistic mode assumes s(.) = 1 everywhere (always valid), which
     keeps soundness sweeps independent of the tolerance-laden s
-    computation.  Computed mode evaluates s(T^-1 Q^-1 (A+E) Q T) once for
+    computation.  Computed mode evaluates s(T^-1 (J + E_Q) T) once for
     each s-key the branch plan (:func:`specvar.bounds.plan`) names, at that
     step's eps; the rest, and the eps -> 0 limits, stay at the pessimistic
-    n.  ``s_tilde`` is s(A+E) itself, which only the normal-A bound family
-    reads: it is computed with ``with_s_tilde=True`` and stays at the
-    pessimistic 1 otherwise.
+    n.  ``s_tilde`` is s(J + E_Q), which only the normal-A bound family
+    reads (there Q is unitary, so J + E_Q is unitarily similar to A + E
+    and has the same s): it is computed with ``with_s_tilde=True`` and
+    stays at the pessimistic 1 otherwise.
     """
     if mode not in S_MODES:
         raise ConfigError(f"unknown s_mode '{mode}'")
@@ -207,12 +204,12 @@ def s_values(
         )
         return dec.s
 
-    g = jordan_matrix(inst.spec) + inst.e_q  # Q^-1 (A+E) Q
+    g = inst.perturbed
     planned = {step.s_key: step.eps for step in plan(inst) if step.eps > 0.0}
     for key, eps in planned.items():
         out[key] = n + 1 - s_of(scaled_similarity(inst.spec, g, eps))
     if with_s_tilde:
-        out["s_tilde"] = s_of(inst.a + inst.e)
+        out["s_tilde"] = s_of(g)
     return out
 
 
@@ -269,13 +266,14 @@ def evaluate_bounds(
     hermitian_a: bool = False,
 ) -> list[BoundResult]:
     """All bound families applicable to this instance, with s-values
-    injected."""
+    injected.  The normal family is checked against J + E_Q, so the
+    perturbation it reads is E_Q."""
     results = baseline_bounds(inst, sv["s1"], sv["s2"])
     results += new_bounds_complex(inst, sv["s1"], sv["s2"], sv["s3"], sv["s4"])
     results += new_bounds_real(inst)
     if include_normal_family:
         results += normal_bounds(
-            inst.e, inst.a + inst.e, hermitian_a=hermitian_a, s_tilde=sv["s_tilde"]
+            inst.e_q, inst.perturbed, hermitian_a=hermitian_a, s_tilde=sv["s_tilde"]
         )
     return results
 
@@ -472,11 +470,7 @@ def example_scalar_table(
     inst = make_instance(spec, t * np.eye(n, dtype=np.complex128))
     sv = s_values(inst, mode=s_mode, seed=s_seed)
     s1 = sv["s1"]
-    results = {
-        r.id: r
-        for r in baseline_bounds(inst, sv["s1"], sv["s2"])
-        + new_bounds_complex(inst, sv["s1"], sv["s2"], sv["s3"], sv["s4"])
-    }
+    results = {r.id: r for r in evaluate_bounds(inst, sv)}
     at = abs(t)
     closed = {
         BoundId.SONG: (math.sqrt(n - p) + 1.0)
@@ -508,8 +502,7 @@ def example_scalar_table(
                 "rel_err": rel,
             }
         )
-    shifted = Spectrum(spec.eigenvalues + t)
-    d2 = optimal_match(Spectrum(spec.eigenvalues), shifted).d2
+    d2 = optimal_match(Spectrum(spec.eigenvalues), perturbed_spectrum(inst)).d2
     return {
         "n": n,
         "p": p,

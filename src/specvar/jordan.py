@@ -2,7 +2,11 @@
 
 Instances are *constructed* from prescribed data: an ordered list of
 (eigenvalue, block size) pairs and a nonsingular transform Q define
-A = Q diag(J_1, ..., J_p) Q^-1 exactly.  The library never attempts to
+A = Q diag(J_1, ..., J_p) Q^-1 exactly.  A perturbed instance holds the
+problem in the Jordan basis only: E_Q = Q^-1 E Q and J + E_Q, whose
+spectrum is that of A + E.  A itself is never formed on the way to a
+verdict (``assemble`` builds it on request): its O(u kappa2(Q)^2)
+rounding would feed into D2.  The library never attempts to
 compute a Jordan form of an arbitrary floating-point matrix -- that
 problem is discontinuous and ill-posed; the one convenience path
 (``spec_from_matrix``) only accepts matrices with well-separated
@@ -166,13 +170,16 @@ class PerturbationInstance:
     """A (JordanSpec, E) pair with the derived quantities every bound needs.
 
     Immutable after construction; cached scalars therefore never go stale.
-    ``e_q`` is Q^-1 E Q, the perturbation transported to the Jordan basis.
+    ``e_q`` is Q^-1 E Q, the perturbation transported to the Jordan basis,
+    and ``perturbed`` is J + E_Q = Q^-1 (A+E) Q, the perturbed matrix in
+    the Jordan basis: the one matrix every consumer (eigensolve, s-values,
+    the normal family) reads.
     """
 
     spec: JordanSpec
     e: np.ndarray
-    a: np.ndarray = field(repr=False)
     e_q: np.ndarray = field(repr=False)
+    perturbed: np.ndarray = field(repr=False)
     norm_e: float
     norm_eq: float
     delta_eq: float
@@ -180,7 +187,9 @@ class PerturbationInstance:
 
 
 def make_instance(spec: JordanSpec, e) -> PerturbationInstance:
-    """Build a PerturbationInstance, computing A, E_Q and cached scalars."""
+    """Build a PerturbationInstance, computing E_Q, J + E_Q and cached
+    scalars.  A bitwise-scalar E = tI gives E_Q = tI exactly, so J + tI is
+    upper triangular and its spectrum is the prescribed one shifted by t."""
     e = as_matrix(e, square=True, name="E")
     if e.shape[0] != spec.n:
         raise DimensionError(
@@ -191,8 +200,8 @@ def make_instance(spec: JordanSpec, e) -> PerturbationInstance:
     return PerturbationInstance(
         spec=spec,
         e=_frozen_copy(e),
-        a=_frozen_copy(assemble(spec)),
         e_q=_frozen_copy(e_q),
+        perturbed=_frozen_copy(jordan_matrix(spec) + e_q),
         norm_e=float(np.linalg.norm(e)),
         norm_eq=float(np.linalg.norm(e_q)),
         # delta(t I) = 0 analytically; skip the float evaluation's ulp noise
@@ -266,7 +275,7 @@ def envelope_margins(inst: PerturbationInstance, eps) -> dict[str, np.ndarray]:
 
     With S = T^-1 E_Q T (from the cached transport, entrywise as in
     :func:`scaled_similarity`) and Omega the in-block superdiagonal (every
-    entry eps), T^-1 Q^-1 (A+E) Q T - Lambda = S + Omega exactly.  Forming
+    entry eps), T^-1 (J + E_Q) T - Lambda = S + Omega exactly.  Forming
     the deviation this way never subtracts Lambda from lambda + e_ii, a
     cancellation that would swamp a tiny E.  Returns arrays of shape (k,):
 

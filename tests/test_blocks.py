@@ -212,7 +212,7 @@ def differential_matrices():
                 for step in plan(inst):
                     if step.eps > 0.0:
                         yield scaled_similarity(inst.spec, g, step.eps)
-                yield inst.a + inst.e
+                yield sv.assemble(inst.spec) + inst.e
     rng = np.random.default_rng(12)
     for n in (4, 8, 12, 16, 24):
         yield hidden([gaussian(2, rng) for _ in range(n // 2)], rng)

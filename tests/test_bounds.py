@@ -236,7 +236,7 @@ class TestNewBoundsComplex:
         # with the actual s(A+E), UP2_* reduce to the s-refined bound
         for seed in range(5):
             inst = normal_instance(seed, n=5, e_norm=0.6)
-            s_tilde = sv.s_number(inst.a + inst.e).s
+            s_tilde = sv.s_number(sv.assemble(inst.spec) + inst.e).s
             s_ref = 5 + 1 - s_tilde
             d = sv.delta(inst.e)
             expected = math.sqrt(s_ref * d * d + abs(np.trace(inst.e)) ** 2 / 5)
@@ -353,7 +353,8 @@ class TestPlan:
             n = inst.spec.n
             out = sv.s_values(inst, mode="computed")
             # Q^-1 (A+E) Q from the assembled matrices, independently of E_Q
-            g = np.linalg.solve(inst.spec.q, (inst.a + inst.e) @ inst.spec.q)
+            a_plus_e = sv.assemble(inst.spec) + inst.e
+            g = np.linalg.solve(inst.spec.q, a_plus_e @ inst.spec.q)
             planned = {step.s_key: step.eps for step in plan(inst) if step.eps > 0.0}
             for key in ("s1", "s2", "s3", "s4"):
                 if key not in planned:

@@ -1,6 +1,8 @@
 """Tests for instance generation, sweeps, the reference table and report
 serialization."""
 
+import dataclasses
+import functools
 import itertools
 import json
 from pathlib import Path
@@ -13,6 +15,7 @@ from specvar import harness
 from specvar.bounds import BRANCH_NORM_LARGE, BRANCH_NORM_SMALL, plan
 
 DATA = Path(__file__).parent / "data"
+NORMAL_FAMILY = {"HW", "SUN", "LI_SUN", "XU1", "XU2", "XU_HERMITIAN"}
 
 
 def small_config(**kw):
@@ -311,6 +314,77 @@ class TestRunSweep:
         assert rep.summary["violation_count"] == 0
 
 
+class TestPerturbedMatrix:
+    """Every trial reads one perturbed matrix, J + E_Q; these pin what it
+    must give, against the assembled A + E as the independent reference."""
+
+    def test_tiny_perturbations_report_no_violation(self):
+        # assembling A = Q J Q^-1 injects O(u kappa^2) error, far above
+        # these ||E||; the 1/m root made it a false disproof
+        for profile, kappa, amount in itertools.product(
+            ("diagonalizable", "single-jordan", "mixed"), (1.0, 1e2, 1e4, 1e6),
+            (1e-14, 1e-12, 1e-10, 1e-8),
+        ):
+            cfg = sv.SweepConfig(seed=2, trials=20, n_range=(2, 12), block_profile=profile,
+                                 amount=amount, target_kappa=kappa)
+            summary = sv.run_sweep(cfg).summary
+            assert summary["failed_infrastructure"] == 0
+            assert summary["violation_count"] == 0, (profile, kappa, amount)
+
+    def test_tiny_perturbation_stays_below_up1_1(self):
+        # from A + E this trial gave D2 = 5.57e-6 > UP1_1 = 3.92e-6
+        cfg = sv.SweepConfig(seed=1, trials=11, block_profile="diagonalizable",
+                             amount=1e-10, target_kappa=1e6)
+        rec = sv.run_trial(sv.gen_instance(cfg, 10), cfg, 10)
+        assert rec.status == "ok" and rec.violations == []
+        up1_1 = {r.id: r for r in rec.results}[sv.BoundId.UP1_1]
+        assert rec.d2 < up1_1.value
+
+    def test_scalar_e_shifts_the_spectrum_exactly(self):
+        # J + tI is upper triangular: the eigensolve returns lambda + t
+        # (216 instances, n up to 24, kappa up to 1e6, |t| 1e-14..1e3)
+        rng = np.random.default_rng(8)
+        for profile in ("diagonalizable", "single-jordan", "mixed"):
+            for kappa in (1.0, 1e2, 1e4, 1e6):
+                for trial in range(18):
+                    t = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-14, 3))
+                    cfg = sv.SweepConfig(seed=3, n_range=(2, 24), block_profile=profile,
+                                         perturbation="scalar", amount=t,
+                                         target_kappa=kappa)
+                    inst = sv.gen_instance(cfg, trial)
+                    got = sv.perturbed_spectrum(inst).values
+                    want = sv.Spectrum(inst.spec.eigenvalues + t).values
+                    assert np.array_equal(got, want), (profile, kappa, trial, t)
+
+    @pytest.mark.parametrize("perturbation", ["gaussian", "scalar"])
+    def test_normal_family_matches_the_assembled_a_plus_e(self, perturbation):
+        # Q is unitary, so J + E_Q and A + E are unitarily similar
+        for seed in (1, 2, 3):
+            cfg = sv.SweepConfig(seed=seed, trials=20, block_profile="diagonalizable",
+                                 perturbation=perturbation, target_kappa=1.0,
+                                 real_eigenvalues=True, s_mode="computed")
+            for trial in range(cfg.trials):
+                inst = sv.gen_instance(cfg, trial)
+                n = inst.spec.n
+                a_plus_e = sv.assemble(inst.spec) + inst.e
+                sv_got = sv.s_values(inst, mode="computed", seed=seed, with_s_tilde=True)
+                g = np.linalg.solve(inst.spec.q, a_plus_e @ inst.spec.q)
+                want = {"s1": n, "s2": n, "s3": n, "s4": n,
+                        "s_tilde": sv.s_number(a_plus_e, seed=seed).s}
+                for step in plan(inst):
+                    if step.eps > 0.0:
+                        t = sv.scaling_matrix(inst.spec, step.eps)
+                        scaled = np.linalg.solve(t, g @ t)
+                        want[step.s_key] = n + 1 - sv.s_number(scaled, seed=seed).s
+                assert sv_got == want, (seed, trial)
+                rec = sv.run_trial(inst, cfg, trial)
+                got = {r.id: r for r in rec.results}
+                for ref in sv.normal_bounds(inst.e, a_plus_e, hermitian_a=True,
+                                            s_tilde=want["s_tilde"]):
+                    assert got[ref.id].applicable == ref.applicable, ref.id
+                    assert got[ref.id].value == pytest.approx(ref.value, rel=1e-12, abs=0.0)
+
+
 class TestReportFiles:
     def test_structured_round_trip(self, monkeypatch, tmp_path):
         # computed s on the normal family with a complex spectrum: s-value
@@ -348,21 +422,58 @@ class TestReportFiles:
 
     def test_schema_1_reports_read_as_the_current_sweep(self):
         # written by the schema-1 writer (indented JSON, result dicts whose
-        # inputs repeat the record scalars, a per-record eq_majorant)
+        # inputs repeat the record scalars, a per-record eq_majorant) when D2
+        # came from an eigensolve of the assembled A + E and the normal
+        # family read E; both now come from J + E_Q and E_Q, which moves D2,
+        # the slacks and the normal family's values in the last bits only
         histograms = {"branch_counts", "failure_reasons"}
+        scalars = {f.name for f in dataclasses.fields(harness.TrialRecord)}
+        close = functools.partial(pytest.approx, rel=1e-12, abs=0.0)
+        moved = {"d2", "d_inf", "slacks", "results"}
         for name, config in (
             ("mixed", small_config(trials=3)),
             ("normal", small_config(trials=3, s_mode="computed", target_kappa=1.0,
                                     block_profile="diagonalizable", real_eigenvalues=True)),
         ):
             path = DATA / f"report_v1_{name}.json"
-            assert "schema_version" not in json.loads(path.read_text())
+            doc = json.loads(path.read_text())
+            assert "schema_version" not in doc
             old, new = sv.read_report(path), sv.run_sweep(config)
+            # the reader: every field it keeps is the file's value
+            assert old.summary == doc["summary"]
+            for rec, d in zip(old.records, doc["records"], strict=True):
+                for key, value in vars(rec).items():
+                    if key != "results":
+                        assert value == d[key], key
+                assert [
+                    (r.id.name, r.value, r.branch, r.applicable, r.reason, r.inputs)
+                    for r in rec.results
+                ] == [
+                    (r["id"], r["value"], r["branch"], r["applicable"], r["reason"],
+                     {k: v for k, v in r["inputs"].items() if k not in scalars})
+                    for r in d["results"]
+                ]
+            # the current sweep: exact but for D2 and what follows from it
             assert old.config == new.config
-            assert old.records == new.records
+            for o, n in zip(old.records, new.records, strict=True):
+                assert {k: v for k, v in vars(o).items() if k not in moved} == {
+                    k: v for k, v in vars(n).items() if k not in moved
+                }
+                assert (o.d2, o.d_inf) == close((n.d2, n.d_inf))
+                assert o.slacks == close(n.slacks)
+                for r, s in zip(o.results, n.results, strict=True):
+                    assert (r.id, r.branch, r.applicable, r.reason) == (
+                        s.id, s.branch, s.applicable, s.reason)
+                    if r.id.name in NORMAL_FAMILY:
+                        assert r.value == close(s.value)
+                        assert r.inputs == dict(s.inputs, delta_e=close(s.inputs["delta_e"]))
+                    else:
+                        assert (r.value, r.inputs) == (s.value, s.inputs)
             assert set(new.summary) - set(old.summary) == histograms
-            assert old.summary == {
-                k: v for k, v in new.summary.items() if k not in histograms
+            assert old.summary["min_slack"] == close(new.summary["min_slack"])
+            assert {k: v for k, v in old.summary.items() if k != "min_slack"} == {
+                k: v for k, v in new.summary.items()
+                if k not in histograms and k != "min_slack"
             }
 
     def test_document_shares_no_mutable_state_with_the_report(self):

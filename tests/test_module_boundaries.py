@@ -69,3 +69,37 @@ def test_checker_flags_imports_and_attribute_reads():
         "import _scaling_vector",
         "specvar.linalg._hidden",
     ]
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names that ``source`` imports at any level and never reads."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"],  # re-exports
+    ids=lambda p: p.name,
+)
+def test_module_has_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_import_checker():
+    source = (
+        "from __future__ import annotations\n"
+        "import numpy as np\n"
+        "import os.path\n"
+        "from .harness import run_sweep, summarize as summ\n"
+        "def f(x: np.ndarray):\n"
+        "    return os.path.join(run_sweep(x))\n"
+    )
+    assert unused_imports(source) == ["summ"]
