@@ -52,7 +52,7 @@ DEFAULT_CLUSTER_GAP = 1e-6  # eigenvalue gap threshold, relative to ||H||_2
 DEFAULT_BLOCK_TOL = 1e-8   # off-block coupling threshold, relative to ||M||_F
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockDecomposition:
     """Witnessed block structure: U* M U is block diagonal with the given
     ordered block sizes; s = len(block_sizes)."""

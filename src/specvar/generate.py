@@ -6,7 +6,10 @@ own determinism: the same generator state always yields the same matrix.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
+from scipy.linalg import lapack
 
 from .exceptions import DimensionError
 
@@ -21,12 +24,27 @@ def complex_gaussian(n_rows: int, n_cols: int, rng: np.random.Generator) -> np.n
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via phase-corrected QR of a complex
-    Gaussian matrix."""
+    Gaussian matrix (Mezzadri 2007), from the LAPACK calls ``np.linalg.qr``
+    makes (zgeqrf, zungqr, queried workspace): its Q and R bit for bit, at
+    n > 128 (blocked QR) only with one BLAS thread."""
     if n < 1:
         raise DimensionError(f"order must be >= 1, got {n}")
-    q, r = np.linalg.qr(complex_gaussian(n, n, rng))
-    d = np.diag(r)
+    lwork = int(lapack.zgeqrf_lwork(n, n)[0].real)
+    qr, tau, _, info = lapack.zgeqrf(complex_gaussian(n, n, rng), lwork=lwork)
+    d = qr.diagonal().copy()  # zungqr overwrites qr
+    if info == 0:
+        q, _, info = lapack.zungqr(qr, tau, lwork=lwork, overwrite_a=True)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK QR failed (info={info})")
     return q * (d / np.abs(d))[None, :]
+
+
+@lru_cache(maxsize=256)
+def _log_spaced(kappa: float, n: int) -> np.ndarray:
+    """Read-only ``np.geomspace(kappa, 1, n)``, computed once per (kappa, n)."""
+    sigma = np.geomspace(kappa, 1.0, n)
+    sigma.flags.writeable = False
+    return sigma
 
 
 def random_conditioned(n: int, kappa: float, rng: np.random.Generator) -> np.ndarray:
@@ -42,8 +60,7 @@ def random_conditioned(n: int, kappa: float, rng: np.random.Generator) -> np.nda
     if kappa == 1.0 or n == 1:
         return u
     v = random_unitary(n, rng)
-    sigma = np.geomspace(kappa, 1.0, n)
-    return (u * sigma[None, :]) @ v.conj().T
+    return (u * _log_spaced(kappa, n)[None, :]) @ v.conj().T
 
 
 def rank_one(n: int, rng: np.random.Generator) -> np.ndarray:

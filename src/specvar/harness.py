@@ -114,30 +114,28 @@ def validate_config(config: SweepConfig) -> None:
         raise ConfigError("user-file profile needs jordan_file")
 
 
-def _random_lambda(rng, real: bool) -> complex:
-    re = rng.uniform(-2.0, 2.0)
-    im = 0.0 if real else rng.uniform(-2.0, 2.0)
-    return complex(re, im)
-
-
 def _draw_blocks(config: SweepConfig, n: int, rng) -> list[tuple[complex, int]]:
-    real = config.real_eigenvalues
     if config.block_profile == "diagonalizable":
-        return [(_random_lambda(rng, real), 1) for _ in range(n)]
-    if config.block_profile == "single-jordan":
-        return [(_random_lambda(rng, real), n)]
-    sizes = []
-    remaining = n
-    while remaining > 0:
-        size = int(rng.integers(1, min(3, remaining) + 1))
-        sizes.append(size)
-        remaining -= size
-    return [(_random_lambda(rng, real), size) for size in sizes]
+        sizes = [1] * n
+    elif config.block_profile == "single-jordan":
+        sizes = [n]
+    else:
+        sizes, remaining = [], n
+        while remaining > 0:
+            sizes.append(int(rng.integers(1, min(3, remaining) + 1)))
+            remaining -= sizes[-1]
+    # one draw for all eigenvalues, the stream of one scalar draw per block
+    # for re and (unless the spectrum is real) im, read as complex
+    real = config.real_eigenvalues
+    draws = rng.uniform(-2.0, 2.0, (len(sizes), 1 if real else 2))
+    lams = draws[:, 0] if real else draws.view(np.complex128)[:, 0]
+    return list(zip(lams.tolist(), sizes))
 
 
 def gen_instance(config: SweepConfig, trial_index: int) -> PerturbationInstance:
-    """Deterministic in (config.seed, trial_index); same pair, bit-identical
-    instance."""
+    """Deterministic in (config.seed, trial_index): the same pair gives a
+    bit-identical instance.  One stream, drawn in order: n, the block sizes
+    (mixed profile), one eigenvalue per block, Q, then E."""
     validate_config(config)
     rng = np.random.default_rng([config.seed, trial_index])
     if config.block_profile == "user-file":

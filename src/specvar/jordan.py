@@ -24,6 +24,7 @@ the cached E_Q and the block positions ``JordanSpec`` derives once.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,17 +46,20 @@ def _frozen_copy(m: np.ndarray) -> np.ndarray:
     return c
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JordanSpec:
     """Prescribed Jordan data: ordered (eigenvalue, size) blocks plus the
     similarity transform Q and its condition number kappa2(Q).  Block order
     is the user's order and is never re-sorted; it fixes the correspondence
     with Lambda.
 
-    The structure is derived once, at construction: the order ``n``, the
-    block count ``p``, the largest block ``m`` and ``positions``, each
-    index's place inside its block (0, 1, ..., size-1 per block, float64,
-    read-only), which is the exponent of eps in T(eps)."""
+    The structure is derived once, at construction, into read-only
+    attributes: the order ``n``, the block count ``p``, the largest block
+    ``m``, ``eigenvalues`` (all n with multiplicity, in block order),
+    ``positions``, each index's place inside its block (0, 1, ..., size-1
+    per block, float64), which is the exponent of eps in T(eps), and
+    ``superdiagonal``, the rows i whose entry (i, i+1) lies inside a block.
+    Equality is identity."""
 
     blocks: tuple[tuple[complex, int], ...]
     q: np.ndarray
@@ -63,27 +67,27 @@ class JordanSpec:
     n: int = field(init=False)
     p: int = field(init=False)
     m: int = field(init=False)
-    positions: np.ndarray = field(init=False, repr=False, compare=False)
+    eigenvalues: np.ndarray = field(init=False, repr=False)
+    positions: np.ndarray = field(init=False, repr=False)
+    superdiagonal: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        sizes = [size for _, size in self.blocks]
+        lams, sizes = zip(*self.blocks)
+        eigenvalues = np.repeat(np.array(lams, dtype=np.complex128), sizes)
         positions = np.concatenate([np.arange(size, dtype=np.float64) for size in sizes])
-        positions.flags.writeable = False
+        superdiagonal = np.flatnonzero(positions[1:])
+        for derived in (eigenvalues, positions, superdiagonal):
+            derived.flags.writeable = False
         object.__setattr__(self, "n", sum(sizes))
         object.__setattr__(self, "p", len(sizes))
         object.__setattr__(self, "m", max(sizes))
+        object.__setattr__(self, "eigenvalues", eigenvalues)
         object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "superdiagonal", superdiagonal)
 
     @property
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(size for _, size in self.blocks)
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        """All n eigenvalues with multiplicity, in block order."""
-        return np.concatenate(
-            [np.full(size, lam, dtype=np.complex128) for lam, size in self.blocks]
-        )
 
     def has_real_spectrum(self, tol: float = 1e-12) -> bool:
         """True iff every prescribed eigenvalue is real within
@@ -104,7 +108,7 @@ def make_jordan_spec(blocks, q=None) -> JordanSpec:
     for lam, size in blocks:
         if size < 1:
             raise DimensionError(f"block size must be >= 1, got {size}")
-        if not (np.isfinite(lam.real) and np.isfinite(lam.imag)):
+        if not cmath.isfinite(lam):
             raise DimensionError("block eigenvalues must be finite")
     n = sum(size for _, size in blocks)
     if q is None or (isinstance(q, str) and q == "identity"):
@@ -119,16 +123,11 @@ def make_jordan_spec(blocks, q=None) -> JordanSpec:
     return JordanSpec(blocks=blocks, q=q, kappa_q=kappa2(q))
 
 
-def _superdiagonal_rows(spec: JordanSpec) -> np.ndarray:
-    """Rows i whose superdiagonal entry (i, i+1) lies inside a block."""
-    return np.flatnonzero(spec.positions[1:])
-
-
 def jordan_matrix(spec: JordanSpec) -> np.ndarray:
     """J = diag(J_1, ..., J_p): each block upper bidiagonal with the
     eigenvalue on the diagonal and 1 on the superdiagonal."""
     j = np.diag(spec.eigenvalues)
-    sup = _superdiagonal_rows(spec)
+    sup = spec.superdiagonal
     j[sup, sup + 1] = 1.0
     return j
 
@@ -165,7 +164,7 @@ def scalar_shift(e) -> complex | None:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerturbationInstance:
     """A (JordanSpec, E) pair with the derived quantities every bound needs.
 
@@ -296,7 +295,7 @@ def envelope_margins(inst: PerturbationInstance, eps) -> dict[str, np.ndarray]:
     t = eps[:, None] ** spec.positions  # row k: the diagonal of T(eps_k)
     s = inst.e_q * (t[:, None, :] / t[:, :, None])
     omega = np.zeros(s.shape)
-    sup = _superdiagonal_rows(spec)
+    sup = spec.superdiagonal
     omega[:, sup, sup + 1] = eps[:, None]
     return {
         "phi": value,

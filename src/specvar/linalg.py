@@ -32,7 +32,7 @@ def as_matrix(a, *, square: bool = False, name: str = "matrix") -> np.ndarray:
         raise DimensionError(f"{name} must be nonempty, got shape {m.shape}")
     if square and m.shape[0] != m.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {m.shape}")
-    if not np.isfinite(m.real).all() or not np.isfinite(m.imag).all():
+    if not np.isfinite(m).all():
         raise NonFiniteError(f"{name} contains NaN/Inf entries")
     return m
 
@@ -63,11 +63,12 @@ def delta(m) -> float:
     """
     m = as_matrix(m, square=True)
     n = m.shape[0]
-    dev = m - (np.trace(m) / n) * np.eye(n)
+    dev = m.copy()
+    dev.reshape(-1)[:: n + 1] -= np.trace(m) / n  # the diagonal, as a view
     return min(float(np.linalg.norm(dev)), float(np.linalg.norm(m)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TriangularSplit:
     """Exact entrywise partition of a square matrix into its diagonal,
     strictly lower and strictly upper triangular parts."""

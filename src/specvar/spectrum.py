@@ -38,7 +38,7 @@ class Spectrum:
         v = canonical_order(self.values)
         if v.size < 1:
             raise DimensionError("spectrum must contain at least one value")
-        if not np.isfinite(v.real).all() or not np.isfinite(v.imag).all():
+        if not np.isfinite(v).all():
             raise DimensionError("spectrum contains NaN/Inf values")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
@@ -47,7 +47,7 @@ class Spectrum:
         return self.values.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Matching:
     """An eigenvalue pairing: permutation pi with its l2 and max distances.
 

@@ -14,6 +14,11 @@ def random_complex(rng, n, m=None):
     return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
 
 
+# a NaN or infinity in the real part only, or in the imaginary part only
+NON_FINITE = [complex(x, 0.0) for x in (np.nan, np.inf, -np.inf)] + [
+    complex(0.0, x) for x in (np.nan, np.inf, -np.inf)
+]
+
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 
@@ -49,6 +54,23 @@ class TestDelta:
     def test_nan_rejected(self):
         with pytest.raises(sv.NonFiniteError):
             sv.delta(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    def test_bitwise_equal_to_the_identity_form(self):
+        # delta shifts the diagonal of a copy; ||M - (tr M / n) I||_F with
+        # I built by np.eye is the reference, on random, scalar and
+        # trace-zero matrices
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            n = int(rng.integers(1, 13))
+            random = random_complex(rng, n) * 10.0 ** rng.uniform(-12, 3)
+            scalar = complex(*rng.uniform(-5, 5, 2)) * np.eye(n)
+            traceless = random.copy()
+            np.fill_diagonal(traceless, 0.0)
+            traceless[0, 0], traceless[-1, -1] = (1.5, -1.5) if n > 1 else (0.0, 0.0)
+            for m in (random, scalar, traceless):
+                dev = m - (np.trace(m) / n) * np.eye(n)
+                want = min(float(np.linalg.norm(dev)), float(np.linalg.norm(m)))
+                assert sv.delta(m) == want
 
     @settings(max_examples=60, deadline=None)
     @given(square_matrices())
@@ -154,6 +176,13 @@ class TestKappa2:
 
 
 class TestPlumbing:
+    @pytest.mark.parametrize("entry", NON_FINITE, ids=str)
+    def test_non_finite_real_or_imaginary_part_rejected(self, entry):
+        m = np.ones((2, 2), dtype=np.complex128)
+        m[1, 0] = entry
+        with pytest.raises(sv.NonFiniteError):
+            sv.as_matrix(m)
+
     def test_solve_and_roundtrip(self):
         rng = np.random.default_rng(7)
         q = random_complex(rng, 5)

@@ -3,6 +3,9 @@
 A ``_private`` helper is an implementation detail of its module; a second
 module that reaches into it duplicates a decision that should live in one
 place.  The check parses every module's source (no import side effects).
+The same parse keeps every frozen dataclass that holds an array at
+identity equality: a generated ``==`` compares arrays elementwise and
+raises, and the generated ``__hash__`` raises too.
 """
 
 import ast
@@ -103,3 +106,93 @@ def test_unused_import_checker():
         "    return os.path.join(run_sweep(x))\n"
     )
     assert unused_imports(source) == ["summ"]
+
+
+def _dataclass_call(decorator) -> ast.Call | None:
+    if isinstance(decorator, ast.Call):
+        func = decorator.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        if name == "dataclass":
+            return decorator
+    return None
+
+
+def _keyword_is(call: ast.Call, name: str, value) -> bool:
+    return any(
+        kw.arg == name and isinstance(kw.value, ast.Constant) and kw.value.value is value
+        for kw in call.keywords
+    )
+
+
+def array_dataclasses_with_generated_eq(source: str) -> list[str]:
+    """Classes decorated ``@dataclass(frozen=True)`` with an ``np.ndarray``
+    field that do not declare ``eq=False``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for call in filter(None, map(_dataclass_call, node.decorator_list)):
+            holds_array = any(
+                isinstance(stmt, ast.AnnAssign) and "ndarray" in ast.unparse(stmt.annotation)
+                for stmt in node.body
+            )
+            if _keyword_is(call, "frozen", True) and holds_array and not _keyword_is(
+                call, "eq", False
+            ):
+                found.append(node.name)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_frozen_array_dataclasses_compare_by_identity(path):
+    assert array_dataclasses_with_generated_eq(path.read_text(encoding="utf-8")) == []
+
+
+def test_array_dataclass_checker():
+    source = (
+        "from dataclasses import dataclass\n"
+        "import dataclasses\n"
+        "@dataclass(frozen=True)\n"
+        "class Flagged:\n"
+        "    u: np.ndarray\n"
+        "@dataclasses.dataclass(frozen=True, eq=True)\n"
+        "class AlsoFlagged:\n"
+        "    u: 'np.ndarray | None'\n"
+        "@dataclass(frozen=True, eq=False)\n"
+        "class Identity:\n"
+        "    u: np.ndarray\n"
+        "@dataclass(frozen=True)\n"
+        "class NoArray:\n"
+        "    x: float\n"
+        "@dataclass\n"
+        "class Mutable:\n"
+        "    u: np.ndarray\n"
+    )
+    assert array_dataclasses_with_generated_eq(source) == ["Flagged", "AlsoFlagged"]
+
+
+def _array_values():
+    import numpy as np
+
+    import specvar as sv
+
+    spec = sv.make_jordan_spec([(1.0, 2), (3.0, 1)])
+    inst = sv.make_instance(spec, 0.1 * np.ones((3, 3)))
+    return {
+        "JordanSpec": spec,
+        "PerturbationInstance": inst,
+        "BlockDecomposition": sv.s_number(np.diag([1.0, 2.0])),
+        "Matching": sv.optimal_match([1.0, 2.0], [2.0, 1.0]),
+        "TriangularSplit": sv.split_dlu(np.eye(2)),
+    }
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["JordanSpec", "PerturbationInstance", "BlockDecomposition", "Matching", "TriangularSplit"],
+)
+def test_array_values_compare_by_identity_and_hash(name):
+    first, second = _array_values()[name], _array_values()[name]
+    assert type(first).__name__ == name
+    assert first == first and first != second
+    assert len({first, first, second}) == 2  # hashable, by identity

@@ -24,6 +24,16 @@ class TestSpectrum:
         with pytest.raises(sv.DimensionError):
             sv.Spectrum(np.array([]))
 
+    @pytest.mark.parametrize(
+        "entry",
+        [complex(x, 0.0) for x in (np.nan, np.inf, -np.inf)]
+        + [complex(0.0, x) for x in (np.nan, np.inf, -np.inf)],
+        ids=str,
+    )
+    def test_non_finite_real_or_imaginary_part_rejected(self, entry):
+        with pytest.raises(sv.DimensionError):
+            sv.Spectrum(np.array([1.0, entry, 2.0]))
+
     def test_len(self):
         assert len(sv.Spectrum(np.array([1.0, 2.0, 3.0]))) == 3
 
