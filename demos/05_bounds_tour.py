@@ -20,9 +20,7 @@ spec = sv.make_jordan_spec([(1.0, 2), (-0.5, 2), (2.0, 1)], q)
 g = sv.complex_gaussian(5, 5, rng)
 inst = sv.make_instance(spec, g * (0.6 / np.linalg.norm(g)))
 
-d2 = sv.optimal_match(
-    sv.Spectrum(spec.eigenvalues), sv.perturbed_spectrum(inst)
-).d2
+d2 = sv.optimal_match(spec.spectrum, sv.perturbed_spectrum(inst)).d2
 print(f"true D2 = {d2:.6f}   (n={spec.n}, p={spec.p}, m={spec.m}, "
       f"||E_Q||_F = {inst.norm_eq:.4f})")
 print()

@@ -58,6 +58,9 @@ class BoundId(enum.Enum):
     UP3_3 = "UP3_3"
 
 
+BOUND_NAMES = {bid: bid.name for bid in BoundId}  # BoundId.name is a property lookup
+
+
 @dataclass(frozen=True)
 class BoundResult:
     """One evaluated bound: value, branch taken, and the inputs it read
@@ -223,17 +226,20 @@ def normal_bounds(e, a_tilde, hermitian_a: bool, s_tilde: int) -> list[BoundResu
 # ---------------------------------------------------------------------------
 # Jordan-based baselines
 
-def baseline_bounds(inst: PerturbationInstance, s1: int, s2: int) -> list[BoundResult]:
+def baseline_bounds(
+    inst: PerturbationInstance, s1: int, s2: int, steps=None
+) -> list[BoundResult]:
     """Song's bound and the Li-Chen refinement for an arbitrary matrix.
 
     ``s1 = n + 1 - s(T^-1 Q^-1 (A+E) Q T)`` at eps = ||E_Q||_F^(1/m) and
-    ``s2 = n + 1 - s(Q^-1 (A+E) Q)``, both supplied by the caller.
+    ``s2 = n + 1 - s(Q^-1 (A+E) Q)``, both supplied by the caller.  Here
+    and in the UP families, ``steps`` is a held ``plan(inst)``.
     """
     n, p, m = inst.spec.n, inst.spec.p, inst.spec.m
     s1 = _check_s("s1", s1, n)
     s2 = _check_s("s2", s2, n)
     inputs = {"s1": s1, "s2": s2}
-    branch = plan(inst)[0].branch
+    branch = (steps or plan(inst))[0].branch
     norm_eq = inst.norm_eq
     if branch == BRANCH_ZERO:
         song = li_chen = 0.0
@@ -258,12 +264,12 @@ def baseline_bounds(inst: PerturbationInstance, s1: int, s2: int) -> list[BoundR
 # ---------------------------------------------------------------------------
 # the envelope-derived families
 
-def _up_family(inst, factor, ids, inputs):
+def _up_family(inst, factor, ids, inputs, steps):
     """UP1_*/UP2_*/UP3_* on the planned branches: ``factor`` maps each
     step's s-key to the family's leading factor."""
     tr2 = abs(inst.trace_e) ** 2 / inst.spec.n
     results = []
-    for bid, step in zip(ids, plan(inst)):
+    for bid, step in zip(ids, steps):
         value = 0.0
         if step.branch != BRANCH_ZERO:
             value = math.sqrt(factor[step.s_key] * _core(inst, step.branch) + tr2)
@@ -272,7 +278,7 @@ def _up_family(inst, factor, ids, inputs):
 
 
 def new_bounds_complex(
-    inst: PerturbationInstance, s1: int, s2: int, s3: int, s4: int
+    inst: PerturbationInstance, s1: int, s2: int, s3: int, s4: int, steps=None
 ) -> list[BoundResult]:
     """The six envelope bounds for a general complex spectrum.
 
@@ -286,14 +292,14 @@ def new_bounds_complex(
     s3 = _check_s("s3", s3, n)
     s4 = _check_s("s4", s4, n)
     s = dict(zip(S_KEYS, (s1, s2, s3, s4)))
-    up1 = _up_family(
-        inst, dict.fromkeys(s, n), (BoundId.UP1_1, BoundId.UP1_2, BoundId.UP1_3), {}
-    )
-    up2 = _up_family(inst, s, (BoundId.UP2_1, BoundId.UP2_2, BoundId.UP2_3), s)
+    steps = steps or plan(inst)
+    ids = (BoundId.UP1_1, BoundId.UP1_2, BoundId.UP1_3)
+    up1 = _up_family(inst, dict.fromkeys(s, n), ids, {}, steps)
+    up2 = _up_family(inst, s, (BoundId.UP2_1, BoundId.UP2_2, BoundId.UP2_3), s, steps)
     return up1 + up2
 
 
-def new_bounds_real(inst: PerturbationInstance) -> list[BoundResult]:
+def new_bounds_real(inst: PerturbationInstance, steps=None) -> list[BoundResult]:
     """The sharper factor-2 family, valid when all prescribed eigenvalues
     of A are real.
 
@@ -302,7 +308,7 @@ def new_bounds_real(inst: PerturbationInstance) -> list[BoundResult]:
     ``applicable=False`` results rather than fake values.
     """
     ids = (BoundId.UP3_1, BoundId.UP3_2, BoundId.UP3_3)
-    if not inst.spec.has_real_spectrum():
+    if not inst.spec.real_spectrum:
         return [
             BoundResult(
                 bid, 0.0, BRANCH_SINGLE,
@@ -311,7 +317,7 @@ def new_bounds_real(inst: PerturbationInstance) -> list[BoundResult]:
             )
             for bid in ids
         ]
-    return _up_family(inst, dict.fromkeys(S_KEYS, 2.0), ids, {})
+    return _up_family(inst, dict.fromkeys(S_KEYS, 2.0), ids, {}, steps or plan(inst))
 
 
 # ---------------------------------------------------------------------------

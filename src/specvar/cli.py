@@ -70,7 +70,7 @@ def _cmd_bound(args) -> int:
     inst = make_instance(spec, read_matrix(args.perturbation))
     sv = s_values(inst, mode=args.s_mode, tol=args.tol, seed=args.seed)
     results = evaluate_bounds(inst, sv)
-    d2 = optimal_match(Spectrum(spec.eigenvalues), perturbed_spectrum(inst)).d2
+    d2 = optimal_match(spec.spectrum, perturbed_spectrum(inst)).d2
     print(f"n={spec.n} p={spec.p} m={spec.m} "
           f"|E_Q|={inst.norm_eq!r} delta(E_Q)={inst.delta_eq!r}")
     print(f"D2 = {d2!r}")

@@ -27,6 +27,7 @@ import numpy as np
 
 from .blocks import s_number
 from .bounds import (
+    BOUND_NAMES,
     BoundId,
     BoundResult,
     baseline_bounds,
@@ -176,6 +177,7 @@ def s_values(
     cluster_gap: float = 1e-6,
     block_tol: float = 1e-8,
     with_s_tilde: bool = False,
+    steps=None,
 ) -> dict[str, int]:
     """The s-dependent factors the bounds need, as n+1-s(.) values.
 
@@ -187,7 +189,7 @@ def s_values(
     n.  ``s_tilde`` is s(J + E_Q), which only the normal-A bound family
     reads (there Q is unitary, so J + E_Q is unitarily similar to A + E
     and has the same s): it is computed with ``with_s_tilde=True`` and
-    stays at the pessimistic 1 otherwise.
+    stays at the pessimistic 1 otherwise.  ``steps`` is a held ``plan(inst)``.
     """
     if mode not in S_MODES:
         raise ConfigError(f"unknown s_mode '{mode}'")
@@ -203,7 +205,7 @@ def s_values(
         return dec.s
 
     g = inst.perturbed
-    planned = {step.s_key: step.eps for step in plan(inst) if step.eps > 0.0}
+    planned = {step.s_key: step.eps for step in steps or plan(inst) if step.eps > 0.0}
     for key, eps in planned.items():
         out[key] = n + 1 - s_of(scaled_similarity(inst.spec, g, eps))
     if with_s_tilde:
@@ -216,9 +218,13 @@ def eps_grid(points: int = 16) -> np.ndarray:
     return np.arange(1, points + 1, dtype=np.float64) / points
 
 
+EPS_GRID = eps_grid()  # the fixed grid every trial's margins are checked on
+EPS_GRID.flags.writeable = False
+
+
 @dataclass
 class TrialRecord:
-    """Everything recorded for one sweep trial."""
+    """Everything recorded for one sweep trial (a failed one keeps the defaults)."""
 
     trial: int
     digest: str
@@ -232,15 +238,15 @@ class TrialRecord:
     norm_eq: float
     delta_eq: float
     trace_abs: float
-    d2: float
-    d_inf: float
-    results: list[BoundResult]
-    slacks: dict[str, float]
-    violations: list[str]
-    envelope_ratio_min: float
-    scaled_norm_ratio_min: float
-    cross_term_ratio_min: float
-    superdiag_error_ratio_max: float
+    d2: float = 0.0
+    d_inf: float = 0.0
+    results: list[BoundResult] = field(default_factory=list)
+    slacks: dict[str, float] = field(default_factory=dict)
+    violations: list[str] = field(default_factory=list)
+    envelope_ratio_min: float = 0.0
+    scaled_norm_ratio_min: float = 0.0
+    cross_term_ratio_min: float = 0.0
+    superdiag_error_ratio_max: float = 0.0
 
 
 def instance_digest(inst: PerturbationInstance) -> str:
@@ -262,13 +268,15 @@ def evaluate_bounds(
     sv: dict[str, int],
     include_normal_family: bool = False,
     hermitian_a: bool = False,
+    steps=None,
 ) -> list[BoundResult]:
     """All bound families applicable to this instance, with s-values
-    injected.  The normal family is checked against J + E_Q, so the
-    perturbation it reads is E_Q."""
-    results = baseline_bounds(inst, sv["s1"], sv["s2"])
-    results += new_bounds_complex(inst, sv["s1"], sv["s2"], sv["s3"], sv["s4"])
-    results += new_bounds_real(inst)
+    injected, on one ``steps = plan(inst)``.  The normal family is checked
+    against J + E_Q, so the perturbation it reads is E_Q."""
+    steps = steps or plan(inst)
+    results = baseline_bounds(inst, sv["s1"], sv["s2"], steps)
+    results += new_bounds_complex(inst, sv["s1"], sv["s2"], sv["s3"], sv["s4"], steps)
+    results += new_bounds_real(inst, steps)
     if include_normal_family:
         results += normal_bounds(
             inst.e_q, inst.perturbed, hermitian_a=hermitian_a, s_tilde=sv["s_tilde"]
@@ -280,15 +288,18 @@ def _margin_ratios(inst: PerturbationInstance, grid) -> tuple[float, float, floa
     """Worst margin / phi(eps) over the eps grid (minima of the envelope,
     scaled-norm and cross-term margins, maximum superdiagonal error) from
     one :func:`specvar.jordan.envelope_margins` pass, which holds a few
-    (len(grid), n, n) arrays: 37 KB each for 16 points at n = 12.  Points
-    with phi = 0 are skipped: phi = 0 forces E = 0, where every margin is
-    exactly zero."""
+    (len(grid), n, n) arrays: 37 KB each for 16 points at n = 12.  phi is
+    positive at every grid point or at none, so its first point decides
+    for the whole grid: for n > p, phi(eps) >= (n-p) eps^2 > 0; for n = p
+    (m = 1) every eps-dependent term of phi vanishes and phi is the
+    constant delta(E_Q)^2 + |tr E|^2/n.  phi = 0 forces E = 0, where every
+    margin is exactly zero."""
     margins = envelope_margins(inst, grid)
-    live = margins["phi"] > 0.0
-    if not live.any():
+    value = margins["phi"]
+    if not value[0] > 0.0:
         return 0.0, 0.0, 0.0, 0.0
     env, norm, cross, sup = (
-        margins[key][live] / margins["phi"][live]
+        margins[key] / value
         for key in (
             "envelope_margin", "scaled_norm_margin", "cross_term_margin",
             "superdiag_norm_error",
@@ -314,8 +325,9 @@ def run_trial(inst: PerturbationInstance, config: SweepConfig, trial: int) -> Tr
         delta_eq=inst.delta_eq,
         trace_abs=abs(inst.trace_e),
     )
+    steps = plan(inst)
     try:
-        match = optimal_match(Spectrum(spec.eigenvalues), perturbed_spectrum(inst))
+        match = optimal_match(spec.spectrum, perturbed_spectrum(inst))
         sv = s_values(
             inst,
             mode=config.s_mode,
@@ -324,35 +336,28 @@ def run_trial(inst: PerturbationInstance, config: SweepConfig, trial: int) -> Tr
             cluster_gap=config.tolerances["cluster_gap"],
             block_tol=config.tolerances["block_tol"],
             with_s_tilde=normal,
+            steps=steps,
         )
     except (EigensolverError, AmbiguityError, SizeLimitError) as exc:
         return TrialRecord(
             **base,
             status="failed-infrastructure",
             failure_reason=f"{type(exc).__name__}: {exc}",
-            d2=0.0,
-            d_inf=0.0,
-            results=[],
-            slacks={},
-            violations=[],
-            envelope_ratio_min=0.0,
-            scaled_norm_ratio_min=0.0,
-            cross_term_ratio_min=0.0,
-            superdiag_error_ratio_max=0.0,
         )
     results = evaluate_bounds(
         inst,
         sv,
         include_normal_family=normal,
         hermitian_a=normal and config.real_eigenvalues,
+        steps=steps,
     )
-    slacks = verify_instance(inst, results, match.d2)
+    slacks = {BOUND_NAMES[bid]: s for bid, s in verify_instance(inst, results, match.d2)}
     slack_tol = config.tolerances["slack"]
-    by_id = {r.id: r for r in results}
     violations = [
-        bid.name for bid, s in slacks if is_violation(by_id[bid].value, s, slack_tol)
+        name for r in results if r.applicable
+        and is_violation(r.value, slacks[name := BOUND_NAMES[r.id]], slack_tol)
     ]
-    env_min, sn_min, ct_min, sd_max = _margin_ratios(inst, eps_grid())
+    env_min, sn_min, ct_min, sd_max = _margin_ratios(inst, EPS_GRID)
     return TrialRecord(
         **base,
         status="ok",
@@ -360,7 +365,7 @@ def run_trial(inst: PerturbationInstance, config: SweepConfig, trial: int) -> Tr
         d2=match.d2,
         d_inf=match.d_inf,
         results=results,
-        slacks={bid.name: s for bid, s in slacks},
+        slacks=slacks,
         violations=violations,
         envelope_ratio_min=env_min,
         scaled_norm_ratio_min=sn_min,
@@ -378,30 +383,20 @@ class Report:
     summary: dict
 
 
-def _value_of(record: TrialRecord, bid: BoundId) -> float | None:
-    for r in record.results:
-        if r.id is bid and r.applicable:
-            return r.value
-    return None
-
-
 def summarize(config: SweepConfig, records: list[TrialRecord]) -> dict:
     ok = [r for r in records if r.status == "ok"]
     min_slack: dict[str, float] = {}
+    sharp_song = sharp_lichen = math.inf
     for rec in ok:
         for name, s in rec.slacks.items():
             min_slack[name] = min(min_slack.get(name, math.inf), s)
-    sharp_song = math.inf
-    sharp_lichen = math.inf
-    for rec in ok:
-        song, up11 = _value_of(rec, BoundId.SONG), _value_of(rec, BoundId.UP1_1)
-        lichen, up21 = _value_of(rec, BoundId.LI_CHEN), _value_of(rec, BoundId.UP2_1)
-        if song is not None and up11 is not None:
-            sharp_song = min(sharp_song, song - up11)
-        if lichen is not None and up21 is not None:
-            sharp_lichen = min(sharp_lichen, lichen - up21)
+        value = {r.id: r.value for r in rec.results if r.applicable}
+        if BoundId.SONG in value and BoundId.UP1_1 in value:
+            sharp_song = min(sharp_song, value[BoundId.SONG] - value[BoundId.UP1_1])
+        if BoundId.LI_CHEN in value and BoundId.UP2_1 in value:
+            sharp_lichen = min(sharp_lichen, value[BoundId.LI_CHEN] - value[BoundId.UP2_1])
     branches = Counter(
-        (r.id.name, r.branch) for rec in ok for r in rec.results if r.applicable
+        (BOUND_NAMES[r.id], r.branch) for rec in ok for r in rec.results if r.applicable
     )
     branch_counts: dict[str, dict[str, int]] = {}
     for (name, branch), count in branches.items():
@@ -500,7 +495,7 @@ def example_scalar_table(
                 "rel_err": rel,
             }
         )
-    d2 = optimal_match(Spectrum(spec.eigenvalues), perturbed_spectrum(inst)).d2
+    d2 = optimal_match(spec.spectrum, perturbed_spectrum(inst)).d2
     return {
         "n": n,
         "p": p,
@@ -529,7 +524,8 @@ _V1_RECORD_INPUTS = ("n", "p", "m", "norm_eq", "delta_eq", "trace_abs", "norm_e"
 def _result_row(r: BoundResult, slacks: dict) -> list:
     """``[id, value, branch, slack]``; the slack is null only for an
     inapplicable result, which adds its reason; non-empty inputs follow."""
-    row = [r.id.name, r.value, r.branch, slacks.get(r.id.name)]
+    name = BOUND_NAMES[r.id]
+    row = [name, r.value, r.branch, slacks.get(name)]
     if not r.applicable:
         row.append(r.reason)
     if r.inputs:
@@ -615,9 +611,10 @@ def write_report(report: Report, path, format: str = "structured-text") -> None:
         for rec in report.records:
             if rec.status != "ok":
                 writer.writerow([rec.trial, rec.status, rec.failure_reason, "", "", ""])
+            d2 = repr(rec.d2)
             writer.writerows(
-                [rec.trial, r.id.name, r.branch, repr(r.value), repr(rec.d2),
-                 repr(rec.slacks[r.id.name])]
+                [rec.trial, (name := BOUND_NAMES[r.id]), r.branch, repr(r.value), d2,
+                 repr(rec.slacks[name])]
                 for r in rec.results if r.applicable
             )
 

@@ -58,7 +58,9 @@ class JordanSpec:
     ``m``, ``eigenvalues`` (all n with multiplicity, in block order),
     ``positions``, each index's place inside its block (0, 1, ..., size-1
     per block, float64), which is the exponent of eps in T(eps), and
-    ``superdiagonal``, the rows i whose entry (i, i+1) lies inside a block.
+    ``superdiagonal``, the rows i whose entry (i, i+1) lies inside a block,
+    ``spectrum``, the eigenvalues as a canonical :class:`Spectrum`, and
+    ``real_spectrum``, :meth:`has_real_spectrum` at its default tol.
     Equality is identity."""
 
     blocks: tuple[tuple[complex, int], ...]
@@ -70,8 +72,13 @@ class JordanSpec:
     eigenvalues: np.ndarray = field(init=False, repr=False)
     positions: np.ndarray = field(init=False, repr=False)
     superdiagonal: np.ndarray = field(init=False, repr=False)
+    spectrum: "Spectrum" = field(init=False, repr=False)
+    real_spectrum: bool = field(init=False)
 
     def __post_init__(self):
+        # imported on use: a module-level import loads scipy earlier, +1.5 MB peak RSS
+        from .spectrum import Spectrum
+
         lams, sizes = zip(*self.blocks)
         eigenvalues = np.repeat(np.array(lams, dtype=np.complex128), sizes)
         positions = np.concatenate([np.arange(size, dtype=np.float64) for size in sizes])
@@ -84,6 +91,8 @@ class JordanSpec:
         object.__setattr__(self, "eigenvalues", eigenvalues)
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "superdiagonal", superdiagonal)
+        object.__setattr__(self, "spectrum", Spectrum(eigenvalues))
+        object.__setattr__(self, "real_spectrum", self.has_real_spectrum())
 
     @property
     def block_sizes(self) -> tuple[int, ...]:
@@ -92,8 +101,7 @@ class JordanSpec:
     def has_real_spectrum(self, tol: float = 1e-12) -> bool:
         """True iff every prescribed eigenvalue is real within
         tol * (1 + |lambda|)."""
-        lams = np.array([lam for lam, _ in self.blocks])
-        return bool(np.all(np.abs(lams.imag) <= tol * (1.0 + np.abs(lams))))
+        return all(abs(lam.imag) <= tol * (1.0 + abs(lam)) for lam, _ in self.blocks)
 
 
 def make_jordan_spec(blocks, q=None) -> JordanSpec:
@@ -120,7 +128,7 @@ def make_jordan_spec(blocks, q=None) -> JordanSpec:
         )
     q = _frozen_copy(q)
     # kappa2 raises SingularMatrixError if Q is singular to working precision
-    return JordanSpec(blocks=blocks, q=q, kappa_q=kappa2(q))
+    return JordanSpec(blocks=blocks, q=q, kappa_q=kappa2(q, checked=True))
 
 
 def jordan_matrix(spec: JordanSpec) -> np.ndarray:
@@ -151,7 +159,7 @@ def scaling_matrix(spec: JordanSpec, eps: float) -> np.ndarray:
 
 
 def scalar_shift(e) -> complex | None:
-    """The t with E == t*I bitwise, else None.
+    """The t with E == t*I bitwise (E finite and square), else None.
 
     Scalar matrices commute with every Q, so Q^-1 (tI) Q = tI holds exactly
     and callers can skip the solve (whose rounding would otherwise turn
@@ -159,7 +167,8 @@ def scalar_shift(e) -> complex | None:
     """
     e = np.asarray(e)
     t = e[0, 0]
-    if np.array_equal(e, t * np.eye(e.shape[0], dtype=e.dtype)):
+    diagonal = e.diagonal()
+    if (diagonal == t).all() and np.count_nonzero(e) == np.count_nonzero(diagonal):
         return complex(t)
     return None
 
@@ -172,7 +181,8 @@ class PerturbationInstance:
     ``e_q`` is Q^-1 E Q, the perturbation transported to the Jordan basis,
     and ``perturbed`` is J + E_Q = Q^-1 (A+E) Q, the perturbed matrix in
     the Jordan basis: the one matrix every consumer (eigensolve, s-values,
-    the normal family) reads.
+    the normal family) reads.  All three are read-only arrays that share
+    no memory with the caller's E or Q.
     """
 
     spec: JordanSpec
@@ -194,17 +204,21 @@ def make_instance(spec: JordanSpec, e) -> PerturbationInstance:
         raise DimensionError(
             f"E has order {e.shape[0]} but the spec has order {spec.n}"
         )
+    e = _frozen_copy(e)
     shift = scalar_shift(e)
-    e_q = e.copy() if shift is not None else solve(spec.q, e @ spec.q)
+    e_q = e if shift is not None else solve(spec.q, e @ spec.q, checked=True)
+    perturbed = jordan_matrix(spec)
+    perturbed += e_q
+    e_q.flags.writeable = perturbed.flags.writeable = False
     return PerturbationInstance(
         spec=spec,
-        e=_frozen_copy(e),
-        e_q=_frozen_copy(e_q),
-        perturbed=_frozen_copy(jordan_matrix(spec) + e_q),
+        e=e,
+        e_q=e_q,
+        perturbed=perturbed,
         norm_e=float(np.linalg.norm(e)),
         norm_eq=float(np.linalg.norm(e_q)),
         # delta(t I) = 0 analytically; skip the float evaluation's ulp noise
-        delta_eq=0.0 if shift is not None else delta(e_q),
+        delta_eq=0.0 if shift is not None else delta(e_q, checked=True),
         trace_e=complex(np.trace(e)),
     )
 

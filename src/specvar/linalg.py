@@ -2,8 +2,9 @@
 
 Validation, solves, triangular splits, the trace-deflated measure
 ``delta`` and the spectral condition number ``kappa2``.  Every function
-here is pure: inputs are validated, never mutated, and results depend on
-nothing but the arguments, so values are freely shareable across threads.
+here is pure: inputs are validated (``checked=True`` trusts an
+:func:`as_matrix` result), never mutated, and results depend on nothing
+but the arguments, so values are freely shareable across threads.
 """
 
 from __future__ import annotations
@@ -37,10 +38,11 @@ def as_matrix(a, *, square: bool = False, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def solve(q, b) -> np.ndarray:
+def solve(q, b, *, checked: bool = False) -> np.ndarray:
     """Solve Q X = B for X (i.e. return Q^-1 B) via LU with partial pivoting."""
-    q = as_matrix(q, square=True, name="coefficient matrix")
-    b = as_matrix(b, name="right-hand side")
+    if not checked:
+        q = as_matrix(q, square=True, name="coefficient matrix")
+        b = as_matrix(b, name="right-hand side")
     if q.shape[0] != b.shape[0]:
         raise DimensionError(
             f"incompatible shapes for solve: {q.shape} vs {b.shape}"
@@ -51,7 +53,7 @@ def solve(q, b) -> np.ndarray:
         raise SingularMatrixError(f"singular coefficient matrix: {exc}") from exc
 
 
-def delta(m) -> float:
+def delta(m, *, checked: bool = False) -> float:
     """Trace-deflated Frobenius norm  (||M||_F^2 - |tr M|^2 / n)^(1/2).
 
     Zero exactly on scalar matrices mu*I, equal to ||M||_F exactly when
@@ -61,7 +63,8 @@ def delta(m) -> float:
     near scalar matrices; the result is clamped at ||M||_F (Pythagoras
     gives delta <= ||M||_F exactly, rounding can break it by one ulp).
     """
-    m = as_matrix(m, square=True)
+    if not checked:
+        m = as_matrix(m, square=True)
     n = m.shape[0]
     dev = m.copy()
     dev.reshape(-1)[:: n + 1] -= np.trace(m) / n  # the diagonal, as a view
@@ -92,14 +95,15 @@ def split_dlu(m) -> TriangularSplit:
     )
 
 
-def kappa2(q) -> float:
+def kappa2(q, *, checked: bool = False) -> float:
     """Spectral condition number  kappa_2(Q) = ||Q||_2 ||Q^-1||_2.
 
     Computed as the ratio of extreme singular values.  Raises
     ``SingularMatrixError`` when sigma_min <= n * u * sigma_max
     (u = unit roundoff), i.e. when Q is singular to working precision.
     """
-    q = as_matrix(q, square=True, name="Q")
+    if not checked:
+        q = as_matrix(q, square=True, name="Q")
     sigma = np.linalg.svd(q, compute_uv=False)
     n = q.shape[0]
     if sigma[-1] <= n * UNIT_ROUNDOFF * sigma[0]:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import specvar as sv
-from specvar import harness
+from specvar import bounds, harness, jordan, linalg, spectrum
 from specvar.bounds import BRANCH_NORM_LARGE, BRANCH_NORM_SMALL, plan
 
 DATA = Path(__file__).parent / "data"
@@ -249,6 +249,72 @@ class TestRunTrial:
         assert rep.summary["violation_count"] == 0
         for rec in rep.records:
             assert {r.id: r for r in rec.results}[sv.BoundId.HW].applicable
+
+
+def masked_margin_ratios(inst, grid):
+    """The margin reduction that skips every grid point with phi = 0."""
+    margins = sv.envelope_margins(inst, grid)
+    live = margins["phi"] > 0.0
+    if not live.any():
+        return 0.0, 0.0, 0.0, 0.0
+    env, norm, cross, sup = (
+        margins[key][live] / margins["phi"][live]
+        for key in ("envelope_margin", "scaled_norm_margin", "cross_term_margin",
+                    "superdiag_norm_error")
+    )
+    return float(env.min()), float(norm.min()), float(cross.min()), float(sup.max())
+
+
+def margin_instances():
+    mixed = sv.make_jordan_spec([(1.0, 2), (2j, 1), (-1.0, 3)])
+    diag = sv.make_jordan_spec([(1.0, 1), (2j, 1), (-1.0, 1)], np.diag([1.0, 3.0, 0.5]))
+    traceless = np.array([[0.0, 0.2, 0.0], [0.1j, 0.3, 0.0], [0.0, 0.5, -0.3]])
+    yield "zero E", sv.make_instance(mixed, np.zeros((6, 6)))
+    yield "n = p, zero E", sv.make_instance(diag, np.zeros((3, 3)))
+    yield "n = p, scalar E", sv.make_instance(diag, 0.4 * np.eye(3))
+    yield "n = p, trace-free E", sv.make_instance(diag, traceless)
+    for profile in ("mixed", "diagonalizable", "single-jordan"):
+        cfg = small_config(block_profile=profile, n_range=(2, 10))
+        for idx in range(6):
+            yield profile, sv.gen_instance(cfg, idx)
+
+
+class TestTrialBudget:
+    def test_eps_grid_is_a_read_only_constant(self):
+        assert np.array_equal(harness.EPS_GRID, sv.eps_grid())
+        assert not harness.EPS_GRID.flags.writeable
+
+    def test_margin_ratios_equal_the_masked_reduction(self):
+        # phi is positive on the whole grid (n > p) or constant (n = p), so
+        # dropping the mask changes no float
+        cases = 0
+        for label, inst in margin_instances():
+            got = harness._margin_ratios(inst, harness.EPS_GRID)
+            want = masked_margin_ratios(inst, harness.EPS_GRID)
+            assert np.array_equal(got, want), label
+            cases += 1
+        assert cases == 22
+
+    @pytest.mark.parametrize("s_mode", ["pessimistic", "computed"])
+    def test_call_budget(self, monkeypatch, s_mode):
+        # one plan per instance; one as_matrix for each array a caller hands
+        # in: E, Q and the eigensolve input (s_number validates its own)
+        calls = {"plan": 0, "as_matrix": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (linalg, jordan, spectrum, bounds):
+            monkeypatch.setattr(module, "as_matrix", counting("as_matrix", module.as_matrix))
+        for module in (bounds, harness):
+            monkeypatch.setattr(module, "plan", counting("plan", module.plan))
+        cfg = small_config(trials=20, n_range=(2, 12), target_kappa=10.0, s_mode=s_mode)
+        rep = harness.run_sweep(cfg)
+        assert rep.summary["trials"] == 20
+        assert calls == {"plan": 20, "as_matrix": 3 * 20}
 
 
 class TestRunSweep:

@@ -49,6 +49,15 @@ class TestJordanSpec:
         assert sv.make_jordan_spec([(1.0, 2), (-2.0, 1)]).has_real_spectrum()
         assert not sv.make_jordan_spec([(1.0 + 1e-6j, 2)]).has_real_spectrum()
 
+    @pytest.mark.parametrize(
+        "blocks", [[(1.0, 2), (-2.0, 1)], [(1.0 + 1e-6j, 2)], [(3.0 + 1e-13j, 1), (0.5, 3)]]
+    )
+    def test_derived_spectrum_and_real_flag(self, blocks):
+        spec = sv.make_jordan_spec(blocks)
+        assert spec.real_spectrum is spec.has_real_spectrum()
+        assert np.array_equal(spec.spectrum.values, sv.Spectrum(spec.eigenvalues).values)
+        assert not spec.spectrum.values.flags.writeable
+
 
 class TestAssemble:
     def test_diagonal_case(self):
@@ -160,6 +169,21 @@ class TestInstance:
         with pytest.raises(ValueError):
             inst.e[0, 0] = 99.0
 
+    @pytest.mark.parametrize("scalar", [False, True], ids=["gaussian", "scalar"])
+    def test_no_array_aliases_caller_memory(self, scalar):
+        rng = np.random.default_rng(8)
+        q = sv.random_conditioned(5, 12.0, rng)
+        e = 0.3 * np.eye(5, dtype=complex) if scalar else sv.complex_gaussian(5, 5, rng)
+        spec = sv.make_jordan_spec([(1.0, 2), (2j, 3)], q)
+        inst = sv.make_instance(spec, e)
+        arrays = (inst.e, inst.e_q, inst.perturbed, spec.q, spec.spectrum.values)
+        saved = [a.copy() for a in arrays]
+        assert not any(a.flags.writeable for a in arrays)
+        q[...] = 7.0
+        e[...] = 7.0
+        for a, before in zip(arrays, saved):
+            assert np.array_equal(a, before)
+
     def test_majorant_dominates_norm(self):
         for seed in range(5):
             inst = make_mixed_instance(seed, kappa=15.0)
@@ -169,6 +193,27 @@ class TestInstance:
         spec = sv.make_jordan_spec([(1.0, 2)])
         inst = sv.make_instance(spec, np.zeros((2, 2)))
         assert sv.eq_norm_majorant(inst) == 0.0
+
+
+class TestScalarShift:
+    @pytest.mark.parametrize("t", [0.0, -0.0, 0.25, -1.5 + 2j])
+    def test_scalar_matrices(self, t):
+        assert sv.scalar_shift(t * np.eye(4, dtype=complex)) == t
+
+    @pytest.mark.parametrize("i, j", [(0, 3), (3, 0), (2, 1), (2, 2)])
+    def test_one_entry_off(self, i, j):
+        e = 0.25 * np.eye(4, dtype=complex)
+        e[i, j] += 1e-300j
+        assert sv.scalar_shift(e) is None
+
+    def test_agrees_with_the_identity_comparison(self):
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            n = int(rng.integers(1, 5))
+            e = rng.choice([0.0, -0.0, 0.5, 1j], size=(n, n)).astype(complex)
+            t = e[0, 0]
+            want = t if np.array_equal(e, t * np.eye(n)) else None
+            assert sv.scalar_shift(e) == want
 
 
 class TestPhi:
