@@ -23,7 +23,8 @@ Kojima 2010; Maehara & Murota 2011):
    one its eigenspaces are exactly the finest M-reducing subspaces;
 4. order the eigenvectors by cluster and merge the groups that still
    couple in U* M U: the connected components of the coupling graph,
-   repeated until no merged group couples to another.
+   repeated until no merged group couples to another (at once one block
+   when the first group couples to every other).
 
 The restriction in step 2 is exact for any H, so degenerate inputs
 (diag(B, B), normal matrices with repeated eigenvalues, scalars) only make
@@ -31,11 +32,13 @@ the clusters, and K, larger.  Every draw is fully determined by the seed.
 Wherever step 2 runs, three independent draws in step 3 must agree on s
 or an ``AmbiguityError`` is raised, so results are reproducible; a split
 kept from a simple spectrum draws nothing after H and cannot raise it.
+H's weights (a, b) are drawn once per seed and cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -178,7 +181,10 @@ def _merge_coupled(m, u, sizes, block_tol) -> BlockDecomposition:
     while sizes.size > 1:
         starts = np.cumsum(sizes) - sizes
         w = np.add.reduceat(np.add.reduceat(power, starts, axis=0), starts, axis=1)
-        label = _components(np.sqrt(w + w.T) > thresh)
+        adjacency = np.sqrt(w + w.T) > thresh
+        if adjacency[0, 1:].all():  # connected: one block, order kept
+            return BlockDecomposition(u=u, block_sizes=(u.shape[1],), s=1)
+        label = _components(adjacency)
         firsts = np.unique(label)
         if firsts.size == sizes.size:
             break
@@ -200,6 +206,14 @@ def _decompose_once(m, basis, rng, cluster_gap, block_tol):
     return _merge_coupled(m, v, _cluster_sizes(w, cluster_gap), block_tol)
 
 
+@lru_cache(maxsize=64)
+def _h_weights(seed: int) -> tuple[float, float]:
+    """The weights (a, b) of H = a(M + M*) + i b(M - M*); streams
+    [seed, 0..2] belong to the three commutant draws."""
+    a, b = np.random.default_rng([seed, 3]).standard_normal(2)
+    return float(a), float(b)
+
+
 def s_number(
     m,
     tol: float = DEFAULT_TOL,
@@ -212,7 +226,9 @@ def s_number(
 
     When a seeded Hermitian element H of the *-algebra has a simple
     spectrum, its eigenvectors, with the coupled ones merged, are the
-    witness if its off-block residual is at most tol ||M||_2.  Otherwise
+    witness if its off-block residual is at most tol ||M||_2; the cheaper
+    lower bound tol ||M||_F / sqrt(n) of that cutoff is tried first, so
+    the SVD behind ||M||_2 runs only when it fails.  Otherwise
     the commutant of {M, M*} is solved inside the eigenspaces of H, and a
     seeded random Hermitian element of it attains the finest reduction
     with probability one; three reseeded draws must agree on s, or an
@@ -224,8 +240,7 @@ def s_number(
     block-diagonalizable.
     """
     m = as_matrix(m, square=True)
-    # streams [seed, 0..2] belong to the three commutant draws below
-    a, b = np.random.default_rng([seed, 3]).standard_normal(2)
+    a, b = _h_weights(seed)
     ma = m.conj().T
     w, v = np.linalg.eigh(a * (m + ma) + 1j * b * (m - ma))
     clusters = _cluster_sizes(w, cluster_gap)
@@ -233,10 +248,14 @@ def s_number(
         # every commutant element is V diag(y) V*: nothing random to draw.
         # For off-block residual r, each unit X in the span of the block
         # projectors has ||(MX - XM, M*X - XM*)||_F <= 2r: keep the split if
-        # that is within the null-space cutoff tol 2||M||_2, else solve
+        # that is within the null-space cutoff tol 2||M||_2, else solve.  The
+        # bound ||M||_F / sqrt(n) <= ||M||_2 (less a rounding margin) goes first
         dec = _merge_coupled(m, v, clusters, block_tol)
-        if dec.s == 1 or offblock_residual(m, dec.u, dec.block_sizes) <= (
-            tol * np.linalg.norm(m, 2)
+        if dec.s == 1:
+            return dec
+        r = offblock_residual(m, dec.u, dec.block_sizes)
+        if r <= tol * (1.0 - 1e-6) * np.linalg.norm(m) / np.sqrt(w.size) or (
+            r <= tol * np.linalg.norm(m, 2)
         ):
             return dec
     basis = commutant_basis(m, tol, v=v, sizes=clusters)

@@ -34,7 +34,7 @@ from .exceptions import (
     DomainError,
     NotApplicableError,
 )
-from .linalg import as_matrix, delta, kappa2, solve
+from .linalg import as_matrix, kappa2, norm_and_delta, solve
 
 # minimum relative eigenvalue gap for the diagonalizable convenience path
 MIN_EIG_GAP = 1e-6
@@ -210,15 +210,19 @@ def make_instance(spec: JordanSpec, e) -> PerturbationInstance:
     perturbed = jordan_matrix(spec)
     perturbed += e_q
     e_q.flags.writeable = perturbed.flags.writeable = False
+    if shift is None:
+        norm_eq, delta_eq = norm_and_delta(e_q, checked=True)
+    else:
+        # delta(t I) = 0 analytically; skip the float evaluation's ulp noise
+        norm_eq, delta_eq = float(np.linalg.norm(e_q)), 0.0
     return PerturbationInstance(
         spec=spec,
         e=e,
         e_q=e_q,
         perturbed=perturbed,
         norm_e=float(np.linalg.norm(e)),
-        norm_eq=float(np.linalg.norm(e_q)),
-        # delta(t I) = 0 analytically; skip the float evaluation's ulp noise
-        delta_eq=0.0 if shift is not None else delta(e_q, checked=True),
+        norm_eq=norm_eq,
+        delta_eq=delta_eq,
         trace_e=complex(np.trace(e)),
     )
 

@@ -12,8 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
-from .exceptions import DimensionError, NonFiniteError, SingularMatrixError
+from .exceptions import (
+    DimensionError,
+    EigensolverError,
+    NonFiniteError,
+    SingularMatrixError,
+)
 
 # Unit roundoff of binary64 (half the machine epsilon).
 UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2.0
@@ -39,7 +45,12 @@ def as_matrix(a, *, square: bool = False, name: str = "matrix") -> np.ndarray:
 
 
 def solve(q, b, *, checked: bool = False) -> np.ndarray:
-    """Solve Q X = B for X (i.e. return Q^-1 B) via LU with partial pivoting."""
+    """Solve Q X = B for X (i.e. return Q^-1 B) via LU with partial pivoting.
+
+    LAPACK's zgesv, as ``np.linalg.solve`` calls it, so bit for bit its
+    result (returned C-ordered, as numpy returns it).  An exactly zero
+    pivot (``info > 0``) raises ``SingularMatrixError``.
+    """
     if not checked:
         q = as_matrix(q, square=True, name="coefficient matrix")
         b = as_matrix(b, name="right-hand side")
@@ -47,10 +58,10 @@ def solve(q, b, *, checked: bool = False) -> np.ndarray:
         raise DimensionError(
             f"incompatible shapes for solve: {q.shape} vs {b.shape}"
         )
-    try:
-        return np.linalg.solve(q, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"singular coefficient matrix: {exc}") from exc
+    x, info = lapack.zgesv(q, b)[2:]
+    if info > 0:
+        raise SingularMatrixError(f"singular coefficient matrix: zgesv info={info}")
+    return np.ascontiguousarray(x)
 
 
 def delta(m, *, checked: bool = False) -> float:
@@ -63,12 +74,18 @@ def delta(m, *, checked: bool = False) -> float:
     near scalar matrices; the result is clamped at ||M||_F (Pythagoras
     gives delta <= ||M||_F exactly, rounding can break it by one ulp).
     """
+    return norm_and_delta(m, checked=checked)[1]
+
+
+def norm_and_delta(m, *, checked: bool = False) -> tuple[float, float]:
+    """(||M||_F, delta(M)), with the norm that clamps delta computed once."""
     if not checked:
         m = as_matrix(m, square=True)
     n = m.shape[0]
     dev = m.copy()
     dev.reshape(-1)[:: n + 1] -= np.trace(m) / n  # the diagonal, as a view
-    return min(float(np.linalg.norm(dev)), float(np.linalg.norm(m)))
+    norm = float(np.linalg.norm(m))
+    return norm, min(float(np.linalg.norm(dev)), norm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,14 +115,20 @@ def split_dlu(m) -> TriangularSplit:
 def kappa2(q, *, checked: bool = False) -> float:
     """Spectral condition number  kappa_2(Q) = ||Q||_2 ||Q^-1||_2.
 
-    Computed as the ratio of extreme singular values.  Raises
+    Computed as the ratio of extreme singular values from LAPACK's zgesdd,
+    called as ``np.linalg.svd(q, compute_uv=False)`` calls it (queried
+    workspace, no vectors), so bit for bit its values; a nonzero ``info``
+    (non-convergence) raises ``EigensolverError``.  Raises
     ``SingularMatrixError`` when sigma_min <= n * u * sigma_max
     (u = unit roundoff), i.e. when Q is singular to working precision.
     """
     if not checked:
         q = as_matrix(q, square=True, name="Q")
-    sigma = np.linalg.svd(q, compute_uv=False)
     n = q.shape[0]
+    lwork = int(lapack.zgesdd_lwork(n, n, compute_uv=0, full_matrices=0)[0].real)
+    sigma, _, info = lapack.zgesdd(q, compute_uv=0, full_matrices=0, lwork=lwork)[1:]
+    if info != 0:
+        raise EigensolverError(f"singular value iteration failed: zgesdd info={info}")
     if sigma[-1] <= n * UNIT_ROUNDOFF * sigma[0]:
         raise SingularMatrixError(
             f"Q is numerically singular (sigma_min={sigma[-1]:.3e}, "

@@ -1,5 +1,6 @@
 """Tests for the unitary block-structure computation."""
 
+import itertools
 import time
 
 import numpy as np
@@ -292,6 +293,39 @@ def reference_s_number(m, tol=blocks.DEFAULT_TOL, seed=0):
     return draws[0]
 
 
+def computed_sweep_matrices():
+    """What a kappa = 10 computed-s sweep hands to s_number: T^-1 (J + E_Q) T
+    at every planned eps, for each of the three norms."""
+    for amount in (0.01, 0.5, 2.0):
+        cfg = sv.SweepConfig(seed=21, trials=30, block_profile="mixed",
+                             target_kappa=10.0, amount=amount, s_mode="computed")
+        for idx in range(cfg.trials):
+            inst = sv.gen_instance(cfg, idx)
+            for step in plan(inst):
+                if step.eps > 0.0:
+                    yield scaled_similarity(inst.spec, inst.perturbed, step.eps)
+
+
+def merge_without_exit(m, u, sizes, block_tol):
+    """The coupled-group merge with every pass through the component
+    labelling: U and the block sizes it ends with."""
+    thresh = block_tol * (float(np.linalg.norm(m)) or 1.0)
+    power = np.abs(u.conj().T @ m @ u) ** 2
+    sizes = np.asarray(sizes)
+    while sizes.size > 1:
+        starts = np.cumsum(sizes) - sizes
+        w = np.add.reduceat(np.add.reduceat(power, starts, axis=0), starts, axis=1)
+        label = blocks._components(np.sqrt(w + w.T) > thresh)
+        firsts = np.unique(label)
+        if firsts.size == sizes.size:
+            break
+        cols = np.argsort(np.repeat(label, sizes), kind="stable")
+        u = u[:, cols]
+        power = power[np.ix_(cols, cols)]
+        sizes = np.bincount(label, weights=sizes)[firsts].astype(int)
+    return u, tuple(sizes.tolist())
+
+
 def commutant_solves(monkeypatch):
     """Record the ansatz of every commutant_basis call (None: unrestricted)."""
     calls = []
@@ -343,6 +377,137 @@ class TestMergeCoupled:
         want = np.where(first, order[:280].min(), order[280:].min())
         assert np.array_equal(blocks._components(adj), want)
 
+
+class TestMergeEarlyExit:
+    def test_exit_matches_the_full_merge(self, monkeypatch):
+        # every merge s_number runs (simple route and commutant draws alike)
+        # is checked against the pairwise reference and, bit for bit,
+        # against the merge without the early exit
+        merge = blocks._merge_coupled
+        exits = splits = 0
+
+        def checked(m, u, sizes, block_tol):
+            nonlocal exits, splits
+            dec = merge(m, u, sizes, block_tol)
+            ref_sizes = reference_merge(m, u, list(sizes), block_tol)[1]
+            assert dec.block_sizes == tuple(ref_sizes)
+            assert dec.s == len(ref_sizes)
+            full_u, full_sizes = merge_without_exit(m, u, sizes, block_tol)
+            assert dec.block_sizes == full_sizes
+            assert np.array_equal(dec.u, full_u)
+            exits += dec.s == 1 and len(sizes) > 1
+            splits += dec.s > 1
+            return dec
+
+        monkeypatch.setattr(blocks, "_merge_coupled", checked)
+        sweep = list(computed_sweep_matrices())
+        assert len(sweep) >= 200
+        for m in itertools.chain(differential_matrices(), near_diagonal_matrices(), sweep):
+            sv.s_number(m)
+        assert exits > 200 and splits > 50
+
+    def test_connected_graph_skips_the_labelling(self, monkeypatch):
+        calls = []
+        components = blocks._components
+
+        def spy(adjacency):
+            calls.append(adjacency.shape[0])
+            return components(adjacency)
+
+        monkeypatch.setattr(blocks, "_components", spy)
+        rng = np.random.default_rng(22)
+        assert sv.s_number(gaussian(12, rng)).s == 1
+        assert calls == []
+        assert sv.s_number(hidden([gaussian(4, rng), gaussian(4, rng)], rng)).s == 2
+        assert calls
+
+
+class TestHWeights:
+    @pytest.mark.parametrize("seed", [0, 1, 3, 21, 2**40 + 7])
+    def test_weights_are_the_seed_stream(self, seed):
+        want = np.random.default_rng([seed, 3]).standard_normal(2)
+        got = blocks._h_weights(seed)
+        assert all(type(x) is float for x in got)
+        assert np.array(got).tobytes() == want.tobytes()
+
+    def test_interleaved_seeds_repeat_bit_for_bit(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        b = gaussian(3, rng)
+        mats = [gaussian(6, rng), hidden([gaussian(3, rng), gaussian(2, rng)], rng),
+                hidden([b, b], rng)]
+        blocks._h_weights.cache_clear()
+        seen = {}
+        for seed in (4, 9, 4, 0, 9, 4, 0):
+            for i, m in enumerate(mats):
+                dec = sv.s_number(m, seed=seed)
+                first = seen.setdefault((i, seed), dec)
+                assert (dec.s, dec.block_sizes) == (first.s, first.block_sizes)
+                assert np.array_equal(dec.u, first.u)
+        # drawn afresh on every call, the weights give the same witnesses
+        monkeypatch.setattr(blocks, "_h_weights", blocks._h_weights.__wrapped__)
+        for (i, seed), first in seen.items():
+            assert np.array_equal(sv.s_number(mats[i], seed=seed).u, first.u)
+
+
+class TestResidualCheck:
+    @pytest.mark.parametrize("where, two_norm, solved", [
+        ("below-frobenius-bound", False, False),
+        ("between-bounds", True, False),
+        ("above-two-norm-cutoff", True, True),
+    ])
+    def test_two_norm_svd_only_when_the_cheap_bound_fails(
+        self, where, two_norm, solved, monkeypatch
+    ):
+        # two blocks, one dominant so that ||M||_F / sqrt(n) lies well below
+        # ||M||_2, coupled in one direction at scale t.  The residual r of
+        # the split is linear in t to first order (H's eigenvectors turn
+        # with the coupling), so one small-t call calibrates t for the
+        # wanted r, which stays below block_tol ||M||_F: the merge keeps the
+        # two blocks apart and the residual check decides
+        rng = np.random.default_rng(24)
+        m0 = np.zeros((6, 6), dtype=complex)
+        m0[:3, :3] = gaussian(3, rng) + 10.0 * (1.0 + 1.0j) * np.eye(3)
+        m0[3:, 3:] = gaussian(3, rng)
+        c = gaussian(3, rng)
+        c /= np.linalg.norm(c)
+        w = sv.random_unitary(6, rng)
+
+        def coupled(t):
+            m = m0.copy()
+            m[:3, 3:] = t * c
+            return w @ m @ w.conj().T
+
+        def residual(m):
+            dec = sv.s_number(m)
+            assert dec.s == 2
+            return sv.offblock_residual(m, dec.u, dec.block_sizes)
+
+        tol = blocks.DEFAULT_TOL
+        lo = tol * np.linalg.norm(m0) / np.sqrt(6)
+        hi = tol * np.linalg.norm(m0, 2)
+        cap = blocks.DEFAULT_BLOCK_TOL * np.linalg.norm(m0)
+        assert hi > 1.3 * lo and cap > 1.3 * hi
+        want = {"below-frobenius-bound": 0.5 * lo,
+                "between-bounds": np.sqrt(lo * hi),
+                "above-two-norm-cutoff": np.sqrt(hi * cap)}[where]
+        m = coupled(want * 0.1 * lo / residual(coupled(0.1 * lo)))
+        norms = []
+        full_norm = np.linalg.norm
+
+        def spy(x, ord=None, **kwargs):
+            norms.append(ord)
+            return full_norm(x, ord, **kwargs)
+
+        calls = commutant_solves(monkeypatch)
+        monkeypatch.setattr(np.linalg, "norm", spy)
+        dec = sv.s_number(m)
+        monkeypatch.setattr(np.linalg, "norm", full_norm)
+        assert (2 in norms) == two_norm
+        assert (len(calls) == 1) == solved
+        if not solved:
+            assert dec.s == 2
+            r = sv.offblock_residual(m, dec.u, dec.block_sizes)
+            assert r == pytest.approx(want, rel=1e-2)
 
 
 class TestRestrictedCommutant:

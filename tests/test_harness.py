@@ -328,6 +328,23 @@ class TestRunSweep:
         assert rep.summary["envelope_ratio_min"] >= -1e-8
         assert set(rep.summary["min_slack"]) >= {"SONG", "UP1_1", "UP2_3"}
 
+    def test_trials_go_through_the_module_globals(self, monkeypatch):
+        # a benchmark that times one trial from gen_instance to run_trial
+        # swaps these two module names; run_sweep must look them up at call
+        # time, once per trial, in that order
+        order = []
+        for name in ("gen_instance", "run_trial"):
+            real = getattr(harness, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                order.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, counted)
+        rep = harness.run_sweep(small_config(trials=5))
+        assert order == ["gen_instance", "run_trial"] * 5
+        assert [r.trial for r in rep.records] == list(range(5))
+
     def test_reproducible(self):
         a = sv.run_sweep(small_config(trials=6))
         b = sv.run_sweep(small_config(trials=6))

@@ -1,5 +1,7 @@
 """Tests for the dense matrix primitives."""
 
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import specvar as sv
+from specvar import linalg
 
 
 def random_complex(rng, n, m=None):
@@ -197,3 +200,72 @@ class TestPlumbing:
     def test_solve_shape_mismatch(self):
         with pytest.raises(sv.DimensionError):
             sv.solve(np.eye(3), np.ones((2, 2)))
+
+
+class TestLapackCalls:
+    def test_bitwise_equal_to_numpy_on_sweep_qs(self):
+        # solve and kappa2 call zgesv / zgesdd as np.linalg.solve and
+        # np.linalg.svd(compute_uv=False) do, so the values agree bit for bit
+        count = 0
+        for profile in ("mixed", "single-jordan", "diagonalizable"):
+            for kappa in (1.0, 10.0, 1e3, 1e6):
+                cfg = sv.SweepConfig(seed=25, trials=6, n_range=(2, 24),
+                                     block_profile=profile, target_kappa=kappa)
+                for idx in range(cfg.trials):
+                    inst = sv.gen_instance(cfg, idx)
+                    q, eq = inst.spec.q, inst.e @ inst.spec.q
+                    x = sv.solve(q, eq)
+                    assert x.flags.c_contiguous
+                    assert np.array_equal(x, np.linalg.solve(q, eq))
+                    sigma = np.linalg.svd(q, compute_uv=False)
+                    assert sv.kappa2(q) == float(sigma[0] / sigma[-1])
+                    count += 1
+        assert count == 72
+
+    def test_singular_q_still_raises(self):
+        q = random_complex(np.random.default_rng(26), 6)
+        q[:, 2] = 0.0  # an exactly zero pivot
+        with pytest.raises(sv.SingularMatrixError, match="info=3"):
+            sv.solve(q, np.eye(6))
+        with pytest.raises(sv.SingularMatrixError):
+            sv.kappa2(q)
+
+    def test_svd_nonconvergence_raises(self, monkeypatch):
+        real = linalg.lapack
+
+        def stalled(a, **kwargs):
+            u, s, vt, _ = real.zgesdd(a, **kwargs)
+            return u, s, vt, 1  # info > 0: the bidiagonal iteration failed
+
+        fake = types.SimpleNamespace(zgesdd=stalled, zgesdd_lwork=real.zgesdd_lwork)
+        monkeypatch.setattr(linalg, "lapack", fake)
+        with pytest.raises(sv.EigensolverError, match="info=1"):
+            sv.kappa2(np.diag([1.0, 2.0, 3.0]))
+
+
+class TestNormAndDelta:
+    def test_pair_is_the_norm_and_delta(self):
+        rng = np.random.default_rng(27)
+        for n in (1, 2, 5, 12):
+            m = random_complex(rng, n)
+            norm, d = linalg.norm_and_delta(m)
+            assert norm == float(np.linalg.norm(m))
+            assert d == sv.delta(m)
+
+    def test_make_instance_takes_each_frobenius_norm_once(self, monkeypatch):
+        # ||E||_F, ||E_Q||_F and ||E_Q - (tr E_Q / n) I||_F: one call each
+        cfg = sv.SweepConfig(seed=28, trials=1, n_range=(6, 6))
+        inst = sv.gen_instance(cfg, 0)
+        full_norm = np.linalg.norm
+        calls = []
+
+        def spy(x, *args, **kwargs):
+            calls.append(x.shape)
+            return full_norm(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", spy)
+        again = sv.make_instance(inst.spec, inst.e)
+        monkeypatch.setattr(np.linalg, "norm", full_norm)
+        assert len(calls) == 3
+        assert again.norm_eq == float(np.linalg.norm(again.e_q))
+        assert again.delta_eq == sv.delta(again.e_q)
