@@ -49,7 +49,7 @@ ninst = sv.make_instance(nspec, e)
 d = sv.delta(e)
 reference = np.sqrt(4 * d * d + abs(np.trace(e)) ** 2 / 4)
 print(f"trace-deflated reference sqrt(n delta^2 + |tr E|^2/n) = {reference:.12f}")
-for r in sv.new_bounds_complex(ninst, 4, 4, 4, 4):
+for r in sv.jordan_bounds(sv.BoundInputs.of(ninst), sv.s_values(ninst)):
     if r.id.name.startswith("UP1"):
         print(f"{r.id.name}: {r.value:.12f}")
 

@@ -16,8 +16,11 @@ falling back to eps = 1 otherwise.  The case splits are the main
 correctness hazard: :func:`plan` alone makes them, and every result
 records the branch it took.
 
-This module is a pure formula layer: the tolerance-laden s(.) values are
-injected by the caller (see :mod:`specvar.harness`), never computed here.
+The Jordan family is a function of seven numbers, a :class:`BoundInputs`,
+plus the injected s-values: :func:`plan` and :func:`jordan_bounds` read
+nothing else, so a trial record holds all they need.  This module is a
+pure formula layer: the tolerance-laden s(.) values are injected by the
+caller (see :mod:`specvar.harness`), never computed here.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 
 from .blocks import is_normal
 from .exceptions import DimensionError, DomainError
-from .jordan import PerturbationInstance, optimal_epsilon
+from .jordan import PerturbationInstance
 from .linalg import as_matrix, delta
 
 
@@ -95,6 +98,26 @@ S_KEYS = ("s1", "s2", "s3", "s4")
 # the branch planner and the envelope cores
 
 
+class BoundInputs(NamedTuple):
+    """The seven numbers the Jordan family reads: the block layout
+    (n, p, m), ||E_Q||_F, delta(E_Q), |tr E| and whether every prescribed
+    eigenvalue is real.  A trial record holds the first six."""
+
+    n: int
+    p: int
+    m: int
+    norm_eq: float
+    delta_eq: float
+    trace_abs: float
+    real_spectrum: bool
+
+    @classmethod
+    def of(cls, inst: PerturbationInstance) -> BoundInputs:
+        spec = inst.spec
+        return cls(spec.n, spec.p, spec.m, inst.norm_eq, inst.delta_eq,
+                   abs(inst.trace_e), spec.real_spectrum)
+
+
 class Step(NamedTuple):
     """How one envelope variant is evaluated: the branch label, the s-key
     (``s1``..``s4``) whose value the UP2 bound reads as its factor, and the
@@ -106,66 +129,54 @@ class Step(NamedTuple):
     eps: float
 
 
-def plan(inst: PerturbationInstance) -> tuple[Step, Step, Step]:
+def plan(x: BoundInputs) -> tuple[Step, Step, Step]:
     """The single decision of branch and eps for the three envelope
     variants: (||E_Q||_F, delta(E_Q), stationary point), in that order.
 
-    Every eps = 1 fallback reads ``s2``.  C1 (n - p + 2 sqrt(n-p) delta >
-    (m-1) delta^2) needs m >= 2; the m = 1 case is routed to C2, whose
-    eps = 1 formula contains the diagonalizable case.
+    Every eps = 1 fallback reads ``s2``.  C1 (drift = n - p + 2 sqrt(n-p)
+    delta > curb = (m-1) delta^2) needs m >= 2; the m = 1 case is routed
+    to C2, whose eps = 1 formula contains the diagonalizable case.  Under
+    C1 the stationary eps is (curb/drift)^(1/(2m)), the minimiser
+    :func:`specvar.jordan.optimal_epsilon` returns; at delta = 0 it is the
+    eps -> 0 limit.
     """
-    if inst.norm_eq == 0.0:
+    n, p, m, norm_eq, d = x[:5]
+    if norm_eq == 0.0:
         return (Step(BRANCH_ZERO, None, 0.0),) * 3
-    n, p, m = inst.spec.n, inst.spec.p, inst.spec.m
-    d = inst.delta_eq
-    if inst.norm_eq < 1.0:
-        by_norm = Step(BRANCH_NORM_SMALL, "s1", inst.norm_eq ** (1.0 / m))
+    if norm_eq < 1.0:
+        by_norm = Step(BRANCH_NORM_SMALL, "s1", norm_eq ** (1.0 / m))
     else:
         by_norm = Step(BRANCH_NORM_LARGE, "s2", 1.0)
     if d < 1.0:
         by_delta = Step(BRANCH_DELTA_SMALL, "s3", d ** (1.0 / m))
     else:
         by_delta = Step(BRANCH_DELTA_LARGE, "s2", 1.0)
-    if m >= 2 and (n - p + 2.0 * math.sqrt(n - p) * d) > (m - 1) * d * d:
-        stationary = Step(BRANCH_C1, "s4", optimal_epsilon(inst) if d > 0.0 else 0.0)
+    drift = n - p + 2.0 * math.sqrt(n - p) * d
+    curb = (m - 1) * d * d
+    if m >= 2 and drift > curb:
+        stationary = Step(BRANCH_C1, "s4", (curb / drift) ** (1.0 / (2 * m)))
     else:
         stationary = Step(BRANCH_C2, "s2", 1.0)
     return by_norm, by_delta, stationary
 
 
-def _core_small_norm(n, p, m, d, norm_eq):
-    ratio = (d * d) / (norm_eq * norm_eq)
-    return (n - p + 2.0 * math.sqrt(n - p) * d + ratio) * norm_eq ** (2.0 / m)
-
-
-def _core_unit(n, p, d):
-    return (math.sqrt(n - p) + d) ** 2
-
-
-def _core_small_delta(n, p, m, d):
-    return (n - p + 2.0 * math.sqrt(n - p) * d + 1.0) * d ** (2.0 / m)
-
-
-def _core_stationary(n, p, m, d):
-    # interior minimum of phi; only reachable under C1 with m >= 2
-    drift = n - p + 2.0 * math.sqrt(n - p) * d
-    return m * (drift / (m - 1)) ** (1.0 - 1.0 / m) * d ** (2.0 / m)
-
-
-def _core(inst: PerturbationInstance, branch: str) -> float:
-    """phi minus its |tr E|^2/n term, in closed form, on a planned branch.
+def _core(x: BoundInputs, branch: str) -> float:
+    """phi minus its |tr E|^2/n term, in closed form, on a planned
+    non-zero branch.
 
     The closed forms hold the eps -> 0 limits at delta = 0 exactly, where
     phi(eps) itself cannot be evaluated."""
-    n, p, m = inst.spec.n, inst.spec.p, inst.spec.m
-    d = inst.delta_eq
+    n, p, m, norm_eq, d = x[:5]
+    root = math.sqrt(n - p)
+    drift = n - p + 2.0 * root * d
     if branch == BRANCH_NORM_SMALL:
-        return _core_small_norm(n, p, m, d, inst.norm_eq)
+        return (drift + d * d / (norm_eq * norm_eq)) * norm_eq ** (2.0 / m)
     if branch == BRANCH_DELTA_SMALL:
-        return _core_small_delta(n, p, m, d)
+        return (drift + 1.0) * d ** (2.0 / m)
     if branch == BRANCH_C1:
-        return _core_stationary(n, p, m, d)
-    return _core_unit(n, p, d)
+        # interior minimum of phi; only reachable under C1 with m >= 2
+        return m * (drift / (m - 1)) ** (1.0 - 1.0 / m) * d ** (2.0 / m)
+    return (root + d) ** 2
 
 
 def _check_s(name: str, value: int, n: int) -> int:
@@ -224,108 +235,73 @@ def normal_bounds(e, a_tilde, hermitian_a: bool, s_tilde: int) -> list[BoundResu
 
 
 # ---------------------------------------------------------------------------
-# Jordan-based baselines
+# bounds for an arbitrary matrix
 
-def baseline_bounds(
-    inst: PerturbationInstance, s1: int, s2: int, steps=None
-) -> list[BoundResult]:
-    """Song's bound and the Li-Chen refinement for an arbitrary matrix.
+UP1 = (BoundId.UP1_1, BoundId.UP1_2, BoundId.UP1_3)
+UP2 = (BoundId.UP2_1, BoundId.UP2_2, BoundId.UP2_3)
+UP3 = (BoundId.UP3_1, BoundId.UP3_2, BoundId.UP3_3)
 
-    ``s1 = n + 1 - s(T^-1 Q^-1 (A+E) Q T)`` at eps = ||E_Q||_F^(1/m) and
-    ``s2 = n + 1 - s(Q^-1 (A+E) Q)``, both supplied by the caller.  Here
-    and in the UP families, ``steps`` is a held ``plan(inst)``.
+
+def jordan_bounds(x: BoundInputs, s, steps=None) -> list[BoundResult]:
+    """SONG, LI_CHEN, UP1_*, UP2_* and UP3_*, in that order, on one
+    ``steps = plan(x)``.
+
+    ``s`` maps ``s1``..``s4`` to the caller's n+1-s(.) values: ``s1`` at
+    eps = ||E_Q||_F^(1/m), ``s3`` at eps = delta^(1/m), ``s4`` at the
+    stationary eps and ``s2`` at eps = 1; Li-Chen reads s1 below
+    ||E_Q||_F = 1 and s2 from there on.  UP1_* carry the leading factor
+    n, UP2_* the planned step's s-value, and UP3_* the factor 2, valid
+    when every prescribed eigenvalue is real; ``x.real_spectrum`` decides
+    that from the exact Jordan data, never from a floating-point spectrum,
+    and a complex spectrum gets ``applicable=False`` UP3 results rather
+    than fake values.
     """
-    n, p, m = inst.spec.n, inst.spec.p, inst.spec.m
-    s1 = _check_s("s1", s1, n)
-    s2 = _check_s("s2", s2, n)
-    inputs = {"s1": s1, "s2": s2}
-    branch = (steps or plan(inst))[0].branch
-    norm_eq = inst.norm_eq
+    n, p, m, norm_eq = x[:4]
+    s = {key: _check_s(key, s[key], n) for key in S_KEYS}
+    steps = steps or plan(x)
+    branch = steps[0].branch
+    root = math.sqrt(n - p)
     if branch == BRANCH_ZERO:
         song = li_chen = 0.0
     elif branch == BRANCH_NORM_SMALL:
-        song = math.sqrt(n) * (math.sqrt(n - p) + 1.0) * norm_eq ** (1.0 / m)
+        song = math.sqrt(n) * (root + 1.0) * norm_eq ** (1.0 / m)
         li_chen = (
-            math.sqrt(s1 * (n - p + 1.0 + 2.0 * math.sqrt(n - p) * norm_eq))
-            * norm_eq ** (1.0 / m)
+            math.sqrt(s["s1"] * (n - p + 1.0 + 2.0 * root * norm_eq)) * norm_eq ** (1.0 / m)
         )
     else:
-        song = math.sqrt(n) * (math.sqrt(n - p) + 1.0) * norm_eq
-        li_chen = (
-            math.sqrt(s2 * (n - p + 2.0 * math.sqrt(n - p) + norm_eq))
-            * math.sqrt(norm_eq)
-        )
-    return [
+        song = math.sqrt(n) * (root + 1.0) * norm_eq
+        li_chen = math.sqrt(s["s2"] * (n - p + 2.0 * root + norm_eq)) * math.sqrt(norm_eq)
+    inputs = {"s1": s["s1"], "s2": s["s2"]}
+    results = [
         BoundResult(BoundId.SONG, float(song), branch, inputs=inputs),
         BoundResult(BoundId.LI_CHEN, float(li_chen), branch, inputs=inputs),
     ]
+    tr2 = x.trace_abs ** 2 / n
+    cores = [None if st.branch == BRANCH_ZERO else _core(x, st.branch) for st in steps]
 
-
-# ---------------------------------------------------------------------------
-# the envelope-derived families
-
-def _up_family(inst, factor, ids, inputs, steps):
-    """UP1_*/UP2_*/UP3_* on the planned branches: ``factor`` maps each
-    step's s-key to the family's leading factor."""
-    tr2 = abs(inst.trace_e) ** 2 / inst.spec.n
-    results = []
-    for bid, step in zip(ids, steps):
-        value = 0.0
-        if step.branch != BRANCH_ZERO:
-            value = math.sqrt(factor[step.s_key] * _core(inst, step.branch) + tr2)
-        results.append(BoundResult(bid, float(value), step.branch, inputs=inputs))
-    return results
-
-
-def new_bounds_complex(
-    inst: PerturbationInstance, s1: int, s2: int, s3: int, s4: int, steps=None
-) -> list[BoundResult]:
-    """The six envelope bounds for a general complex spectrum.
-
-    UP1_* carry the leading factor n; UP2_* replace it with the injected
-    s-values: s1 at eps = ||E_Q||^(1/m), s3 at eps = delta^(1/m), s4 at the
-    stationary eps, and s2 for every eps = 1 fallback.
-    """
-    n = inst.spec.n
-    s1 = _check_s("s1", s1, n)
-    s2 = _check_s("s2", s2, n)
-    s3 = _check_s("s3", s3, n)
-    s4 = _check_s("s4", s4, n)
-    s = dict(zip(S_KEYS, (s1, s2, s3, s4)))
-    steps = steps or plan(inst)
-    ids = (BoundId.UP1_1, BoundId.UP1_2, BoundId.UP1_3)
-    up1 = _up_family(inst, dict.fromkeys(s, n), ids, {}, steps)
-    up2 = _up_family(inst, s, (BoundId.UP2_1, BoundId.UP2_2, BoundId.UP2_3), s, steps)
-    return up1 + up2
-
-
-def new_bounds_real(inst: PerturbationInstance, steps=None) -> list[BoundResult]:
-    """The sharper factor-2 family, valid when all prescribed eigenvalues
-    of A are real.
-
-    Eligibility is decided from the exact JordanSpec eigenvalues, never
-    from a floating-point spectrum.  Complex-spectrum instances get
-    ``applicable=False`` results rather than fake values.
-    """
-    ids = (BoundId.UP3_1, BoundId.UP3_2, BoundId.UP3_3)
-    if not inst.spec.real_spectrum:
+    def family(ids, factor, inputs):
         return [
             BoundResult(
-                bid, 0.0, BRANCH_SINGLE,
-                applicable=False,
-                reason="prescribed eigenvalues are not all real",
+                bid, 0.0 if core is None else math.sqrt(factor[st.s_key] * core + tr2),
+                st.branch, inputs=inputs,
             )
-            for bid in ids
+            for bid, st, core in zip(ids, steps, cores)
         ]
-    return _up_family(inst, dict.fromkeys(S_KEYS, 2.0), ids, {}, steps or plan(inst))
+
+    results += family(UP1, dict.fromkeys(S_KEYS, n), {})
+    results += family(UP2, s, s)
+    if x.real_spectrum:
+        return results + family(UP3, dict.fromkeys(S_KEYS, 2.0), {})
+    reason = "prescribed eigenvalues are not all real"
+    return results + [
+        BoundResult(bid, 0.0, BRANCH_SINGLE, applicable=False, reason=reason) for bid in UP3
+    ]
 
 
 # ---------------------------------------------------------------------------
 # verification
 
-def verify_instance(
-    inst: PerturbationInstance, results: list[BoundResult], d2: float
-) -> list[tuple[BoundId, float]]:
+def verify_instance(results: list[BoundResult], d2: float) -> list[tuple[BoundId, float]]:
     """Slack (bound value minus true D2) for every applicable result.
 
     Nonnegative slack is the operational statement of each theorem;

@@ -29,11 +29,10 @@ from .blocks import s_number
 from .bounds import (
     BOUND_NAMES,
     BoundId,
+    BoundInputs,
     BoundResult,
-    baseline_bounds,
     is_violation,
-    new_bounds_complex,
-    new_bounds_real,
+    jordan_bounds,
     normal_bounds,
     plan,
     verify_instance,
@@ -189,7 +188,8 @@ def s_values(
     n.  ``s_tilde`` is s(J + E_Q), which only the normal-A bound family
     reads (there Q is unitary, so J + E_Q is unitarily similar to A + E
     and has the same s): it is computed with ``with_s_tilde=True`` and
-    stays at the pessimistic 1 otherwise.  ``steps`` is a held ``plan(inst)``.
+    stays at the pessimistic 1 otherwise.  ``steps`` is a held
+    ``plan(BoundInputs.of(inst))``.
     """
     if mode not in S_MODES:
         raise ConfigError(f"unknown s_mode '{mode}'")
@@ -205,7 +205,8 @@ def s_values(
         return dec.s
 
     g = inst.perturbed
-    planned = {step.s_key: step.eps for step in steps or plan(inst) if step.eps > 0.0}
+    steps = steps or plan(BoundInputs.of(inst))
+    planned = {step.s_key: step.eps for step in steps if step.eps > 0.0}
     for key, eps in planned.items():
         out[key] = n + 1 - s_of(scaled_similarity(inst.spec, g, eps))
     if with_s_tilde:
@@ -271,12 +272,10 @@ def evaluate_bounds(
     steps=None,
 ) -> list[BoundResult]:
     """All bound families applicable to this instance, with s-values
-    injected, on one ``steps = plan(inst)``.  The normal family is checked
-    against J + E_Q, so the perturbation it reads is E_Q."""
-    steps = steps or plan(inst)
-    results = baseline_bounds(inst, sv["s1"], sv["s2"], steps)
-    results += new_bounds_complex(inst, sv["s1"], sv["s2"], sv["s3"], sv["s4"], steps)
-    results += new_bounds_real(inst, steps)
+    injected: the Jordan family (:func:`specvar.bounds.jordan_bounds`) on
+    one ``steps = plan(BoundInputs.of(inst))``, then, if asked, the normal
+    family, checked against J + E_Q, so the perturbation it reads is E_Q."""
+    results = jordan_bounds(BoundInputs.of(inst), sv, steps)
     if include_normal_family:
         results += normal_bounds(
             inst.e_q, inst.perturbed, hermitian_a=hermitian_a, s_tilde=sv["s_tilde"]
@@ -313,19 +312,20 @@ def run_trial(inst: PerturbationInstance, config: SweepConfig, trial: int) -> Tr
     and recorded, never raised."""
     spec = inst.spec
     normal = _is_constructed_normal(config)
+    x = BoundInputs.of(inst)
     base = dict(
         trial=trial,
         digest=instance_digest(inst),
-        n=spec.n,
-        p=spec.p,
-        m=spec.m,
+        n=x.n,
+        p=x.p,
+        m=x.m,
         kappa_q=spec.kappa_q,
         norm_e=inst.norm_e,
-        norm_eq=inst.norm_eq,
-        delta_eq=inst.delta_eq,
-        trace_abs=abs(inst.trace_e),
+        norm_eq=x.norm_eq,
+        delta_eq=x.delta_eq,
+        trace_abs=x.trace_abs,
     )
-    steps = plan(inst)
+    steps = plan(x)
     try:
         match = optimal_match(spec.spectrum, perturbed_spectrum(inst))
         sv = s_values(
@@ -351,7 +351,7 @@ def run_trial(inst: PerturbationInstance, config: SweepConfig, trial: int) -> Tr
         hermitian_a=normal and config.real_eigenvalues,
         steps=steps,
     )
-    slacks = {BOUND_NAMES[bid]: s for bid, s in verify_instance(inst, results, match.d2)}
+    slacks = {BOUND_NAMES[bid]: s for bid, s in verify_instance(results, match.d2)}
     slack_tol = config.tolerances["slack"]
     violations = [
         name for r in results if r.applicable

@@ -138,7 +138,7 @@ def test_criterion_5_reductions():
         n = inst.spec.n
         d = sv.delta(inst.e)
         expected = math.sqrt(n * d * d + abs(np.trace(inst.e)) ** 2 / n)
-        for r in sv.new_bounds_complex(inst, n, n, n, n):
+        for r in sv.jordan_bounds(sv.BoundInputs.of(inst), sv.s_values(inst)):
             if r.id.name.startswith("UP1"):
                 worst_normal = max(worst_normal, abs(r.value - expected))
     worst_herm = 0.0
@@ -147,7 +147,10 @@ def test_criterion_5_reductions():
         d = sv.delta(inst.e)
         fro = float(np.linalg.norm(inst.e))
         expected = math.sqrt(fro * fro + d * d)
-        results = sv.new_bounds_real(inst)
+        results = [
+            r for r in sv.jordan_bounds(sv.BoundInputs.of(inst), sv.s_values(inst))
+            if r.id.name.startswith("UP3")
+        ]
         assert all(r.applicable for r in results)
         for r in results:
             worst_herm = max(worst_herm, abs(r.value - expected))

@@ -210,7 +210,7 @@ def differential_matrices():
             for idx in range(cfg.trials):
                 inst = sv.gen_instance(cfg, idx)
                 g = sv.jordan_matrix(inst.spec) + inst.e_q
-                for step in plan(inst):
+                for step in plan(sv.BoundInputs.of(inst)):
                     if step.eps > 0.0:
                         yield scaled_similarity(inst.spec, g, step.eps)
                 yield sv.assemble(inst.spec) + inst.e
@@ -301,7 +301,7 @@ def computed_sweep_matrices():
                              target_kappa=10.0, amount=amount, s_mode="computed")
         for idx in range(cfg.trials):
             inst = sv.gen_instance(cfg, idx)
-            for step in plan(inst):
+            for step in plan(sv.BoundInputs.of(inst)):
                 if step.eps > 0.0:
                     yield scaled_similarity(inst.spec, inst.perturbed, step.eps)
 

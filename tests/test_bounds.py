@@ -1,6 +1,7 @@
 """Tests for the bound formula layer: values, branches, reductions,
-sharpness and soundness."""
+sharpness and soundness, on instances and on bare BoundInputs."""
 
+import itertools
 import math
 
 import numpy as np
@@ -15,16 +16,30 @@ from specvar.bounds import (
     BRANCH_NORM_LARGE,
     BRANCH_NORM_SMALL,
     BRANCH_ZERO,
+    S_KEYS,
     plan,
 )
 
 UP1 = (sv.BoundId.UP1_1, sv.BoundId.UP1_2, sv.BoundId.UP1_3)
 UP2 = (sv.BoundId.UP2_1, sv.BoundId.UP2_2, sv.BoundId.UP2_3)
 UP3 = (sv.BoundId.UP3_1, sv.BoundId.UP3_2, sv.BoundId.UP3_3)
+BASELINE = (sv.BoundId.SONG, sv.BoundId.LI_CHEN)
 
 
 def by_id(results):
     return {r.id: r for r in results}
+
+
+def jordan(inst, *s):
+    """jordan_bounds of an instance, by id; s-values not given (s1, s2, s3,
+    s4 in that order) are the pessimistic n."""
+    n = inst.spec.n
+    s = dict(zip(S_KEYS, s + (n,) * (4 - len(s))))
+    return by_id(sv.jordan_bounds(sv.BoundInputs.of(inst), s))
+
+
+def plan_of(inst):
+    return plan(sv.BoundInputs.of(inst))
 
 
 def mixed_instance(seed, kappa=10.0, e_norm=0.7, real=False, n_blocks=3):
@@ -162,7 +177,7 @@ class TestBaselineBounds:
         q = sv.random_conditioned(n, 5.0, rng)
         spec = sv.make_jordan_spec([(1.0, 2), (3.0, 2)], q)
         inst = sv.make_instance(spec, t * np.eye(n))
-        res = by_id(sv.baseline_bounds(inst, s1=n, s2=n))
+        res = jordan(inst)
         song = (math.sqrt(n - p) + 1) * n ** (0.5 + 0.5 / m) * t ** (1 / m)
         lichen = (
             math.sqrt(n * (n - p + 1 + 2 * t * math.sqrt(n * n - n * p)))
@@ -179,15 +194,17 @@ class TestBaselineBounds:
         e[0, 2] = 1.0
         inst = sv.make_instance(spec, e)
         assert inst.norm_eq == 1.0
-        for r in sv.baseline_bounds(inst, s1=3, s2=3):
-            assert r.branch == BRANCH_NORM_LARGE
+        res = jordan(inst)
+        for bid in BASELINE:
+            assert res[bid].branch == BRANCH_NORM_LARGE
 
     def test_zero_short_circuit(self):
         spec = sv.make_jordan_spec([(1.0, 2)])
         inst = sv.make_instance(spec, np.zeros((2, 2)))
-        for r in sv.baseline_bounds(inst, 1, 1):
-            assert r.value == 0.0
-            assert r.branch == BRANCH_ZERO
+        res = jordan(inst, 1, 1)
+        for bid in BASELINE:
+            assert res[bid].value == 0.0
+            assert res[bid].branch == BRANCH_ZERO
 
     def test_large_branch_values(self):
         spec = sv.make_jordan_spec([(0.0, 2), (1.0, 2)])
@@ -196,7 +213,7 @@ class TestBaselineBounds:
         inst = sv.make_instance(spec, e)
         n, p = 4, 2
         norm = 2.5
-        res = by_id(sv.baseline_bounds(inst, s1=4, s2=3))
+        res = jordan(inst, 4, 3)
         assert res[sv.BoundId.SONG].value == pytest.approx(
             math.sqrt(n) * (math.sqrt(n - p) + 1) * norm, rel=1e-13
         )
@@ -213,7 +230,7 @@ class TestNewBoundsComplex:
         q = sv.random_conditioned(n, 5.0, rng)
         spec = sv.make_jordan_spec([(1.0, 2), (3.0, 2)], q)
         inst = sv.make_instance(spec, t * np.eye(n))
-        res = by_id(sv.new_bounds_complex(inst, n, n, n, n))
+        res = jordan(inst)
         up11 = math.sqrt((n - p) * n ** (1 + 1 / m) * t ** (2 / m) + n * t * t)
         assert res[sv.BoundId.UP1_1].value == pytest.approx(up11, rel=1e-12)
         for bid in (sv.BoundId.UP1_2, sv.BoundId.UP1_3, sv.BoundId.UP2_2,
@@ -228,7 +245,7 @@ class TestNewBoundsComplex:
             expected = math.sqrt(
                 6 * d * d + abs(np.trace(inst.e)) ** 2 / 6
             )
-            res = by_id(sv.new_bounds_complex(inst, 6, 6, 6, 6))
+            res = jordan(inst)
             for bid in UP1:
                 assert abs(res[bid].value - expected) <= 1e-10
 
@@ -240,7 +257,7 @@ class TestNewBoundsComplex:
             s_ref = 5 + 1 - s_tilde
             d = sv.delta(inst.e)
             expected = math.sqrt(s_ref * d * d + abs(np.trace(inst.e)) ** 2 / 5)
-            res = by_id(sv.new_bounds_complex(inst, s_ref, s_ref, s_ref, s_ref))
+            res = jordan(inst, s_ref, s_ref, s_ref, s_ref)
             for bid in UP2:
                 assert abs(res[bid].value - expected) <= 1e-10
 
@@ -249,8 +266,7 @@ class TestNewBoundsComplex:
         for seed in range(20):
             inst = mixed_instance(seed, e_norm=float(rng.uniform(0.1, 3.0)))
             n = inst.spec.n
-            svals = {k: int(rng.integers(1, n + 1)) for k in ("s1", "s2", "s3", "s4")}
-            res = by_id(sv.new_bounds_complex(inst, **svals))
+            res = jordan(inst, *(int(rng.integers(1, n + 1)) for _ in S_KEYS))
             for b1, b2 in zip(UP1, UP2):
                 assert res[b2].value <= res[b1].value + 1e-12
 
@@ -262,59 +278,55 @@ class TestNewBoundsComplex:
             n = inst.spec.n
             s1 = int(rng.integers(1, n + 1))
             s2 = int(rng.integers(1, n + 1))
-            base = by_id(sv.baseline_bounds(inst, s1, s2))
-            new = by_id(sv.new_bounds_complex(inst, s1, s2, n, n))
-            assert new[sv.BoundId.UP1_1].value <= base[sv.BoundId.SONG].value + 1e-12
-            assert new[sv.BoundId.UP2_1].value <= base[sv.BoundId.LI_CHEN].value + 1e-12
+            res = jordan(inst, s1, s2)
+            assert res[sv.BoundId.UP1_1].value <= res[sv.BoundId.SONG].value + 1e-12
+            assert res[sv.BoundId.UP2_1].value <= res[sv.BoundId.LI_CHEN].value + 1e-12
 
     def test_branch_labels(self):
         small = mixed_instance(7, e_norm=0.05, kappa=1.0)
         assert small.norm_eq < 1
-        res = by_id(sv.new_bounds_complex(small, 1, 1, 1, 1))
+        res = jordan(small, 1, 1, 1, 1)
         assert res[sv.BoundId.UP1_1].branch == BRANCH_NORM_SMALL
         large = mixed_instance(8, e_norm=5.0, kappa=1.0)
         assert large.norm_eq >= 1
-        res = by_id(sv.new_bounds_complex(large, 1, 1, 1, 1))
+        res = jordan(large, 1, 1, 1, 1)
         assert res[sv.BoundId.UP1_1].branch == BRANCH_NORM_LARGE
         assert res[sv.BoundId.UP1_2].branch in (BRANCH_DELTA_SMALL, "delta(E_Q) >= 1")
         assert res[sv.BoundId.UP1_3].branch in (BRANCH_C1, BRANCH_C2)
 
     def test_m_one_routes_to_c2(self):
         inst = normal_instance(11, n=4, e_norm=0.3)
-        res = by_id(sv.new_bounds_complex(inst, 4, 4, 4, 4))
+        res = jordan(inst)
         assert res[sv.BoundId.UP1_3].branch == BRANCH_C2
         assert res[sv.BoundId.UP2_3].branch == BRANCH_C2
 
     def test_zero_short_circuit(self):
         spec = sv.make_jordan_spec([(1.0, 2), (2.0, 1)])
         inst = sv.make_instance(spec, np.zeros((3, 3)))
-        for r in sv.new_bounds_complex(inst, 1, 1, 1, 1):
+        for r in jordan(inst, 1, 1, 1, 1).values():
             assert r.value == 0.0
             assert r.branch == BRANCH_ZERO
 
     def test_s_validation(self):
         inst = mixed_instance(5)
         n = inst.spec.n
-        with pytest.raises(sv.DomainError):
-            sv.new_bounds_complex(inst, 0, n, n, n)
-        with pytest.raises(sv.DomainError):
-            sv.new_bounds_complex(inst, n, n + 1, n, n)
+        for key, bad in (("s1", 0), ("s2", n + 1), ("s3", 0), ("s4", n + 1)):
+            with pytest.raises(sv.DomainError, match=key):
+                sv.jordan_bounds(sv.BoundInputs.of(inst), dict.fromkeys(S_KEYS, n) | {key: bad})
 
     def test_soundness_random(self):
         for seed in range(25):
             inst = mixed_instance(seed, kappa=20.0, e_norm=0.9)
             d2 = true_d2(inst)
-            results = sv.new_bounds_complex(
-                inst, inst.spec.n, inst.spec.n, inst.spec.n, inst.spec.n
-            ) + sv.baseline_bounds(inst, inst.spec.n, inst.spec.n)
-            for bid, slack in sv.verify_instance(inst, results, d2):
-                value = by_id(results)[bid].value
+            res = jordan(inst)
+            for bid, slack in sv.verify_instance(list(res.values()), d2):
+                value = res[bid].value
                 assert not sv.is_violation(value, slack), (bid, slack)
 
 
 class TestPlan:
     def test_instances_reach_every_branch(self):
-        steps = [step for inst in branch_instances() for step in plan(inst)]
+        steps = [step for inst in branch_instances() for step in plan_of(inst)]
         assert {step.branch for step in steps} == {
             BRANCH_NORM_SMALL, BRANCH_NORM_LARGE, BRANCH_DELTA_SMALL,
             BRANCH_DELTA_LARGE, BRANCH_C1, BRANCH_C2,
@@ -323,15 +335,37 @@ class TestPlan:
 
     def test_zero_perturbation_plans_no_eps(self):
         inst = sv.make_instance(sv.make_jordan_spec([(1.0, 2)]), np.zeros((2, 2)))
-        assert [step.branch for step in plan(inst)] == [BRANCH_ZERO] * 3
-        assert all(step.s_key is None for step in plan(inst))
+        assert [step.branch for step in plan_of(inst)] == [BRANCH_ZERO] * 3
+        assert all(step.s_key is None for step in plan_of(inst))
+
+    def test_stationary_eps_is_optimal_epsilon(self):
+        # plan computes the C1 minimiser itself; optimal_epsilon stays the
+        # reference, and the two agree bit for bit
+        sweeps = (
+            sv.SweepConfig(seed=3, trials=70, block_profile=profile, amount=amount,
+                           target_kappa=kappa, perturbation=perturbation)
+            for profile, amount, kappa, perturbation in itertools.product(
+                ("single-jordan", "mixed"), (0.01, 0.5), (1.0, 10.0), ("gaussian", "rank1"),
+            )
+        )
+        instances = itertools.chain(
+            branch_instances(),
+            (sv.gen_instance(cfg, idx) for cfg in sweeps for idx in range(cfg.trials)),
+        )
+        matched = 0
+        for inst in instances:
+            step = plan_of(inst)[2]
+            if step.branch == BRANCH_C1 and inst.delta_eq > 0.0:
+                assert step.eps == sv.optimal_epsilon(inst)
+                matched += 1
+        assert matched >= 1000
 
     def test_up_values_are_phi_at_planned_eps(self):
         for inst in branch_instances():
             n = inst.spec.n
             tr2 = abs(inst.trace_e) ** 2 / n
-            res = by_id(sv.new_bounds_complex(inst, n, n, n, n))
-            for bid, step in zip(UP1, plan(inst)):
+            res = jordan(inst)
+            for bid, step in zip(UP1, plan_of(inst)):
                 assert res[bid].branch == step.branch
                 if step.eps > 0.0:
                     expected = math.sqrt(n * (sv.phi(inst, step.eps) - tr2) + tr2)
@@ -341,9 +375,9 @@ class TestPlan:
         inst = mixed_instance(0, e_norm=0.3)
         n = inst.spec.n
         svals = {"s1": 1, "s2": 2, "s3": 3, "s4": min(4, n)}
-        res = by_id(sv.new_bounds_complex(inst, **svals))
+        res = jordan(inst, *svals.values())
         tr2 = abs(inst.trace_e) ** 2 / n
-        for b1, b2, step in zip(UP1, UP2, plan(inst)):
+        for b1, b2, step in zip(UP1, UP2, plan_of(inst)):
             core = (res[b1].value ** 2 - tr2) / n
             expected = math.sqrt(svals[step.s_key] * core + tr2)
             assert res[b2].value == pytest.approx(expected, rel=1e-10)
@@ -355,7 +389,7 @@ class TestPlan:
             # Q^-1 (A+E) Q from the assembled matrices, independently of E_Q
             a_plus_e = sv.assemble(inst.spec) + inst.e
             g = np.linalg.solve(inst.spec.q, a_plus_e @ inst.spec.q)
-            planned = {step.s_key: step.eps for step in plan(inst) if step.eps > 0.0}
+            planned = {step.s_key: step.eps for step in plan_of(inst) if step.eps > 0.0}
             for key in ("s1", "s2", "s3", "s4"):
                 if key not in planned:
                     assert out[key] == n
@@ -377,7 +411,7 @@ class TestBranchContinuity:
     def sides(self, blocks):
         below = corner_instance(blocks, 1.0 - 1e-12)
         at = corner_instance(blocks, 1.0)
-        return (by_id(sv.new_bounds_complex(inst, 1, 1, 1, 1)) for inst in (below, at))
+        return (jordan(inst, 1, 1, 1, 1) for inst in (below, at))
 
     def test_norm_branch_boundary(self):
         for blocks in self.SPECS:
@@ -394,8 +428,8 @@ class TestBranchContinuity:
         below = scalar_instance(blocks, (1.0 - 1e-9) / math.sqrt(n))
         above = scalar_instance(blocks, (1.0 + 1e-9) / math.sqrt(n))
         assert below.norm_eq < 1.0 <= above.norm_eq
-        lo = by_id(sv.new_bounds_complex(below, n, n, n, n))[sv.BoundId.UP1_1]
-        hi = by_id(sv.new_bounds_complex(above, n, n, n, n))[sv.BoundId.UP1_1]
+        lo = jordan(below)[sv.BoundId.UP1_1]
+        hi = jordan(above)[sv.BoundId.UP1_1]
         assert (lo.branch, hi.branch) == (BRANCH_NORM_SMALL, BRANCH_NORM_LARGE)
         assert lo.value == pytest.approx(hi.value, rel=1e-7)
 
@@ -417,9 +451,9 @@ class TestBranchContinuity:
         d = brentq(f, 0.5, 10.0)
         below = corner_instance(blocks, d * (1.0 - 1e-9))
         above = corner_instance(blocks, d * (1.0 + 1e-9))
-        assert plan(below)[2].eps == pytest.approx(1.0, abs=1e-6)
-        lo = by_id(sv.new_bounds_complex(below, 6, 6, 6, 6))[sv.BoundId.UP1_3]
-        hi = by_id(sv.new_bounds_complex(above, 6, 6, 6, 6))[sv.BoundId.UP1_3]
+        assert plan_of(below)[2].eps == pytest.approx(1.0, abs=1e-6)
+        lo = jordan(below)[sv.BoundId.UP1_3]
+        hi = jordan(above)[sv.BoundId.UP1_3]
         assert (lo.branch, hi.branch) == (BRANCH_C1, BRANCH_C2)
         assert lo.value == pytest.approx(hi.value, rel=1e-7)
 
@@ -428,16 +462,18 @@ class TestNewBoundsReal:
     def test_inapplicable_for_complex_spectrum(self):
         inst = mixed_instance(6)  # complex eigenvalues almost surely
         assert not inst.spec.has_real_spectrum()
-        for r in sv.new_bounds_real(inst):
-            assert not r.applicable
-            assert r.reason
+        res = jordan(inst)
+        for bid in UP3:
+            assert not res[bid].applicable
+            assert res[bid].reason
 
     def test_zero_perturbation(self):
         spec = sv.make_jordan_spec([(1.0, 2)])
         inst = sv.make_instance(spec, np.zeros((2, 2)))
-        for r in sv.new_bounds_real(inst):
-            assert r.applicable
-            assert r.value == 0.0
+        res = jordan(inst)
+        for bid in UP3:
+            assert res[bid].applicable
+            assert res[bid].value == 0.0
 
     def test_hermitian_reduction(self):
         for seed in range(10):
@@ -446,22 +482,18 @@ class TestNewBoundsReal:
             d = sv.delta(inst.e)
             fro = np.linalg.norm(inst.e)
             expected = math.sqrt(fro * fro + d * d)
-            for r in sv.new_bounds_real(inst):
-                assert r.applicable
-                assert abs(r.value - expected) <= 1e-10
+            res = jordan(inst)
+            for bid in UP3:
+                assert res[bid].applicable
+                assert abs(res[bid].value - expected) <= 1e-10
 
     def test_dominates_complex_family(self):
         # factor 2 <= factor n for n >= 2
         for seed in range(10):
             inst = mixed_instance(seed, real=True, e_norm=1.2)
-            res3 = by_id(sv.new_bounds_real(inst))
-            res1 = by_id(
-                sv.new_bounds_complex(
-                    inst, inst.spec.n, inst.spec.n, inst.spec.n, inst.spec.n
-                )
-            )
+            res = jordan(inst)
             for b3, b1 in zip(UP3, UP1):
-                assert res3[b3].value <= res1[b1].value + 1e-12
+                assert res[b3].value <= res[b1].value + 1e-12
 
     def test_hand_value_large_norm(self):
         # n=4, p=2, m=2 real instance with ||E_Q||_F >= 1
@@ -470,7 +502,7 @@ class TestNewBoundsReal:
         e[0, 3] = 1.5
         inst = sv.make_instance(spec, e)
         assert inst.norm_eq == 1.5
-        res = by_id(sv.new_bounds_real(inst))
+        res = jordan(inst)
         expected = math.sqrt(2 * (math.sqrt(2) + 1.5) ** 2 + 0.0)
         assert res[sv.BoundId.UP3_1].value == pytest.approx(expected, rel=1e-13)
 
@@ -478,9 +510,10 @@ class TestNewBoundsReal:
         for seed in range(20):
             inst = mixed_instance(seed, real=True, kappa=15.0, e_norm=0.8)
             d2 = true_d2(inst)
-            results = sv.new_bounds_real(inst)
-            for bid, slack in sv.verify_instance(inst, results, d2):
-                value = by_id(results)[bid].value
+            res = jordan(inst)
+            results = [res[bid] for bid in UP3]
+            for bid, slack in sv.verify_instance(results, d2):
+                value = res[bid].value
                 assert not sv.is_violation(value, slack), (bid, slack)
 
 
@@ -488,9 +521,9 @@ class TestVerify:
     def test_zero_perturbation_slacks(self):
         spec = sv.make_jordan_spec([(1.0, 2), (2.0, 1)])
         inst = sv.make_instance(spec, np.zeros((3, 3)))
-        results = sv.new_bounds_complex(inst, 3, 3, 3, 3)
-        slacks = sv.verify_instance(inst, results, 0.0)
-        assert len(slacks) == 6
+        results = list(jordan(inst, 3, 3, 3, 3).values())
+        slacks = sv.verify_instance(results, 0.0)
+        assert len(slacks) == 11
         assert all(s == 0.0 for _, s in slacks)
 
     def test_scalar_tight_slack(self):
@@ -498,7 +531,7 @@ class TestVerify:
         spec = sv.make_jordan_spec([(1.0, 2), (3.0, 2)])
         inst = sv.make_instance(spec, 0.05 * np.eye(4))
         d2 = true_d2(inst)
-        res = by_id(sv.new_bounds_complex(inst, 4, 4, 4, 4))
+        res = jordan(inst)
         slack = res[sv.BoundId.UP1_2].value - d2
         assert abs(slack) <= 1e-12
         assert not sv.is_violation(res[sv.BoundId.UP1_2].value, slack)
@@ -510,5 +543,95 @@ class TestVerify:
 
     def test_inapplicable_excluded(self):
         inst = mixed_instance(9)
-        results = sv.new_bounds_real(inst)  # all inapplicable
-        assert sv.verify_instance(inst, results, 0.1) == []
+        res = jordan(inst)
+        results = [res[bid] for bid in UP3]  # all inapplicable
+        assert sv.verify_instance(results, 0.1) == []
+
+
+# block layouts (n, p, m) up to n = 12, m = 1 and p = 1 among them
+LAYOUTS = (
+    (2, 1, 2), (3, 1, 3), (4, 4, 1), (5, 3, 2), (6, 2, 4),
+    (7, 3, 3), (8, 2, 5), (10, 4, 4), (12, 12, 1), (12, 1, 12),
+)
+RATIOS = (0.0, 0.3, 0.7, 1.0)  # delta(E_Q) / ||E_Q||_F
+NORMS = np.logspace(-6, 3, 500).tolist()
+
+
+def point(layout, norm, d):
+    """BoundInputs of a realisable E_Q with a real spectrum: ||E_Q||_F^2 =
+    delta(E_Q)^2 + |tr E|^2 / n fixes |tr E|."""
+    n = layout[0]
+    return sv.BoundInputs(*layout, norm, d, math.sqrt(n * (norm * norm - d * d)), True)
+
+
+def pessimistic(x):
+    return dict.fromkeys(S_KEYS, x.n)
+
+
+def kernel_values(s_of, norms=NORMS):
+    """The 11 Jordan-family values (SONG, LI_CHEN, UP1_*, UP2_*, UP3_*) with
+    s-values ``s_of(x)``, at every layout, ratio and norm: an array of shape
+    (10 layouts x 4 ratios, len(norms), 11)."""
+    return np.array([
+        [
+            [r.value for r in sv.jordan_bounds(x, s_of(x))]
+            for x in (point(layout, norm, ratio * norm) for norm in norms)
+        ]
+        for layout, ratio in itertools.product(LAYOUTS, RATIOS)
+    ])
+
+
+def assert_dominance(values):
+    """SONG >= UP1_1 and LI_CHEN >= UP2_1 (up to rounding at equality),
+    UP2 <= UP1 and UP3 <= UP1."""
+    song, li_chen, up1, up2, up3 = (
+        values[..., 0], values[..., 1], values[..., 2:5], values[..., 5:8], values[..., 8:]
+    )
+    assert (up1[..., 0] <= song * (1 + 1e-12)).all()
+    assert (up2[..., 0] <= li_chen * (1 + 1e-12)).all()
+    assert (up2 <= up1).all() and (up3 <= up1).all()
+
+
+class TestScalarKernel:
+    # the Jordan family over bare BoundInputs: 10 layouts x 4 ratios x 500
+    # norms from 1e-6 to 1e3 is 20,000 points
+
+    def test_pessimistic_s_monotone_in_the_norm(self):
+        values = kernel_values(pessimistic)
+        assert (np.diff(values, axis=1) >= 0.0).all()
+        assert_dominance(values)
+
+    def test_dominance_at_random_s(self):
+        # every other norm, each point with its own s-values
+        rng = np.random.default_rng(0)
+
+        def draw(x):
+            return dict(zip(S_KEYS, rng.integers(1, x.n + 1, 4).tolist()))
+
+        assert_dominance(kernel_values(draw, NORMS[::2]))
+
+    def test_continuity_across_the_branch_boundaries(self):
+        # just below and at ||E_Q||_F = 1 and delta = 1, and either side of
+        # C1's drift = curb, at delta = sqrt(n-p) (1 + sqrt(m)) / (m-1): the
+        # branch of one step changes, no bound does
+        crossings = 0
+        for layout, ratio in itertools.product(LAYOUTS, RATIOS[1:]):
+            n, p, m = layout
+            below, at = 1.0 - 1e-12, 1.0
+            sides = [
+                (0, 1e-9, point(layout, below, ratio * below), point(layout, at, ratio)),
+                (1, 1e-9, point(layout, below / ratio, below), point(layout, at / ratio, at)),
+            ]
+            if m >= 2:
+                d = math.sqrt(n - p) * (1.0 + math.sqrt(m)) / (m - 1)
+                lo, hi = d * (1.0 - 1e-9), d * (1.0 + 1e-9)
+                sides.append((2, 1e-7, point(layout, lo / ratio, lo),
+                              point(layout, hi / ratio, hi)))
+            for step, rel, x_lo, x_hi in sides:
+                assert plan(x_lo)[step].branch != plan(x_hi)[step].branch
+                lo_values = sv.jordan_bounds(x_lo, pessimistic(x_lo))
+                hi_values = sv.jordan_bounds(x_hi, pessimistic(x_hi))
+                for r_lo, r_hi in zip(lo_values, hi_values):
+                    assert r_lo.value == pytest.approx(r_hi.value, rel=rel), (layout, step)
+                crossings += 1
+        assert crossings == 10 * 3 * 2 + 8 * 3

@@ -148,7 +148,8 @@ class TestSValues:
                 calls.clear()
                 rec = harness.run_trial(inst, cfg, idx)
                 assert rec.status == "ok"
-                keys = {step.s_key for step in plan(inst) if step.eps > 0.0}
+                steps = plan(sv.BoundInputs.of(inst))
+                keys = {step.s_key for step in steps if step.eps > 0.0}
                 assert len(calls) == len(keys) + extra
 
     def test_hermitian_s_tilde_is_unambiguous(self):
@@ -345,6 +346,24 @@ class TestRunSweep:
         assert order == ["gen_instance", "run_trial"] * 5
         assert [r.trial for r in rep.records] == list(range(5))
 
+    def test_layers_go_through_the_module_globals(self, monkeypatch):
+        # the benchmark times each layer by swapping these harness names;
+        # a trial that stopped looking one up would leave its layer untimed
+        names = (
+            "make_jordan_spec", "make_instance", "perturbed_spectrum", "optimal_match",
+            "s_values", "evaluate_bounds", "verify_instance", "_margin_ratios",
+        )
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(*args, _real=getattr(harness, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, counted)
+        rep = harness.run_sweep(small_config(trials=5))
+        assert rep.summary["ok"] == 5
+        assert calls == dict.fromkeys(names, 5)
+
     def test_reproducible(self):
         a = sv.run_sweep(small_config(trials=6))
         b = sv.run_sweep(small_config(trials=6))
@@ -454,7 +473,7 @@ class TestPerturbedMatrix:
                 g = np.linalg.solve(inst.spec.q, a_plus_e @ inst.spec.q)
                 want = {"s1": n, "s2": n, "s3": n, "s4": n,
                         "s_tilde": sv.s_number(a_plus_e, seed=seed).s}
-                for step in plan(inst):
+                for step in plan(sv.BoundInputs.of(inst)):
                     if step.eps > 0.0:
                         t = sv.scaling_matrix(inst.spec, step.eps)
                         scaled = np.linalg.solve(t, g @ t)
@@ -502,6 +521,28 @@ class TestReportFiles:
         doc["config"]["eps_grid_points"] = 16
         path.write_text(json.dumps(doc))
         assert sv.read_report(path) == rep
+
+    def test_a_report_rederives_its_jordan_bounds(self, tmp_path):
+        # an ok record holds all that jordan_bounds reads: its six scalars,
+        # the real spectrum as UP3's applicability, the s-values as UP2's inputs
+        records = 0
+        for s_mode, real, perturbation in itertools.product(
+            harness.S_MODES, (False, True), harness.PERTURBATIONS
+        ):
+            cfg = small_config(trials=48, n_range=(2, 12), s_mode=s_mode,
+                               real_eigenvalues=real, perturbation=perturbation)
+            path = tmp_path / f"{s_mode}-{real}-{perturbation}.json"
+            sv.write_report(sv.run_sweep(cfg), path)
+            for rec in sv.read_report(path).records:
+                assert rec.status == "ok"
+                res = {r.id: r for r in rec.results}
+                x = sv.BoundInputs(rec.n, rec.p, rec.m, rec.norm_eq, rec.delta_eq,
+                                   rec.trace_abs, res[sv.BoundId.UP3_1].applicable)
+                assert sv.jordan_bounds(x, res[sv.BoundId.UP2_1].inputs) == [
+                    r for r in rec.results if r.id.name not in NORMAL_FAMILY
+                ]
+                records += 1
+        assert records == 576
 
     def test_schema_1_reports_read_as_the_current_sweep(self):
         # written by the schema-1 writer (indented JSON, result dicts whose
