@@ -18,7 +18,8 @@ Kojima 2010; Maehara & Murota 2011):
 2. otherwise compute an orthonormal basis of the commutant as the
    numerical null space of X -> (MX - XM, M*X - XM*) restricted to that
    form: a 2n^2 x K operator with K = sum k_c^2 unknowns (K = n^2 when H
-   is scalar -- the unrestricted case);
+   is scalar -- the unrestricted case), QR-factored, its null space read
+   off the SVD of the K x K triangular factor R;
 3. draw a random Hermitian element of the commutant; with probability
    one its eigenspaces are exactly the finest M-reducing subspaces;
 4. order the eigenvectors by cluster and merge the groups that still
@@ -42,8 +43,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exceptions import AmbiguityError, DimensionError, SizeLimitError
-from .linalg import as_matrix
+from .exceptions import AmbiguityError, DimensionError, EigensolverError, SizeLimitError
+from .linalg import as_matrix, eigh, r_factor, singular_values
 
 # The commutant operator has 2 n^2 K entries for K ansatz unknowns; refuse
 # past 2 * 40^4 (the full operator at n = 40, ~80 MB): honest rejection
@@ -81,10 +82,11 @@ def commutant_basis(
     Obtained as the numerical null space of the stacked operator
     X -> (MX - XM, M*X - XM*) over the ansatz X = V blockdiag(Y_c) V*,
     where the unitary ``v`` is cut into consecutive column groups of the
-    given ``sizes``.  The ansatz must contain the commutant, as it does
-    when the groups are eigenspaces of a Hermitian element of the
-    *-algebra; the default, V = I with one group, is the whole matrix
-    space.  Singular values <= tol * 2 ||M||_2, a bound on the largest
+    given ``sizes``: the right singular vectors of the operator's
+    triangular QR factor R span it.  The ansatz must contain the
+    commutant, as it does when the groups are eigenspaces of a Hermitian
+    element of the *-algebra; the default, V = I with one group, is the
+    whole matrix space.  Singular values <= tol * 2 ||M||_2, a bound on the largest
     singular value of X -> MX - XM, count as zero, so the cutoff does not
     depend on the ansatz.  Always nonempty (contains the identity).
     """
@@ -97,27 +99,32 @@ def commutant_basis(
         raise DimensionError(
             f"ansatz of order {v.shape[0]} in groups {list(sizes)} for n={n}"
         )
-    # the unknowns are the entries (p, q) of the diagonal blocks of Y
-    edges = np.cumsum([0, *sizes])
-    groups = [np.arange(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-    p = np.concatenate([np.repeat(g, g.size) for g in groups])
-    q = np.concatenate([np.tile(g, g.size) for g in groups])
+    # the unknowns are the entries (p, q) of the diagonal blocks of Y, block
+    # by block, row by row
+    label = np.repeat(np.arange(len(sizes)), sizes)
+    p, q = np.nonzero(label[:, None] == label)
     k = p.size
     if n * n * k > COMMUTANT_MAX_SIZE**4:
         raise SizeLimitError(
-            f"commutant null space is an SVD of a {2 * n * n} x {k} "
+            f"commutant null space is that of a {2 * n * n} x {k} "
             f"operator; it exceeds the cap of {2 * COMMUTANT_MAX_SIZE**4} "
             f"entries (n = {COMMUTANT_MAX_SIZE} with no restriction)"
         )
     b = v.conj().T @ m @ v
     unknown = np.arange(k)
-    op = np.zeros((2, n, n, k), dtype=np.complex128)
-    for part, c in zip(op, (b, b.conj().T)):
+    # one operator column (MX - XM, M*X - XM*) per unknown, in Fortran order
+    op = np.zeros((k, 2, n, n), dtype=np.complex128)
+    for part, c in enumerate((b, b.conj().T)):
         # C E_pq - E_pq C: column p of C in column q, minus row q of C in row p
-        part[:, q, unknown] = c[:, p]
-        part[p, :, unknown] -= c[q, :]
-    sigma, vh = np.linalg.svd(op.reshape(2 * n * n, k), full_matrices=False)[1:]
-    cutoff = tol * 2.0 * np.linalg.norm(m, 2)
+        op[unknown, part, :, q] = c[:, p].T
+        op[unknown, part, p, :] -= c[q, :]
+    # zgesdd itself goes through R for 2n^2 >= 17/9 K (always), so the SVD of
+    # R gives the thin SVD's sigma and V* bit for bit, without its Q U_R
+    try:
+        sigma, vh = np.linalg.svd(r_factor(op.reshape(k, 2 * n * n).T))[1:]
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"singular value iteration failed: {exc}") from exc
+    cutoff = tol * 2.0 * singular_values(m)[0]
     rank = int(np.sum(sigma > cutoff))
     y = np.zeros((k - rank, n, n), dtype=np.complex128)
     y[:, p, q] = vh[rank:].conj()
@@ -179,8 +186,10 @@ def _merge_coupled(m, u, sizes, block_tol) -> BlockDecomposition:
     power = np.abs(u.conj().T @ m @ u) ** 2
     sizes = np.asarray(sizes)
     while sizes.size > 1:
-        starts = np.cumsum(sizes) - sizes
-        w = np.add.reduceat(np.add.reduceat(power, starts, axis=0), starts, axis=1)
+        w = power  # the group couplings while every group is one column
+        if sizes.size < len(power):
+            starts = np.cumsum(sizes) - sizes
+            w = np.add.reduceat(np.add.reduceat(power, starts, axis=0), starts, axis=1)
         adjacency = np.sqrt(w + w.T) > thresh
         if adjacency[0, 1:].all():  # connected: one block, order kept
             return BlockDecomposition(u=u, block_sizes=(u.shape[1],), s=1)
@@ -201,7 +210,7 @@ def _decompose_once(m, basis, rng, cluster_gap, block_tol):
     h = np.zeros((n, n), dtype=np.complex128)
     for g, b in zip(gamma, basis):
         h += g * (b + b.conj().T) / 2.0
-    w, v = np.linalg.eigh(h)
+    w, v = eigh(h)
     # eigh returns ascending eigenvalues, so clusters are already contiguous
     return _merge_coupled(m, v, _cluster_sizes(w, cluster_gap), block_tol)
 
@@ -242,7 +251,7 @@ def s_number(
     m = as_matrix(m, square=True)
     a, b = _h_weights(seed)
     ma = m.conj().T
-    w, v = np.linalg.eigh(a * (m + ma) + 1j * b * (m - ma))
+    w, v = eigh(a * (m + ma) + 1j * b * (m - ma))
     clusters = _cluster_sizes(w, cluster_gap)
     if len(clusters) == w.size:
         # every commutant element is V diag(y) V*: nothing random to draw.
@@ -255,7 +264,7 @@ def s_number(
             return dec
         r = offblock_residual(m, dec.u, dec.block_sizes)
         if r <= tol * (1.0 - 1e-6) * np.linalg.norm(m) / np.sqrt(w.size) or (
-            r <= tol * np.linalg.norm(m, 2)
+            r <= tol * singular_values(m)[0]
         ):
             return dec
     basis = commutant_basis(m, tol, v=v, sizes=clusters)

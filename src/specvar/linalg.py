@@ -1,10 +1,12 @@
 """Dense complex-matrix primitives.
 
 Validation, solves, triangular splits, the trace-deflated measure
-``delta`` and the spectral condition number ``kappa2``.  Every function
+``delta``, the spectral condition number ``kappa2`` and direct LAPACK
+calls (Hermitian eigenpairs, singular values, a QR factor).  Every function
 here is pure: inputs are validated (``checked=True`` trusts an
-:func:`as_matrix` result), never mutated, and results depend on nothing
-but the arguments, so values are freely shareable across threads.
+:func:`as_matrix` result), never mutated (:func:`r_factor` consumes a
+Fortran-ordered input), and results depend on nothing but the arguments,
+so values are freely shareable across threads.
 """
 
 from __future__ import annotations
@@ -112,24 +114,54 @@ def split_dlu(m) -> TriangularSplit:
     )
 
 
+def eigh(h) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and C-ordered eigenvectors of the Hermitian
+    matrix with the lower triangle of ``h``, from zheevd as
+    ``np.linalg.eigh`` calls it (queried workspace), so bit for bit its
+    result; non-convergence raises ``EigensolverError``."""
+    work, iwork, rwork = lapack.zheevd_lwork(h.shape[0], lower=1)[:3]
+    w, v, info = lapack.zheevd(
+        h, lower=1, lwork=int(work.real), liwork=iwork, lrwork=int(rwork)
+    )
+    if info != 0:
+        raise EigensolverError(f"eigenvalue iteration failed: zheevd info={info}")
+    return w, np.ascontiguousarray(v)
+
+
+def singular_values(a) -> np.ndarray:
+    """Descending singular values from zgesdd without vectors, as
+    ``np.linalg.svd(a, compute_uv=False)`` calls it (queried workspace), so
+    bit for bit its values, the first being ``np.linalg.norm(a, 2)``;
+    non-convergence raises ``EigensolverError``."""
+    lwork = int(lapack.zgesdd_lwork(*a.shape, compute_uv=0)[0].real)
+    sigma, _, info = lapack.zgesdd(a, compute_uv=0, lwork=lwork)[1:]
+    if info != 0:
+        raise EigensolverError(f"singular value iteration failed: zgesdd info={info}")
+    return sigma
+
+
+def r_factor(a) -> np.ndarray:
+    """The triangular factor R (min(m, n) x n) of A = QR from zgeqrf
+    (queried workspace), Q not formed; a Fortran-ordered ``a`` is
+    overwritten instead of copied."""
+    lwork = int(lapack.zgeqrf_lwork(*a.shape)[0].real)
+    qr, info = lapack.zgeqrf(a, lwork=lwork, overwrite_a=1)[::3]
+    if info != 0:
+        raise EigensolverError(f"QR factorization failed: zgeqrf info={info}")
+    return np.triu(qr[: min(a.shape)])
+
+
 def kappa2(q, *, checked: bool = False) -> float:
     """Spectral condition number  kappa_2(Q) = ||Q||_2 ||Q^-1||_2.
 
-    Computed as the ratio of extreme singular values from LAPACK's zgesdd,
-    called as ``np.linalg.svd(q, compute_uv=False)`` calls it (queried
-    workspace, no vectors), so bit for bit its values; a nonzero ``info``
-    (non-convergence) raises ``EigensolverError``.  Raises
+    Computed as the ratio of extreme :func:`singular_values`.  Raises
     ``SingularMatrixError`` when sigma_min <= n * u * sigma_max
     (u = unit roundoff), i.e. when Q is singular to working precision.
     """
     if not checked:
         q = as_matrix(q, square=True, name="Q")
-    n = q.shape[0]
-    lwork = int(lapack.zgesdd_lwork(n, n, compute_uv=0, full_matrices=0)[0].real)
-    sigma, _, info = lapack.zgesdd(q, compute_uv=0, full_matrices=0, lwork=lwork)[1:]
-    if info != 0:
-        raise EigensolverError(f"singular value iteration failed: zgesdd info={info}")
-    if sigma[-1] <= n * UNIT_ROUNDOFF * sigma[0]:
+    sigma = singular_values(q)
+    if sigma[-1] <= q.shape[0] * UNIT_ROUNDOFF * sigma[0]:
         raise SingularMatrixError(
             f"Q is numerically singular (sigma_min={sigma[-1]:.3e}, "
             f"sigma_max={sigma[0]:.3e})"

@@ -326,6 +326,58 @@ def merge_without_exit(m, u, sizes, block_tol):
     return u, tuple(sizes.tolist())
 
 
+def reference_commutant_basis(m, tol=blocks.DEFAULT_TOL, *, v=None, sizes=None):
+    """The commutant basis from the thin SVD of the whole 2n^2 x K operator
+    (C-ordered, np.linalg.svd) with the cutoff from np.linalg.norm(m, 2)."""
+    n = m.shape[0]
+    if v is None:
+        v, sizes = np.eye(n), (n,)
+    edges = np.cumsum([0, *sizes])
+    groups = [np.arange(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    p = np.concatenate([np.repeat(g, g.size) for g in groups])
+    q = np.concatenate([np.tile(g, g.size) for g in groups])
+    k = p.size
+    b = v.conj().T @ m @ v
+    unknown = np.arange(k)
+    op = np.zeros((2, n, n, k), dtype=np.complex128)
+    for part, c in zip(op, (b, b.conj().T)):
+        part[:, q, unknown] = c[:, p]
+        part[p, :, unknown] -= c[q, :]
+    sigma, vh = np.linalg.svd(op.reshape(2 * n * n, k), full_matrices=False)[1:]
+    rank = int(np.sum(sigma > tol * 2.0 * np.linalg.norm(m, 2)))
+    y = np.zeros((k - rank, n, n), dtype=np.complex128)
+    y[:, p, q] = vh[rank:].conj()
+    return list(v @ y @ v.conj().T)
+
+
+def structured_matrices():
+    """Hidden 4-blocks, one Jordan block and diag(B, B) at n = 8..24, and
+    normal matrices with 3 or 2 repeated eigenvalues (K = 48 and 128).
+
+    The operators stay within K <= 144 unknowns, where zgeqrf factors all
+    but at most one panel column by column: numpy's and scipy's bundled
+    OpenBLAS builds may split the blocked products of larger K differently
+    over several BLAS threads."""
+    rng = np.random.default_rng(32)
+    for n in (8, 12, 16, 24):
+        yield hidden([gaussian(4, rng) for _ in range(n // 4)], rng)
+        yield hidden([jordan_block(0.5 + 1j, n)], rng)
+        b = gaussian(n // 2, rng)
+        yield hidden([b, b], rng)
+    for n, k in ((12, 3), (16, 2)):
+        lams = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        yield hidden([np.diag(np.repeat(lams, n // k))], rng)
+
+
+def h_ansatz(m, seed=0):
+    """The eigenvectors of s_number's Hermitian element H and their
+    cluster sizes: the restriction its commutant solve uses."""
+    a, b = blocks._h_weights(seed)
+    ma = m.conj().T
+    w, v = np.linalg.eigh(a * (m + ma) + 1j * b * (m - ma))
+    return v, blocks._cluster_sizes(w, blocks.DEFAULT_CLUSTER_GAP)
+
+
 def commutant_solves(monkeypatch):
     """Record the ansatz of every commutant_basis call (None: unrestricted)."""
     calls = []
@@ -491,23 +543,86 @@ class TestResidualCheck:
                 "between-bounds": np.sqrt(lo * hi),
                 "above-two-norm-cutoff": np.sqrt(hi * cap)}[where]
         m = coupled(want * 0.1 * lo / residual(coupled(0.1 * lo)))
-        norms = []
-        full_norm = np.linalg.norm
+        # ||M||_2 is the largest of blocks.singular_values(M)
+        two_norms = []
+        full_values = blocks.singular_values
 
-        def spy(x, ord=None, **kwargs):
-            norms.append(ord)
-            return full_norm(x, ord, **kwargs)
+        def spy(x):
+            two_norms.append(x.shape)
+            return full_values(x)
 
         calls = commutant_solves(monkeypatch)
-        monkeypatch.setattr(np.linalg, "norm", spy)
+        monkeypatch.setattr(blocks, "singular_values", spy)
         dec = sv.s_number(m)
-        monkeypatch.setattr(np.linalg, "norm", full_norm)
-        assert (2 in norms) == two_norm
+        monkeypatch.setattr(blocks, "singular_values", full_values)
+        assert bool(two_norms) == two_norm
         assert (len(calls) == 1) == solved
         if not solved:
             assert dec.s == 2
             r = sv.offblock_residual(m, dec.u, dec.block_sizes)
             assert r == pytest.approx(want, rel=1e-2)
+
+
+class TestQRRoute:
+    def test_commutant_basis_matches_the_full_svd(self):
+        # restricted to H's eigenspaces, and over the whole matrix space up
+        # to n = 12 (K = n^2): bit for bit the thin SVD's basis
+        count = 0
+        for m in structured_matrices():
+            v, sizes = h_ansatz(m)
+            ansatzes = [{"v": v, "sizes": sizes}] + ([{}] if m.shape[0] <= 12 else [])
+            for ansatz in ansatzes:
+                got = np.array(blocks.commutant_basis(m, **ansatz))
+                want = np.array(reference_commutant_basis(m, **ansatz))
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                count += 1
+        assert count == 21
+
+    def test_s_number_matches_the_numpy_route(self, monkeypatch):
+        # every LAPACK call of s_number back through numpy, the commutant
+        # from the thin SVD: s, block sizes and U are bit for bit the same
+        mats = list(computed_sweep_matrices()) + list(structured_matrices())
+        got = [sv.s_number(m) for m in mats]
+        solves = []
+
+        def reference(m, tol=blocks.DEFAULT_TOL, **ansatz):
+            solves.append(ansatz["sizes"])
+            return reference_commutant_basis(m, tol, **ansatz)
+
+        monkeypatch.setattr(blocks, "commutant_basis", reference)
+        monkeypatch.setattr(blocks, "eigh", np.linalg.eigh)
+        monkeypatch.setattr(
+            blocks, "singular_values", lambda a: np.linalg.svd(a, compute_uv=False)
+        )
+        for m, dec in zip(mats, got):
+            want = sv.s_number(m)
+            assert (dec.s, dec.block_sizes) == (want.s, want.block_sizes)
+            assert dec.u.tobytes() == want.u.tobytes()
+        assert len(mats) > 250 and len(solves) >= 6
+
+    @pytest.mark.parametrize("routine", ["zheevd", "zgeqrf", "zgesdd", "svd-of-r"])
+    def test_lapack_failure_raises_eigensolver_error(
+        self, routine, stall_lapack, monkeypatch
+    ):
+        # a nonzero info from zheevd (of H or of a draw), zgeqrf, zgesdd
+        # (||M||_2) or the SVD of R surfaces as EigensolverError, which
+        # sweeps record as an infrastructure failure
+        rng = np.random.default_rng(33)
+        b = gaussian(3, rng)
+        m = hidden([b, b], rng)
+        assert len(h_ansatz(m)[1]) == 3  # clustered H: the commutant route
+        if routine == "svd-of-r":
+            def stalled(a, *args, **kwargs):
+                raise np.linalg.LinAlgError("SVD did not converge")
+
+            monkeypatch.setattr(np.linalg, "svd", stalled)
+            match = "did not converge"
+        else:
+            stall_lapack(routine)
+            match = f"{routine} info=1"
+        with pytest.raises(sv.EigensolverError, match=match):
+            sv.s_number(m)
 
 
 class TestRestrictedCommutant:
@@ -596,6 +711,16 @@ class TestRestrictedCommutant:
             assert len(reference_s_number(m)) == 2
             found.append(sv.s_number(m).s)
         assert found == [2] * 20
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the merge joins group pairs one at a time at block_tol ||M||_F, so "
+        "many pair couplings below it can add up to a witness residual "
+        "above it (6 of these 60, all on the SVD route)"))
+    def test_every_witness_within_the_frobenius_cutoff(self):
+        for m in near_diagonal_matrices():
+            dec = sv.s_number(m)
+            res = sv.offblock_residual(m, dec.u, dec.block_sizes)
+            assert res <= blocks.DEFAULT_BLOCK_TOL * np.linalg.norm(m)
 
     def test_restricted_basis_spans_the_commutant(self):
         rng = np.random.default_rng(13)

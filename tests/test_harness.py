@@ -192,6 +192,20 @@ class TestRunTrial:
         assert rec.violations == []
         assert rec.results == []
 
+    def test_lapack_failure_in_s_is_infrastructure(self, stall_lapack):
+        # zheevd of s_number's H reports non-convergence: the computed-s
+        # trial is recorded as failed-infrastructure instead of aborting
+        cfg = small_config(s_mode="computed")
+        inst = sv.gen_instance(cfg, 0)
+        assert sv.run_trial(inst, cfg, 0).status == "ok"
+        stall_lapack("zheevd")
+        rec = sv.run_trial(inst, cfg, 0)
+        assert rec.status == "failed-infrastructure"
+        assert rec.failure_reason == (
+            "EigensolverError: eigenvalue iteration failed: zheevd info=1"
+        )
+        assert rec.results == []
+
     def test_all_failed_sweep_still_serializes(self, monkeypatch, tmp_path):
         def boom(matrix):
             raise sv.EigensolverError("stalled")
