@@ -44,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exceptions import AmbiguityError, DimensionError, EigensolverError, SizeLimitError
-from .linalg import as_matrix, eigh, r_factor, singular_values
+from .linalg import as_matrix, singular_values
 
 # The commutant operator has 2 n^2 K entries for K ansatz unknowns; refuse
 # past 2 * 40^4 (the full operator at n = 40, ~80 MB): honest rejection
@@ -86,9 +86,10 @@ def commutant_basis(
     triangular QR factor R span it.  The ansatz must contain the
     commutant, as it does when the groups are eigenspaces of a Hermitian
     element of the *-algebra; the default, V = I with one group, is the
-    whole matrix space.  Singular values <= tol * 2 ||M||_2, a bound on the largest
-    singular value of X -> MX - XM, count as zero, so the cutoff does not
-    depend on the ansatz.  Always nonempty (contains the identity).
+    whole matrix space.  Singular values <= tol * 2 ||M||_2, a bound on the
+    largest singular value of X -> MX - XM, count as zero, so the cutoff
+    does not depend on the ansatz.  Always nonempty (contains the
+    identity).  A LAPACK failure raises ``EigensolverError``.
     """
     m = as_matrix(m, square=True)
     n = m.shape[0]
@@ -119,11 +120,12 @@ def commutant_basis(
         op[unknown, part, :, q] = c[:, p].T
         op[unknown, part, p, :] -= c[q, :]
     # zgesdd itself goes through R for 2n^2 >= 17/9 K (always), so the SVD of
-    # R gives the thin SVD's sigma and V* bit for bit, without its Q U_R
+    # numpy's R gives the thin SVD's sigma and V* bit for bit, without Q U_R
     try:
-        sigma, vh = np.linalg.svd(r_factor(op.reshape(k, 2 * n * n).T))[1:]
+        r = np.linalg.qr(op.reshape(k, 2 * n * n).T, mode="r")
+        sigma, vh = np.linalg.svd(r)[1:]
     except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"singular value iteration failed: {exc}") from exc
+        raise EigensolverError(f"commutant null space failed: {exc}") from exc
     cutoff = tol * 2.0 * singular_values(m)[0]
     rank = int(np.sum(sigma > cutoff))
     y = np.zeros((k - rank, n, n), dtype=np.complex128)
@@ -204,13 +206,21 @@ def _merge_coupled(m, u, sizes, block_tol) -> BlockDecomposition:
     return BlockDecomposition(u=u, block_sizes=tuple(sizes.tolist()), s=sizes.size)
 
 
+def _eigh(h):
+    """``np.linalg.eigh``, its non-convergence raised as ``EigensolverError``."""
+    try:
+        return np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"eigenvalue iteration failed: {exc}") from exc
+
+
 def _decompose_once(m, basis, rng, cluster_gap, block_tol):
     n = m.shape[0]
     gamma = rng.standard_normal(len(basis))
     h = np.zeros((n, n), dtype=np.complex128)
     for g, b in zip(gamma, basis):
         h += g * (b + b.conj().T) / 2.0
-    w, v = eigh(h)
+    w, v = _eigh(h)
     # eigh returns ascending eigenvalues, so clusters are already contiguous
     return _merge_coupled(m, v, _cluster_sizes(w, cluster_gap), block_tol)
 
@@ -251,7 +261,7 @@ def s_number(
     m = as_matrix(m, square=True)
     a, b = _h_weights(seed)
     ma = m.conj().T
-    w, v = eigh(a * (m + ma) + 1j * b * (m - ma))
+    w, v = _eigh(a * (m + ma) + 1j * b * (m - ma))
     clusters = _cluster_sizes(w, cluster_gap)
     if len(clusters) == w.size:
         # every commutant element is V diag(y) V*: nothing random to draw.

@@ -1,12 +1,12 @@
 """Dense complex-matrix primitives.
 
 Validation, solves, triangular splits, the trace-deflated measure
-``delta``, the spectral condition number ``kappa2`` and direct LAPACK
-calls (Hermitian eigenpairs, singular values, a QR factor).  Every function
-here is pure: inputs are validated (``checked=True`` trusts an
-:func:`as_matrix` result), never mutated (:func:`r_factor` consumes a
-Fortran-ordered input), and results depend on nothing but the arguments,
-so values are freely shareable across threads.
+``delta``, the spectral condition number ``kappa2`` and the singular
+values behind it.  Every function here is pure: inputs are validated
+(``checked=True`` trusts an :func:`as_matrix` result, as
+:func:`singular_values` always does), never mutated, and results depend
+on nothing but the arguments, so values are freely shareable across
+threads.
 """
 
 from __future__ import annotations
@@ -114,20 +114,6 @@ def split_dlu(m) -> TriangularSplit:
     )
 
 
-def eigh(h) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and C-ordered eigenvectors of the Hermitian
-    matrix with the lower triangle of ``h``, from zheevd as
-    ``np.linalg.eigh`` calls it (queried workspace), so bit for bit its
-    result; non-convergence raises ``EigensolverError``."""
-    work, iwork, rwork = lapack.zheevd_lwork(h.shape[0], lower=1)[:3]
-    w, v, info = lapack.zheevd(
-        h, lower=1, lwork=int(work.real), liwork=iwork, lrwork=int(rwork)
-    )
-    if info != 0:
-        raise EigensolverError(f"eigenvalue iteration failed: zheevd info={info}")
-    return w, np.ascontiguousarray(v)
-
-
 def singular_values(a) -> np.ndarray:
     """Descending singular values from zgesdd without vectors, as
     ``np.linalg.svd(a, compute_uv=False)`` calls it (queried workspace), so
@@ -138,17 +124,6 @@ def singular_values(a) -> np.ndarray:
     if info != 0:
         raise EigensolverError(f"singular value iteration failed: zgesdd info={info}")
     return sigma
-
-
-def r_factor(a) -> np.ndarray:
-    """The triangular factor R (min(m, n) x n) of A = QR from zgeqrf
-    (queried workspace), Q not formed; a Fortran-ordered ``a`` is
-    overwritten instead of copied."""
-    lwork = int(lapack.zgeqrf_lwork(*a.shape)[0].real)
-    qr, info = lapack.zgeqrf(a, lwork=lwork, overwrite_a=1)[::3]
-    if info != 0:
-        raise EigensolverError(f"QR factorization failed: zgeqrf info={info}")
-    return np.triu(qr[: min(a.shape)])
 
 
 def kappa2(q, *, checked: bool = False) -> float:

@@ -193,16 +193,16 @@ class TestRunTrial:
         assert rec.results == []
 
     def test_lapack_failure_in_s_is_infrastructure(self, stall_lapack):
-        # zheevd of s_number's H reports non-convergence: the computed-s
-        # trial is recorded as failed-infrastructure instead of aborting
+        # the eigensolve of s_number's H fails: the computed-s trial is
+        # recorded as failed-infrastructure instead of aborting the sweep
         cfg = small_config(s_mode="computed")
         inst = sv.gen_instance(cfg, 0)
         assert sv.run_trial(inst, cfg, 0).status == "ok"
-        stall_lapack("zheevd")
+        stall_lapack("eigh")
         rec = sv.run_trial(inst, cfg, 0)
         assert rec.status == "failed-infrastructure"
         assert rec.failure_reason == (
-            "EigensolverError: eigenvalue iteration failed: zheevd info=1"
+            "EigensolverError: eigenvalue iteration failed: eigh did not converge"
         )
         assert rec.results == []
 

@@ -233,22 +233,6 @@ class TestLapackCalls:
         with pytest.raises(sv.EigensolverError, match="info=1"):
             sv.kappa2(np.diag([1.0, 2.0, 3.0]))
 
-
-class TestDirectLapack:
-    def test_eigh_bitwise_equal_to_numpy(self):
-        # zheevd reads the lower triangle, as np.linalg.eigh does; past
-        # n = 32 zhetrd reduces in blocks
-        rng = np.random.default_rng(29)
-        for n in range(1, 41):
-            g = random_complex(rng, n)
-            h = g + g.conj().T
-            h[np.triu_indices(n, 1)] = 7.0
-            w, v = linalg.eigh(h)
-            want_w, want_v = np.linalg.eigh(h)
-            assert w.tobytes() == want_w.tobytes()
-            assert v.tobytes() == want_v.tobytes()
-            assert v.flags.c_contiguous
-
     @pytest.mark.parametrize(
         "shape", [(1, 1), (5, 5), (12, 12), (40, 40), (9, 4), (4, 9), (96, 12)]
     )
@@ -257,30 +241,6 @@ class TestDirectLapack:
         sigma = linalg.singular_values(a)
         assert sigma.tobytes() == np.linalg.svd(a, compute_uv=False).tobytes()
         assert sigma[0] == np.linalg.norm(a, 2)
-
-    @pytest.mark.parametrize("shape", [(2, 1), (18, 9), (128, 8), (288, 72), (1152, 48)])
-    def test_svd_of_r_is_the_thin_svd_of_a_tall_matrix(self, shape):
-        # zgesdd itself takes the SVD of R once m >= 17/9 n, so sigma and V*
-        # of np.linalg.svd(R) are bit for bit those of the thin SVD of A
-        a = random_complex(np.random.default_rng(31), *shape)
-        want_sigma, want_vh = np.linalg.svd(a, full_matrices=False)[1:]
-        f = a.copy(order="F")
-        r = linalg.r_factor(f)
-        assert not np.array_equal(f, a)  # a Fortran-ordered input is consumed
-        assert r.shape == (shape[1],) * 2
-        assert np.array_equal(r, np.triu(r))
-        sigma, vh = np.linalg.svd(r)[1:]
-        assert sigma.tobytes() == want_sigma.tobytes()
-        assert vh.tobytes() == want_vh.tobytes()
-
-    @pytest.mark.parametrize("routine, call", [
-        ("zheevd", linalg.eigh),
-        ("zgeqrf", linalg.r_factor),
-    ])
-    def test_nonzero_info_raises(self, routine, call, stall_lapack):
-        stall_lapack(routine)
-        with pytest.raises(sv.EigensolverError, match=f"{routine} info=1"):
-            call(np.diag([1.0, 2.0, 3.0]).astype(complex))
 
 
 class TestNormAndDelta:
