@@ -9,7 +9,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .exceptions import DimensionError
 
@@ -22,21 +21,20 @@ def complex_gaussian(n_rows: int, n_cols: int, rng: np.random.Generator) -> np.n
     ) / np.sqrt(2.0)
 
 
+def _haar(g: np.ndarray) -> np.ndarray:
+    """Phase-corrected Q of the QR factorization of each matrix in ``g``
+    (one ``np.linalg.qr`` over the stack, bit for bit per matrix)."""
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via phase-corrected QR of a complex
-    Gaussian matrix (Mezzadri 2007), from the LAPACK calls ``np.linalg.qr``
-    makes (zgeqrf, zungqr, queried workspace): its Q and R bit for bit, at
-    n > 128 (blocked QR) only with one BLAS thread."""
+    Gaussian matrix (Mezzadri 2007), with ``np.linalg.qr``."""
     if n < 1:
         raise DimensionError(f"order must be >= 1, got {n}")
-    lwork = int(lapack.zgeqrf_lwork(n, n)[0].real)
-    qr, tau, _, info = lapack.zgeqrf(complex_gaussian(n, n, rng), lwork=lwork)
-    d = qr.diagonal().copy()  # zungqr overwrites qr
-    if info == 0:
-        q, _, info = lapack.zungqr(qr, tau, lwork=lwork, overwrite_a=True)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK QR failed (info={info})")
-    return q * (d / np.abs(d))[None, :]
+    return _haar(complex_gaussian(n, n, rng))
 
 
 @lru_cache(maxsize=256)
@@ -56,10 +54,11 @@ def random_conditioned(n: int, kappa: float, rng: np.random.Generator) -> np.nda
     """
     if kappa < 1.0:
         raise DimensionError(f"target condition number must be >= 1, got {kappa}")
-    u = random_unitary(n, rng)
-    if kappa == 1.0 or n == 1:
-        return u
-    v = random_unitary(n, rng)
+    if kappa == 1.0 or n <= 1:
+        return random_unitary(n, rng)
+    # u, then v, drawn as two random_unitary calls would draw them
+    g = complex_gaussian(n, n, rng)
+    u, v = _haar(np.stack((g, complex_gaussian(n, n, rng))))
     return (u * _log_spaced(kappa, n)[None, :]) @ v.conj().T
 
 

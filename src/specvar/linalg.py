@@ -2,11 +2,11 @@
 
 Validation, solves, triangular splits, the trace-deflated measure
 ``delta``, the spectral condition number ``kappa2`` and the singular
-values behind it.  Every function here is pure: inputs are validated
-(``checked=True`` trusts an :func:`as_matrix` result, as
-:func:`singular_values` always does), never mutated, and results depend
-on nothing but the arguments, so values are freely shareable across
-threads.
+values behind it, all through ``np.linalg``.  Every function here is
+pure: inputs are validated (``checked=True`` trusts an :func:`as_matrix`
+result, as :func:`singular_values` always does), never mutated, and
+results depend on nothing but the arguments, so values are freely
+shareable across threads.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .exceptions import (
     DimensionError,
@@ -49,9 +48,8 @@ def as_matrix(a, *, square: bool = False, name: str = "matrix") -> np.ndarray:
 def solve(q, b, *, checked: bool = False) -> np.ndarray:
     """Solve Q X = B for X (i.e. return Q^-1 B) via LU with partial pivoting.
 
-    LAPACK's zgesv, as ``np.linalg.solve`` calls it, so bit for bit its
-    result (returned C-ordered, as numpy returns it).  An exactly zero
-    pivot (``info > 0``) raises ``SingularMatrixError``.
+    ``np.linalg.solve`` (LAPACK's zgesv); an exactly zero pivot raises
+    ``SingularMatrixError``.
     """
     if not checked:
         q = as_matrix(q, square=True, name="coefficient matrix")
@@ -60,10 +58,10 @@ def solve(q, b, *, checked: bool = False) -> np.ndarray:
         raise DimensionError(
             f"incompatible shapes for solve: {q.shape} vs {b.shape}"
         )
-    x, info = lapack.zgesv(q, b)[2:]
-    if info > 0:
-        raise SingularMatrixError(f"singular coefficient matrix: zgesv info={info}")
-    return np.ascontiguousarray(x)
+    try:
+        return np.linalg.solve(q, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"singular coefficient matrix: {exc}") from exc
 
 
 def delta(m, *, checked: bool = False) -> float:
@@ -115,15 +113,13 @@ def split_dlu(m) -> TriangularSplit:
 
 
 def singular_values(a) -> np.ndarray:
-    """Descending singular values from zgesdd without vectors, as
-    ``np.linalg.svd(a, compute_uv=False)`` calls it (queried workspace), so
-    bit for bit its values, the first being ``np.linalg.norm(a, 2)``;
-    non-convergence raises ``EigensolverError``."""
-    lwork = int(lapack.zgesdd_lwork(*a.shape, compute_uv=0)[0].real)
-    sigma, _, info = lapack.zgesdd(a, compute_uv=0, lwork=lwork)[1:]
-    if info != 0:
-        raise EigensolverError(f"singular value iteration failed: zgesdd info={info}")
-    return sigma
+    """Descending singular values, ``np.linalg.svd(a, compute_uv=False)``
+    (the first is ``np.linalg.norm(a, 2)``); non-convergence raises
+    ``EigensolverError``."""
+    try:
+        return np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"singular value iteration failed: {exc}") from exc
 
 
 def kappa2(q, *, checked: bool = False) -> float:

@@ -14,7 +14,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 from scipy.optimize import linear_sum_assignment
 
 from .exceptions import DimensionError, EigensolverError, SizeLimitError
@@ -64,18 +63,16 @@ class Matching:
 def eigenvalues(m) -> Spectrum:
     """Eigenvalues of a square matrix, with multiplicity.
 
-    LAPACK's zgeev (balancing, then the nonsymmetric QR iteration), called
-    as ``np.linalg.eigvals`` calls it (queried workspace, no vectors), so bit
-    for bit its values (for n > 128 with one BLAS thread), without numpy's
-    second validation pass.  It is backward stable: each returned value is
-    an exact eigenvalue of M + dM with ||dM||_F = O(n u ||M||_F).  A
-    nonzero ``info`` (non-convergence) raises ``EigensolverError``.
+    ``np.linalg.eigvals``: LAPACK's zgeev (balancing, then the nonsymmetric
+    QR iteration).  It is backward stable: each returned value is an exact
+    eigenvalue of M + dM with ||dM||_F = O(n u ||M||_F).  Non-convergence
+    raises ``EigensolverError``.
     """
     m = as_matrix(m, square=True)
-    lwork = int(lapack.zgeev_lwork(m.shape[0], compute_vl=0, compute_vr=0)[0].real)
-    w, _, _, info = lapack.zgeev(m, compute_vl=0, compute_vr=0, lwork=lwork)
-    if info != 0:
-        raise EigensolverError(f"eigenvalue iteration failed: zgeev info={info}")
+    try:
+        w = np.linalg.eigvals(m)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"eigenvalue iteration failed: {exc}") from exc
     return Spectrum(w)
 
 

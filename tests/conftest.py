@@ -1,35 +1,24 @@
 """Fixtures shared by the test modules."""
 
-import types
-
 import numpy as np
 import pytest
-
-from specvar import linalg
 
 
 @pytest.fixture
 def stall_lapack(monkeypatch):
-    """``stall_lapack("zgesdd")``: from then on, that one of scipy's LAPACK
-    wrappers, as ``specvar.linalg`` calls them, reports info = 1.
-    ``stall_lapack("eigh")``: that ``np.linalg`` function raises the
-    ``LinAlgError`` numpy raises when its LAPACK call fails."""
-    real = linalg.lapack
-    names = {name: getattr(real, name) for name in dir(real) if name.startswith("z")}
+    """``stall_lapack("eigh")``: from then on, that ``np.linalg`` function
+    raises the ``LinAlgError`` numpy raises when its LAPACK call fails.
+    Keyword arguments stall only the calls that pass them:
+    ``stall_lapack("svd", compute_uv=False)`` fails values-only SVDs."""
 
-    def stall(routine):
-        if hasattr(np.linalg, routine):
-            def failed(*args, **kwargs):
+    def stall(routine, **only):
+        real = getattr(np.linalg, routine)
+
+        def failed(*args, **kwargs):
+            if only.items() <= kwargs.items():
                 raise np.linalg.LinAlgError(f"{routine} did not converge")
+            return real(*args, **kwargs)
 
-            monkeypatch.setattr(np.linalg, routine, failed)
-            return
-
-        def stalled(*args, **kwargs):
-            return (*getattr(real, routine)(*args, **kwargs)[:-1], 1)
-
-        monkeypatch.setattr(
-            linalg, "lapack", types.SimpleNamespace(**{**names, routine: stalled})
-        )
+        monkeypatch.setattr(np.linalg, routine, failed)
 
     return stall

@@ -609,17 +609,28 @@ class TestQRRoute:
             assert dec.u.tobytes() == want.u.tobytes()
         assert len(mats) > 250 and len(solves) >= 6
 
-    @pytest.mark.parametrize("routine", ["eigh", "qr", "svd", "zgesdd"])
-    def test_lapack_failure_raises_eigensolver_error(self, routine, stall_lapack):
-        # a failed eigh (of H), QR or SVD of R, or a nonzero info from
-        # zgesdd (||M||_2) surfaces as EigensolverError, which sweeps record
-        # as an infrastructure failure
+    @pytest.mark.parametrize(
+        "routine, only, stage",
+        [
+            ("eigh", {}, "eigenvalue iteration"),
+            ("qr", {}, "commutant null space"),
+            ("svd", {}, "commutant null space"),
+            ("svd", {"compute_uv": False}, "singular value iteration"),
+        ],
+        ids=["eigh", "qr", "svd", "zgesdd"],
+    )
+    def test_lapack_failure_raises_eigensolver_error(
+        self, routine, only, stage, stall_lapack
+    ):
+        # a failed eigh (of H), QR or SVD of R, or a failed values-only SVD
+        # (zgesdd, for ||M||_2) surfaces as EigensolverError, which sweeps
+        # record as an infrastructure failure
         rng = np.random.default_rng(33)
         b = gaussian(3, rng)
         m = hidden([b, b], rng)
         assert len(h_ansatz(m)[1]) == 3  # clustered H: the commutant route
-        stall_lapack(routine)
-        with pytest.raises(sv.EigensolverError, match=routine):
+        stall_lapack(routine, **only)
+        with pytest.raises(sv.EigensolverError, match=f"{stage} failed: {routine}"):
             sv.s_number(m)
 
 

@@ -20,9 +20,8 @@ def phase_corrected_numpy_qr(n, rng):
 
 class TestRandomUnitary:
     def test_bitwise_equal_to_numpy_qr(self):
-        # 2,000 matrices, n = 1..40.  A failure means the LAPACK that scipy
-        # links and the one numpy links no longer agree, and every sweep
-        # instance would change.
+        # 2,000 matrices, n = 1..40.  A failure means the phase correction
+        # or the Gaussian draw changed, and every sweep instance with it.
         for n in range(1, 41):
             for k in range(50):
                 got = sv.random_unitary(n, np.random.default_rng([n, k]))
@@ -32,6 +31,23 @@ class TestRandomUnitary:
     def test_order_checked(self):
         with pytest.raises(sv.DimensionError):
             sv.random_unitary(0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("kappa", [1.0, 10.0, 1e3])
+    def test_conditioned_draw_equals_two_sequential_unitaries(self, kappa):
+        # random_conditioned takes u and v from one stacked QR, bit for bit
+        # two sequential random_unitary calls on the same generator
+        for n in range(1, 41):
+            drawn = np.random.default_rng([n, 7])
+            got = sv.random_conditioned(n, kappa, drawn)
+            rng = np.random.default_rng([n, 7])
+            u = sv.random_unitary(n, rng)
+            if kappa == 1.0 or n == 1:
+                want = u
+            else:
+                v = sv.random_unitary(n, rng)
+                want = (u * np.geomspace(kappa, 1.0, n)[None, :]) @ v.conj().T
+            assert got.tobytes() == want.tobytes(), (n, kappa)
+            assert drawn.bit_generator.state == rng.bit_generator.state
 
 
 class TestRandomConditioned:

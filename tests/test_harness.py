@@ -343,6 +343,16 @@ class TestRunSweep:
         assert rep.summary["envelope_ratio_min"] >= -1e-8
         assert set(rep.summary["min_slack"]) >= {"SONG", "UP1_1", "UP2_3"}
 
+    @pytest.mark.parametrize("s_mode", ["pessimistic", "computed"])
+    def test_large_orders_at_default_blas_threads(self, s_mode):
+        # BLAS threads stay at the process default: at n 100-128 a second
+        # LAPACK provider, with its own thread pool, would stall every trial
+        cfg = small_config(seed=16, trials=6, n_range=(100, 128),
+                           target_kappa=100.0, s_mode=s_mode)
+        summary = sv.run_sweep(cfg).summary
+        assert summary["failed_infrastructure"] == 0
+        assert summary["violation_count"] == 0
+
     def test_trials_go_through_the_module_globals(self, monkeypatch):
         # a benchmark that times one trial from gen_instance to run_trial
         # swaps these two module names; run_sweep must look them up at call

@@ -202,8 +202,7 @@ class TestPlumbing:
 
 class TestLapackCalls:
     def test_bitwise_equal_to_numpy_on_sweep_qs(self):
-        # solve and kappa2 call zgesv / zgesdd as np.linalg.solve and
-        # np.linalg.svd(compute_uv=False) do, so the values agree bit for bit
+        # solve and kappa2 are np.linalg.solve and np.linalg.svd(compute_uv=False)
         count = 0
         for profile in ("mixed", "single-jordan", "diagonalizable"):
             for kappa in (1.0, 10.0, 1e3, 1e6):
@@ -223,14 +222,14 @@ class TestLapackCalls:
     def test_singular_q_still_raises(self):
         q = random_complex(np.random.default_rng(26), 6)
         q[:, 2] = 0.0  # an exactly zero pivot
-        with pytest.raises(sv.SingularMatrixError, match="info=3"):
+        with pytest.raises(sv.SingularMatrixError, match="Singular matrix"):
             sv.solve(q, np.eye(6))
         with pytest.raises(sv.SingularMatrixError):
             sv.kappa2(q)
 
     def test_svd_nonconvergence_raises(self, stall_lapack):
-        stall_lapack("zgesdd")  # info > 0: the bidiagonal iteration failed
-        with pytest.raises(sv.EigensolverError, match="info=1"):
+        stall_lapack("svd")  # zgesdd's bidiagonal iteration failed
+        with pytest.raises(sv.EigensolverError, match="svd did not converge"):
             sv.kappa2(np.diag([1.0, 2.0, 3.0]))
 
     @pytest.mark.parametrize(

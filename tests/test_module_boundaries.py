@@ -5,7 +5,8 @@ module that reaches into it duplicates a decision that should live in one
 place.  The check parses every module's source (no import side effects).
 The same parse keeps every frozen dataclass that holds an array at
 identity equality: a generated ``==`` compares arrays elementwise and
-raises, and the generated ``__hash__`` raises too.
+raises, and the generated ``__hash__`` raises too.  It also keeps scipy
+to the assignment solver, so that numpy's LAPACK is the only one called.
 """
 
 import ast
@@ -94,6 +95,45 @@ def unused_imports(source: str) -> list[str]:
 )
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def scipy_imports(source: str) -> list[str]:
+    """The scipy modules and names that ``source`` imports at any level."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "scipy"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+            found += [f"{node.module}.{a.name}" for a in node.names]
+    return found
+
+
+def test_scipy_serves_only_the_assignment_solver():
+    # all LAPACK goes through np.linalg: scipy bundles a second OpenBLAS
+    # whose thread pool, alternating with numpy's, stalls large trials
+    found = {
+        name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in scipy_imports(path.read_text(encoding="utf-8"))
+    }
+    assert found == {"scipy.optimize.linear_sum_assignment"}
+
+
+def test_scipy_import_checker():
+    source = (
+        "import numpy as np\n"
+        "import scipy.linalg\n"
+        "from scipy import linalg\n"
+        "from scipy.optimize import linear_sum_assignment\n"
+        "def f():\n"
+        "    from scipy.linalg import lapack\n"
+    )
+    assert scipy_imports(source) == [
+        "scipy.linalg",
+        "scipy.linalg",
+        "scipy.optimize.linear_sum_assignment",
+        "scipy.linalg.lapack",
+    ]
 
 
 def test_unused_import_checker():
