@@ -90,6 +90,25 @@ class SweepConfig:
     tolerances: dict = field(default_factory=default_tolerances)
 
 
+# Largest kappa(Q) * n * |amount| a sweep takes.  ||E||_F is the amount
+# (gaussian, rank1) or sqrt(n)|t| (scalar t I), so ||E_Q||_F <=
+# kappa(Q) ||E||_F, delta(E_Q) <= ||E_Q||_F and |tr E| <= sqrt(n) ||E||_F
+# are all at most X = kappa(Q) n |amount|.  The bound formulas square
+# them, is_normal's commutator norm reaches X^4, and the eps-grid margins
+# scale X^2 by up to 16^(2(m-1)).  With X <= 1e64 all of these stay below
+# float64's 1.8e308 for every m < 60, so a float overflow can never pose
+# as a bound violation or blank a margin.
+AMOUNT_SCALE_MAX = 1e64
+
+
+def _check_amount_scale(amount: float, kappa: float, n: int) -> None:
+    if kappa * n * abs(amount) > AMOUNT_SCALE_MAX:
+        raise ConfigError(
+            f"amount {amount:g} at kappa {kappa:g} and n {n} could overflow the "
+            f"squares the bounds take: kappa * n * |amount| must be <= {AMOUNT_SCALE_MAX:g}"
+        )
+
+
 def validate_config(config: SweepConfig) -> None:
     if config.trials < 1:
         raise ConfigError(f"trials must be >= 1, got {config.trials}")
@@ -110,8 +129,11 @@ def validate_config(config: SweepConfig) -> None:
         raise ConfigError(f"target_kappa must be >= 1, got {config.target_kappa}")
     if config.block_profile == "single-jordan" and lo < 2:
         raise ConfigError("single-jordan profile needs n >= 2")
-    if config.block_profile == "user-file" and not config.jordan_file:
-        raise ConfigError("user-file profile needs jordan_file")
+    if config.block_profile == "user-file":
+        if not config.jordan_file:
+            raise ConfigError("user-file profile needs jordan_file")
+    else:  # the file's Q and n are checked once read, in gen_instance
+        _check_amount_scale(config.amount, config.target_kappa, hi)
 
 
 def _draw_blocks(config: SweepConfig, n: int, rng) -> list[tuple[complex, int]]:
@@ -141,6 +163,7 @@ def gen_instance(config: SweepConfig, trial_index: int) -> PerturbationInstance:
     if config.block_profile == "user-file":
         spec = read_jordan_spec(config.jordan_file)
         n = spec.n
+        _check_amount_scale(config.amount, spec.kappa_q, n)
     else:
         lo, hi = config.n_range
         n = int(rng.integers(lo, hi + 1))

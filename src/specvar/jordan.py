@@ -35,6 +35,7 @@ from .exceptions import (
     NotApplicableError,
 )
 from .linalg import as_matrix, kappa2, norm_and_delta, solve
+from .spectrum import Spectrum
 
 # minimum relative eigenvalue gap for the diagonalizable convenience path
 MIN_EIG_GAP = 1e-6
@@ -72,13 +73,10 @@ class JordanSpec:
     eigenvalues: np.ndarray = field(init=False, repr=False)
     positions: np.ndarray = field(init=False, repr=False)
     superdiagonal: np.ndarray = field(init=False, repr=False)
-    spectrum: "Spectrum" = field(init=False, repr=False)
+    spectrum: Spectrum = field(init=False, repr=False)
     real_spectrum: bool = field(init=False)
 
     def __post_init__(self):
-        # imported on use: a module-level import loads scipy earlier, +1.5 MB peak RSS
-        from .spectrum import Spectrum
-
         lams, sizes = zip(*self.blocks)
         eigenvalues = np.repeat(np.array(lams, dtype=np.complex128), sizes)
         positions = np.concatenate([np.arange(size, dtype=np.float64) for size in sizes])

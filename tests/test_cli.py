@@ -92,6 +92,12 @@ def test_sweep_structured_report(tmp_path):
     assert rep.summary["trials"] == 3
 
 
+def test_sweep_rejects_an_amount_whose_squares_overflow(capsys):
+    # exit 1 means "violation found"; a float overflow must not read as one
+    assert main(["sweep", "--trials", "2", "--amount", "1e160", "--seed", "1"]) == 2
+    assert "could overflow" in capsys.readouterr().err
+
+
 def test_example_default(capsys):
     assert main(["example"]) == 0
     out = capsys.readouterr().out

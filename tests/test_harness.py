@@ -105,6 +105,21 @@ class TestGenInstance:
         with pytest.raises(sv.ConfigError):
             sv.gen_instance(small_config(block_profile="user-file"), 0)
 
+    def test_amount_whose_squares_could_overflow_rejected(self, tmp_path):
+        # kappa * n_max * |amount| may reach the cap, never pass it
+        cap = harness.AMOUNT_SCALE_MAX
+        assert sv.gen_instance(small_config(amount=cap / 31), 0).norm_e == pytest.approx(cap / 31)
+        for kw in (dict(amount=cap / 29), dict(amount=-cap / 29, perturbation="scalar")):
+            with pytest.raises(sv.ConfigError, match="could overflow"):
+                sv.gen_instance(small_config(**kw), 0)
+        # the user-file profile is held to its file's kappa(Q) = 1 and n = 3
+        path = tmp_path / "spec.json"
+        sv.write_jordan_spec(path, sv.make_jordan_spec([(1.0, 2), (4.0, 1)]))
+        cfg = functools.partial(small_config, block_profile="user-file", jordan_file=str(path))
+        assert sv.gen_instance(cfg(amount=cap / 3.1), 0).spec.n == 3
+        with pytest.raises(sv.ConfigError, match="could overflow"):
+            sv.gen_instance(cfg(amount=cap / 2.9), 0)
+
 
 class TestSValues:
     def test_pessimistic(self):

@@ -6,10 +6,13 @@ place.  The check parses every module's source (no import side effects).
 The same parse keeps every frozen dataclass that holds an array at
 identity equality: a generated ``==`` compares arrays elementwise and
 raises, and the generated ``__hash__`` raises too.  It also keeps scipy
-to the assignment solver, so that numpy's LAPACK is the only one called.
+out of the package: numpy is its only runtime dependency.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -109,14 +112,28 @@ def scipy_imports(source: str) -> list[str]:
 
 
 def test_scipy_serves_only_the_assignment_solver():
-    # all LAPACK goes through np.linalg: scipy bundles a second OpenBLAS
-    # whose thread pool, alternating with numpy's, stalls large trials
+    # no module imports scipy: all LAPACK goes through np.linalg (scipy
+    # bundles a second OpenBLAS whose thread pool, alternating with
+    # numpy's, stalls large trials) and spectrum solves the assignment
+    # problem itself, so a process never pays scipy's import
     found = {
         name
         for path in sorted(PACKAGE.glob("*.py"))
         for name in scipy_imports(path.read_text(encoding="utf-8"))
     }
-    assert found == {"scipy.optimize.linear_sum_assignment"}
+    assert found == set()
+
+
+def test_importing_the_package_and_cli_loads_no_scipy():
+    code = (
+        "import sys, specvar, specvar.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_scipy_import_checker():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specvar as sv
+from specvar import spectrum
 
 complex_values = st.complex_numbers(
     min_magnitude=0.0, max_magnitude=1e3, allow_nan=False, allow_infinity=False
@@ -168,6 +169,81 @@ class TestOptimalMatch:
         assert sv.optimal_match(a, b).d2 == pytest.approx(
             sv.brute_force_match(a, b).d2, abs=1e-10, rel=1e-10
         )
+
+
+def spectra_with_repeated_eigenvalues(rng, n):
+    """Prescribed eigenvalues in runs of up to three equal values, and a
+    perturbation of them: the ties every Jordan block of a sweep makes."""
+    a = np.repeat(rng.uniform(-2, 2, n) + 1j * rng.uniform(-2, 2, n), 3)[:n]
+    return a, a + rng.uniform(1e-3, 1.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+def assignment_problems():
+    """(label, cost) pairs: n = 1, uniform costs, integer costs with many
+    ties, and the costs of spectra with repeated eigenvalues, at n <= 13,
+    plus a few at n = 64 and 128."""
+    rng = np.random.default_rng(17)
+    yield "n=1", np.array([[2.5]])
+    for n in list(range(1, 14)) * 6 + [64, 128]:
+        yield f"uniform n={n}", rng.uniform(size=(n, n))
+        yield f"integer n={n}", rng.integers(0, 3, size=(n, n)).astype(np.float64)
+        a, b = spectra_with_repeated_eigenvalues(rng, n)
+        yield f"repeated n={n}", np.abs(b[None, :] - a[:, None]) ** 2
+
+
+class TestAssignment:
+    """``spectrum._assignment`` against scipy's ``linear_sum_assignment``,
+    the reference (imported here only; the package does not use scipy)."""
+
+    def test_returns_a_permutation_of_optimal_cost(self):
+        from scipy.optimize import linear_sum_assignment
+
+        count = 0
+        for label, cost in assignment_problems():
+            n = len(cost)
+            perm = spectrum._assignment(cost)
+            assert sorted(perm) == list(range(n)), label
+            rows, cols = linear_sum_assignment(cost)
+            want = cost[rows, cols].sum()
+            got = cost[np.arange(n), perm].sum()
+            assert abs(got - want) <= 1e-12 * abs(want), label
+            count += 1
+        assert count == 1 + 3 * (13 * 6 + 2)
+
+    def test_d2_equals_brute_force_up_to_seven(self):
+        rng = np.random.default_rng(18)
+        for n in (1, 2, 3, 4, 5, 6, 7, 7, 7):
+            a, b = spectra_with_repeated_eigenvalues(rng, n)
+            m = sv.optimal_match(a, b)
+            assert sorted(m.permutation.tolist()) == list(range(n))
+            assert m.d2 == pytest.approx(sv.brute_force_match(a, b).d2, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_cost_rejected(self, bad):
+        cost = np.ones((3, 3))
+        cost[:, 1] = bad
+        with pytest.raises(sv.NonFiniteError):
+            spectrum._assignment(cost)
+
+    def test_optimal_match_survives_squares_past_overflow(self):
+        # |b - a|^2 overflows at this scale: 1e370 for the crossed pairs
+        a = np.array([1e200, -1e200])
+        b = np.array([1e200 + 1e185, -1e200 + 3e185j])
+        m = sv.optimal_match(a, b)
+        dists = np.abs(sv.Spectrum(b).values[m.permutation] - sv.Spectrum(a).values)
+        assert m.d_inf == np.max(dists) == pytest.approx(3e185, rel=1e-12)
+        assert m.d2 == pytest.approx(np.hypot(*dists), rel=1e-15)
+        assert np.isfinite(m.d2)
+
+    def test_power_of_two_scaling_keeps_ordinary_distances(self):
+        rng = np.random.default_rng(19)
+        for _ in range(20):
+            a, b = spectra_with_repeated_eigenvalues(rng, int(rng.integers(1, 13)))
+            m = sv.optimal_match(a, b)
+            a, b = sv.Spectrum(a).values, sv.Spectrum(b).values
+            dists = np.abs(b[m.permutation] - a)
+            assert m.d2 == float(np.sqrt(np.sum(dists**2)))
+            assert m.d_inf == float(np.max(dists))
 
 
 class TestBruteForce:
