@@ -26,7 +26,6 @@ g = sv.complex_gaussian(5, 5, rng)
 inst = sv.make_instance(spec, g * (0.4 / np.linalg.norm(g)))
 print(f"||E||_F = {inst.norm_e:.4f}, ||E_Q||_F = {inst.norm_eq:.4f}, "
       f"delta(E_Q) = {inst.delta_eq:.4f}")
-print(f"||E_Q||_F majorant (rank/kappa2 based): {sv.eq_norm_majorant(inst):.4f}")
 
 print()
 print("== the scaling matrix and the shrunken superdiagonal ==")

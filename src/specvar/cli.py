@@ -19,6 +19,7 @@ from .exceptions import SpecvarError
 from .fileio import read_jordan_spec, read_matrix
 from .harness import (
     SweepConfig,
+    check_amount_scale,
     evaluate_bounds,
     example_scalar_table,
     perturbed_spectrum,
@@ -68,6 +69,7 @@ def _cmd_s_number(args) -> int:
 def _cmd_bound(args) -> int:
     spec = read_jordan_spec(args.jordan)
     inst = make_instance(spec, read_matrix(args.perturbation))
+    check_amount_scale(inst.norm_e, spec.kappa_q, spec.n)
     sv = s_values(inst, mode=args.s_mode, tol=args.tol, seed=args.seed)
     results = evaluate_bounds(inst, sv)
     d2 = optimal_match(spec.spectrum, perturbed_spectrum(inst)).d2

@@ -3,8 +3,8 @@
 Generates seeded Jordan-structured instances, evaluates every applicable
 bound against the true optimal matching distance D2, checks the envelope
 margins on an eps grid, and aggregates everything into a reproducible
-report: compact JSON (schema 2: record scalars once, one row per result;
-schema-1 files are still read) or CSV (trial,bound_id,branch,value,d2,slack).
+report: compact JSON (schema 2: record scalars once, one row per result)
+or CSV (trial,bound_id,branch,value,d2,slack).
 
 Two report states are kept strictly apart: a *bound violation* (negative
 slack beyond tolerance -- would disprove a theorem) and a
@@ -65,7 +65,6 @@ CSV_COLUMNS = ("trial", "bound_id", "branch", "value", "d2", "slack")
 def default_tolerances() -> dict[str, float]:
     return {
         "slack": 1e-7,       # D2 <= value + slack*(1+value)
-        "envelope": 1e-8,    # margins >= -envelope*phi(eps)
         "s_tol": 1e-8,       # commutant null-space cutoff
         "cluster_gap": 1e-6,  # eigenvalue clustering, relative to ||H||_2
         "block_tol": 1e-8,   # off-block coupling, relative to ||M||_F
@@ -101,7 +100,8 @@ class SweepConfig:
 AMOUNT_SCALE_MAX = 1e64
 
 
-def _check_amount_scale(amount: float, kappa: float, n: int) -> None:
+def check_amount_scale(amount: float, kappa: float, n: int) -> None:
+    """ConfigError if kappa * n * |amount| passes AMOUNT_SCALE_MAX."""
     if kappa * n * abs(amount) > AMOUNT_SCALE_MAX:
         raise ConfigError(
             f"amount {amount:g} at kappa {kappa:g} and n {n} could overflow the "
@@ -133,7 +133,11 @@ def validate_config(config: SweepConfig) -> None:
         if not config.jordan_file:
             raise ConfigError("user-file profile needs jordan_file")
     else:  # the file's Q and n are checked once read, in gen_instance
-        _check_amount_scale(config.amount, config.target_kappa, hi)
+        check_amount_scale(config.amount, config.target_kappa, hi)
+    for key in default_tolerances():  # each one a trial reads; extra keys pass
+        value = config.tolerances.get(key)
+        if not (isinstance(value, (int, float)) and 0.0 <= value < math.inf):
+            raise ConfigError(f"tolerance '{key}' must be a finite number >= 0, got {value!r}")
 
 
 def _draw_blocks(config: SweepConfig, n: int, rng) -> list[tuple[complex, int]]:
@@ -163,7 +167,7 @@ def gen_instance(config: SweepConfig, trial_index: int) -> PerturbationInstance:
     if config.block_profile == "user-file":
         spec = read_jordan_spec(config.jordan_file)
         n = spec.n
-        _check_amount_scale(config.amount, spec.kappa_q, n)
+        check_amount_scale(config.amount, spec.kappa_q, n)
     else:
         lo, hi = config.n_range
         n = int(rng.integers(lo, hi + 1))
@@ -237,12 +241,8 @@ def s_values(
     return out
 
 
-def eps_grid(points: int = 16) -> np.ndarray:
-    """Uniform grid (1/points, 2/points, ..., 1] used for margin checks."""
-    return np.arange(1, points + 1, dtype=np.float64) / points
-
-
-EPS_GRID = eps_grid()  # the fixed grid every trial's margins are checked on
+# the fixed uniform grid (1/16, 2/16, ..., 1] every trial's margins are checked on
+EPS_GRID = np.arange(1, 17, dtype=np.float64) / 16
 EPS_GRID.flags.writeable = False
 
 
@@ -540,10 +540,6 @@ def _shallow_fields(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
-# the record scalars that schema-1 results repeated in their inputs
-_V1_RECORD_INPUTS = ("n", "p", "m", "norm_eq", "delta_eq", "trace_abs", "norm_e")
-
-
 def _result_row(r: BoundResult, slacks: dict) -> list:
     """``[id, value, branch, slack]``; the slack is null only for an
     inapplicable result, which adds its reason; non-empty inputs follow."""
@@ -563,11 +559,6 @@ def _result_from_row(row: list) -> BoundResult:
     return BoundResult(BoundId[name], value, branch, slack is not None, reason, inputs)
 
 
-def _result_from_v1(d: dict) -> BoundResult:
-    inputs = {k: v for k, v in d["inputs"].items() if k not in _V1_RECORD_INPUTS}
-    return BoundResult(**dict(d, id=BoundId[d["id"]], inputs=inputs))
-
-
 def report_to_doc(report: Report) -> dict:
     """The schema-2 document: each record's scalars once, its results as
     rows (:func:`_result_row`) from which the slacks are rebuilt on read."""
@@ -585,24 +576,18 @@ def report_to_doc(report: Report) -> dict:
 
 
 def report_from_doc(doc: dict) -> Report:
-    """Inverse of :func:`report_to_doc`; also reads schema 1 (no
-    ``schema_version``: result dicts, ``slacks`` and ``eq_majorant``)."""
-    version = doc.get("schema_version", 1)
-    if version not in (1, 2):
-        raise ParseError(f"unknown report schema_version {version!r}")
+    """Inverse of :func:`report_to_doc`."""
+    version = doc.get("schema_version")
+    if version != 2:
+        raise ParseError(f"unknown report schema_version {version!r}; only 2 is read")
     cfg = dict(doc["config"])
     cfg["n_range"] = tuple(cfg["n_range"])
-    cfg.pop("eps_grid_points", None)  # retired field: the grid is fixed
     config = SweepConfig(**cfg)
     records = []
     for d in doc["records"]:
         d = dict(d)
-        if version == 1:
-            d.pop("eq_majorant")
-            d["results"] = [_result_from_v1(r) for r in d["results"]]
-        else:
-            d["slacks"] = {row[0]: row[3] for row in d["results"] if row[3] is not None}
-            d["results"] = [_result_from_row(row) for row in d["results"]]
+        d["slacks"] = {row[0]: row[3] for row in d["results"] if row[3] is not None}
+        d["results"] = [_result_from_row(row) for row in d["results"]]
         records.append(TrialRecord(**d))
     return Report(config=config, records=records, summary=doc["summary"])
 
@@ -643,8 +628,8 @@ def write_report(report: Report, path, format: str = "structured-text") -> None:
 
 
 def read_report(path) -> Report:
-    """Read back a structured-text report written by :func:`write_report`,
-    of schema version 1 or 2; anything else raises ``ParseError``."""
+    """Read back a structured-text report written by :func:`write_report`
+    (schema version 2); anything else raises ``ParseError``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)

@@ -8,9 +8,7 @@ spectrum is that of A + E.  A itself is never formed on the way to a
 verdict (``assemble`` builds it on request): its O(u kappa2(Q)^2)
 rounding would feed into D2.  The library never attempts to
 compute a Jordan form of an arbitrary floating-point matrix -- that
-problem is discontinuous and ill-posed; the one convenience path
-(``spec_from_matrix``) only accepts matrices with well-separated
-eigenvalues and builds the diagonalizable p = n case.
+problem is discontinuous and ill-posed.
 
 The diagonal scaling T(eps) = diag(1, eps, ..., eps^(m_i - 1)) per block
 shrinks the Jordan superdiagonal to eps, and phi(eps) is the closed-form
@@ -37,9 +35,6 @@ from .exceptions import (
 from .linalg import as_matrix, kappa2, norm_and_delta, solve
 from .spectrum import Spectrum
 
-# minimum relative eigenvalue gap for the diagonalizable convenience path
-MIN_EIG_GAP = 1e-6
-
 
 def _frozen_copy(m: np.ndarray) -> np.ndarray:
     c = np.array(m, dtype=np.complex128)
@@ -61,7 +56,8 @@ class JordanSpec:
     per block, float64), which is the exponent of eps in T(eps), and
     ``superdiagonal``, the rows i whose entry (i, i+1) lies inside a block,
     ``spectrum``, the eigenvalues as a canonical :class:`Spectrum`, and
-    ``real_spectrum``, :meth:`has_real_spectrum` at its default tol.
+    ``real_spectrum``, true iff every eigenvalue is real within
+    1e-12 (1 + |lambda|).
     Equality is identity."""
 
     blocks: tuple[tuple[complex, int], ...]
@@ -90,16 +86,12 @@ class JordanSpec:
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "superdiagonal", superdiagonal)
         object.__setattr__(self, "spectrum", Spectrum(eigenvalues))
-        object.__setattr__(self, "real_spectrum", self.has_real_spectrum())
+        real = all(abs(lam.imag) <= 1e-12 * (1.0 + abs(lam)) for lam in lams)
+        object.__setattr__(self, "real_spectrum", real)
 
     @property
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(size for _, size in self.blocks)
-
-    def has_real_spectrum(self, tol: float = 1e-12) -> bool:
-        """True iff every prescribed eigenvalue is real within
-        tol * (1 + |lambda|)."""
-        return all(abs(lam.imag) <= tol * (1.0 + abs(lam)) for lam, _ in self.blocks)
 
 
 def make_jordan_spec(blocks, q=None) -> JordanSpec:
@@ -324,41 +316,3 @@ def envelope_margins(inst: PerturbationInstance, eps) -> dict[str, np.ndarray]:
         ),
         "superdiag_norm_error": np.abs(_sum_squares(omega) - (n - p) * eps * eps),
     }
-
-
-def eq_norm_majorant(inst: PerturbationInstance) -> float:
-    """Computable majorant of ||E_Q||_F that avoids committing to a
-    particular Q:  min( sqrt(rank E) ||E_Q||_2,  kappa2(Q) ||E||_F )."""
-    rank = int(np.linalg.matrix_rank(inst.e))
-    if rank == 0:
-        return 0.0
-    return float(
-        min(
-            np.sqrt(rank) * np.linalg.norm(inst.e_q, 2),
-            inst.spec.kappa_q * inst.norm_e,
-        )
-    )
-
-
-def spec_from_matrix(a, min_gap: float = MIN_EIG_GAP) -> JordanSpec:
-    """Diagonalizable JordanSpec (p = n) from a matrix with well-separated
-    eigenvalues.
-
-    Refuses (``NotApplicableError``) when the minimum pairwise eigenvalue
-    gap is <= min_gap * ||A||_F: close eigenvalues may hide a defective
-    structure that floating point cannot resolve.
-    """
-    a = as_matrix(a, square=True)
-    w, v = np.linalg.eig(a)
-    n = a.shape[0]
-    scale = float(np.linalg.norm(a))
-    if n > 1:
-        gap = min(
-            abs(w[i] - w[j]) for i in range(n) for j in range(i + 1, n)
-        )
-        if gap <= min_gap * scale:
-            raise NotApplicableError(
-                f"eigenvalue gap {gap:.3e} <= {min_gap:.1e} * ||A||_F; "
-                "prescribe the Jordan data explicitly instead"
-            )
-    return make_jordan_spec([(lam, 1) for lam in w], v)

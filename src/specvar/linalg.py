@@ -64,7 +64,7 @@ def solve(q, b, *, checked: bool = False) -> np.ndarray:
         raise SingularMatrixError(f"singular coefficient matrix: {exc}") from exc
 
 
-def delta(m, *, checked: bool = False) -> float:
+def delta(m) -> float:
     """Trace-deflated Frobenius norm  (||M||_F^2 - |tr M|^2 / n)^(1/2).
 
     Zero exactly on scalar matrices mu*I, equal to ||M||_F exactly when
@@ -74,7 +74,7 @@ def delta(m, *, checked: bool = False) -> float:
     near scalar matrices; the result is clamped at ||M||_F (Pythagoras
     gives delta <= ||M||_F exactly, rounding can break it by one ulp).
     """
-    return norm_and_delta(m, checked=checked)[1]
+    return norm_and_delta(m)[1]
 
 
 def norm_and_delta(m, *, checked: bool = False) -> tuple[float, float]:

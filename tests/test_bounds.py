@@ -461,7 +461,7 @@ class TestBranchContinuity:
 class TestNewBoundsReal:
     def test_inapplicable_for_complex_spectrum(self):
         inst = mixed_instance(6)  # complex eigenvalues almost surely
-        assert not inst.spec.has_real_spectrum()
+        assert not inst.spec.real_spectrum
         res = jordan(inst)
         for bid in UP3:
             assert not res[bid].applicable

@@ -98,6 +98,16 @@ def test_sweep_rejects_an_amount_whose_squares_overflow(capsys):
     assert "could overflow" in capsys.readouterr().err
 
 
+def test_bound_rejects_a_perturbation_whose_squares_overflow(tmp_path, matrix_file, capsys):
+    # the sweep's cap on kappa * n * ||E||_F: an overflow in the bound
+    # formulas would otherwise exit 1, the code for a violation
+    spec_path = tmp_path / "spec.json"
+    sv.write_jordan_spec(spec_path, sv.make_jordan_spec([(1.0, 2), (4.0, 1)]))
+    e_path = matrix_file("e.json", np.full((3, 3), 1e160))
+    assert main(["bound", "--jordan", str(spec_path), "--perturbation", e_path]) == 2
+    assert "error:" in (err := capsys.readouterr().err) and "could overflow" in err
+
+
 def test_example_default(capsys):
     assert main(["example"]) == 0
     out = capsys.readouterr().out

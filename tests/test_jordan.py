@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import specvar as sv
+from specvar.harness import EPS_GRID
 
 
 def make_mixed_instance(seed, n_blocks=3, kappa=8.0, e_norm=0.7, real=False):
@@ -46,15 +47,15 @@ class TestJordanSpec:
             sv.make_jordan_spec([(1.0, 0)])
 
     def test_real_spectrum_flag(self):
-        assert sv.make_jordan_spec([(1.0, 2), (-2.0, 1)]).has_real_spectrum()
-        assert not sv.make_jordan_spec([(1.0 + 1e-6j, 2)]).has_real_spectrum()
+        assert sv.make_jordan_spec([(1.0, 2), (-2.0, 1)]).real_spectrum
+        assert not sv.make_jordan_spec([(1.0 + 1e-6j, 2)]).real_spectrum
 
     @pytest.mark.parametrize(
         "blocks", [[(1.0, 2), (-2.0, 1)], [(1.0 + 1e-6j, 2)], [(3.0 + 1e-13j, 1), (0.5, 3)]]
     )
     def test_derived_spectrum_and_real_flag(self, blocks):
         spec = sv.make_jordan_spec(blocks)
-        assert spec.real_spectrum is spec.has_real_spectrum()
+        assert spec.real_spectrum is all(abs(lam.imag) < 1e-12 for lam, _ in blocks)
         assert np.array_equal(spec.spectrum.values, sv.Spectrum(spec.eigenvalues).values)
         assert not spec.spectrum.values.flags.writeable
 
@@ -183,16 +184,6 @@ class TestInstance:
         e[...] = 7.0
         for a, before in zip(arrays, saved):
             assert np.array_equal(a, before)
-
-    def test_majorant_dominates_norm(self):
-        for seed in range(5):
-            inst = make_mixed_instance(seed, kappa=15.0)
-            assert sv.eq_norm_majorant(inst) >= inst.norm_eq * (1 - 1e-10)
-
-    def test_majorant_zero_perturbation(self):
-        spec = sv.make_jordan_spec([(1.0, 2)])
-        inst = sv.make_instance(spec, np.zeros((2, 2)))
-        assert sv.eq_norm_majorant(inst) == 0.0
 
 
 class TestScalarShift:
@@ -367,11 +358,10 @@ class TestEnvelopeMarginsDifferential:
     ATOL = 1e-12  # on each margin / phi ratio, fixed before the comparison
 
     def test_matches_reference_loop(self):
-        grid = sv.eps_grid(16)
         count = 0
         for inst in acceptance_cell_instances(trials=2):
-            fast = sv.envelope_margins(inst, grid)
-            ref = [reference_margins(inst, float(eps)) for eps in grid]
+            fast = sv.envelope_margins(inst, EPS_GRID)
+            ref = [reference_margins(inst, float(eps)) for eps in EPS_GRID]
             ref_phi = np.array([r["phi"] for r in ref])
             assert np.allclose(fast["phi"], ref_phi, rtol=1e-14, atol=0.0)
             live = ref_phi > 0.0
@@ -387,7 +377,7 @@ class TestEnvelopeMarginsDifferential:
             cfg = sv.SweepConfig(seed=4, trials=4, block_profile=block_profile)
             for rec in sv.run_sweep(cfg).records:
                 inst = sv.gen_instance(cfg, rec.trial)
-                ref = [reference_margins(inst, float(eps)) for eps in sv.eps_grid(16)]
+                ref = [reference_margins(inst, float(eps)) for eps in EPS_GRID]
                 ratios = {
                     key: [r[key] / r["phi"] for r in ref if r["phi"] > 0.0]
                     for key in MARGIN_KEYS
@@ -433,7 +423,7 @@ class TestEnvelopeMargin:
     def test_random_instances_nonnegative(self):
         for seed in range(8):
             inst = make_mixed_instance(seed, kappa=50.0, e_norm=0.8)
-            out = sv.envelope_margins(inst, sv.eps_grid(16))
+            out = sv.envelope_margins(inst, EPS_GRID)
             assert np.all(out["envelope_margin"] >= -1e-8 * out["phi"])
 
     def test_at_eps_one(self):
@@ -447,7 +437,7 @@ class TestScalingInequalities:
     def test_margins_nonnegative_on_grid(self):
         for seed in range(6):
             inst = make_mixed_instance(seed, kappa=30.0, e_norm=1.5)
-            out = sv.envelope_margins(inst, sv.eps_grid(16))
+            out = sv.envelope_margins(inst, EPS_GRID)
             tol = 1e-8 * out["phi"]
             assert np.all(out["scaled_norm_margin"] >= -tol)
             assert np.all(out["cross_term_margin"] >= -tol)
@@ -460,22 +450,3 @@ class TestScalingInequalities:
         assert out["scaled_norm_margin"][0] == 0.0
         assert out["cross_term_margin"][0] == 0.0
         assert out["superdiag_norm_error"][0] <= 1e-16
-
-
-class TestSpecFromMatrix:
-    def test_well_separated_accepted(self):
-        rng = np.random.default_rng(10)
-        a = np.diag([1.0, 2.0, 4.0]) + 0.01 * sv.complex_gaussian(3, 3, rng)
-        spec = sv.spec_from_matrix(a)
-        assert spec.p == spec.n == 3
-        assert spec.m == 1
-        # reassembly reproduces the matrix
-        assert np.allclose(sv.assemble(spec), a, atol=1e-10)
-
-    def test_defective_refused(self):
-        with pytest.raises(sv.NotApplicableError):
-            sv.spec_from_matrix([[0.0, 1.0], [0.0, 0.0]])
-
-    def test_repeated_eigenvalues_refused(self):
-        with pytest.raises(sv.NotApplicableError):
-            sv.spec_from_matrix(np.eye(3))

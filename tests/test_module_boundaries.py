@@ -253,3 +253,21 @@ def test_array_values_compare_by_identity_and_hash(name):
     assert type(first).__name__ == name
     assert first == first and first != second
     assert len({first, first, second}) == 2  # hashable, by identity
+
+
+def test_all_resolves_and_lists_every_public_import():
+    # a retired name left in __all__ breaks `from specvar import *`; one
+    # imported but not listed is exported by accident
+    import specvar
+
+    assert [name for name in specvar.__all__ if not hasattr(specvar, name)] == []
+    assert len(set(specvar.__all__)) == len(specvar.__all__)
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert sorted(n for n in imported if not _private(n)) == sorted(
+        n for n in specvar.__all__ if n in imported
+    )
