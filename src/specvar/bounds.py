@@ -13,19 +13,21 @@ term, evaluated in closed form at one of three eps choices:
 - eps at the interior stationary point of phi (condition C1),
 
 falling back to eps = 1 otherwise.  The case splits are the main
-correctness hazard: :func:`plan` alone makes them, and every result
-records the branch it took.
+correctness hazard: :func:`plan` alone makes them, and every bound
+records the branch it took.  Each family returns one :class:`BoundTable`.
 
 The Jordan family is a function of seven numbers, a :class:`BoundInputs`,
 plus the injected s-values: :func:`plan` and :func:`jordan_bounds` read
-nothing else, so a trial record holds all they need.  This module is a
-pure formula layer: the tolerance-laden s(.) values are injected by the
-caller (see :mod:`specvar.harness`), never computed here.
+nothing else, so a trial record holds all they need.  Each number may be a
+numpy array: the branch choice is ``np.where`` over the same three tests,
+and every power is libm's ``pow`` (``np.power`` differs from it in the
+last bit), so each point comes out bit for bit as a call of its own.
+This module is a pure formula layer: the tolerance-laden s(.) values are
+injected by the caller (see :mod:`specvar.harness`), never computed here.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -35,52 +37,13 @@ import numpy as np
 from .blocks import is_normal
 from .exceptions import DimensionError, DomainError
 from .jordan import PerturbationInstance
-from .linalg import as_matrix, delta
+from .linalg import as_matrix, norm_and_delta
 
-
-class BoundId(enum.Enum):
-    """Closed set of bound identifiers; each maps to exactly one formula
-    and one applicability predicate."""
-
-    HW = "HW"
-    SUN = "SUN"
-    LI_SUN = "LI_SUN"
-    XU1 = "XU1"
-    XU2 = "XU2"
-    XU_HERMITIAN = "XU_HERMITIAN"
-    SONG = "SONG"
-    LI_CHEN = "LI_CHEN"
-    UP1_1 = "UP1_1"
-    UP1_2 = "UP1_2"
-    UP1_3 = "UP1_3"
-    UP2_1 = "UP2_1"
-    UP2_2 = "UP2_2"
-    UP2_3 = "UP2_3"
-    UP3_1 = "UP3_1"
-    UP3_2 = "UP3_2"
-    UP3_3 = "UP3_3"
-
-
-BOUND_NAMES = {bid: bid.name for bid in BoundId}  # BoundId.name is a property lookup
-
-
-@dataclass(frozen=True)
-class BoundResult:
-    """One evaluated bound: value, branch taken, and the inputs it read
-    that its trial record does not hold (the s-values, and the normal
-    family's delta(E)).
-
-    ``applicable=False`` carries a reason and a zero placeholder value that
-    must never be compared against D2.
-    """
-
-    id: BoundId
-    value: float
-    branch: str
-    applicable: bool = True
-    reason: str = ""
-    inputs: dict = field(default_factory=dict)
-
+NORMAL_IDS = ("HW", "SUN", "LI_SUN", "XU1", "XU2", "XU_HERMITIAN")
+UP1 = ("UP1_1", "UP1_2", "UP1_3")
+UP2 = ("UP2_1", "UP2_2", "UP2_3")
+UP3 = ("UP3_1", "UP3_2", "UP3_3")
+JORDAN_IDS = ("SONG", "LI_CHEN") + UP1 + UP2 + UP3
 
 BRANCH_NORM_SMALL = "||E_Q||_F < 1"
 BRANCH_NORM_LARGE = "||E_Q||_F >= 1"
@@ -93,15 +56,53 @@ BRANCH_SINGLE = "single"
 
 S_KEYS = ("s1", "s2", "s3", "s4")
 
+# the s-key each planned branch reads; every eps = 1 fallback reads s2
+S_KEY = {
+    BRANCH_NORM_SMALL: "s1", BRANCH_DELTA_SMALL: "s3", BRANCH_C1: "s4",
+    BRANCH_NORM_LARGE: "s2", BRANCH_DELTA_LARGE: "s2", BRANCH_C2: "s2",
+}
+
+# the injected values each bound reads; the others read only BoundInputs
+INPUT_KEYS = {
+    "SONG": ("s1", "s2"), "LI_CHEN": ("s1", "s2"), **dict.fromkeys(UP2, S_KEYS),
+    **dict.fromkeys(NORMAL_IDS, ("delta_e", "s_tilde")),
+}
+
+
+@dataclass(frozen=True)
+class BoundTable:
+    """Evaluated bounds as columns, entry i of each for bound ``ids[i]``:
+    its value, the branch it took and a reason, empty where it applies.
+    An inapplicable bound's value is a zero placeholder that must never be
+    compared against D2.  ``inputs`` holds the injected values once
+    (``s1``..``s4``; the normal family's ``s_tilde`` and ``delta_e``), and
+    :data:`INPUT_KEYS` names those each id reads.  For one point every
+    entry is a Python scalar and tables compare as one bool; for
+    BoundInputs of arrays an entry may be an array over the points."""
+
+    ids: tuple = ()
+    values: tuple = ()
+    branches: tuple = ()
+    reasons: tuple = ()
+    inputs: dict = field(default_factory=dict)
+
+    def __add__(self, other: BoundTable) -> BoundTable:
+        """The rows of ``self``, then those of ``other``."""
+        return BoundTable(
+            self.ids + other.ids, self.values + other.values,
+            self.branches + other.branches, self.reasons + other.reasons,
+            {**self.inputs, **other.inputs},
+        )
+
 
 # ---------------------------------------------------------------------------
-# the branch planner and the envelope cores
-
+# the branch planner
 
 class BoundInputs(NamedTuple):
     """The seven numbers the Jordan family reads: the block layout
     (n, p, m), ||E_Q||_F, delta(E_Q), |tr E| and whether every prescribed
-    eigenvalue is real.  A trial record holds the first six."""
+    eigenvalue is real.  A trial record holds the first six.  Arrays
+    broadcast against each other and against scalars."""
 
     n: int
     p: int
@@ -119,69 +120,75 @@ class BoundInputs(NamedTuple):
 
 
 class Step(NamedTuple):
-    """How one envelope variant is evaluated: the branch label, the s-key
-    (``s1``..``s4``) whose value the UP2 bound reads as its factor, and the
+    """How one envelope variant is evaluated: the branch label and the
     eps at which phi is evaluated.  eps = 0 stands for the eps -> 0 limit,
     reached when delta(E_Q) = 0; the zero-perturbation step reads no s."""
 
     branch: str
-    s_key: str | None
     eps: float
 
+    @property
+    def s_key(self) -> str | None:
+        """The s-value UP2 reads on this (one-point) step, if any."""
+        return S_KEY.get(self.branch)
 
+
+def _where(cond, a, b):
+    # np.where, without the 0-d arrays it builds for one point
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
+def _label(cond, a, b):
+    # _where for labels; an object array shares the strings, where a str
+    # array would take 4 bytes a character per point
+    if isinstance(cond, np.ndarray):
+        a, b = np.asarray(a, dtype=object), np.asarray(b, dtype=object)
+    return _where(cond, a, b)
+
+
+def _pow(x, y):
+    # libm's pow: numpy's scalar ** calls it, and its float_power loop does
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return np.float_power(x, y)
+    return x ** y
+
+
+def _floats(x: BoundInputs) -> BoundInputs:
+    # numpy scalars divide by zero into inf/nan like arrays, where a Python
+    # float raises: np.where evaluates the branches it drops.  n, p and m
+    # are small integers, exact in float64.
+    return BoundInputs(*map(np.float64, x[:6]), x.real_spectrum)
+
+
+@np.errstate(divide="ignore", invalid="ignore")
 def plan(x: BoundInputs) -> tuple[Step, Step, Step]:
     """The single decision of branch and eps for the three envelope
     variants: (||E_Q||_F, delta(E_Q), stationary point), in that order.
 
-    Every eps = 1 fallback reads ``s2``.  C1 (drift = n - p + 2 sqrt(n-p)
-    delta > curb = (m-1) delta^2) needs m >= 2; the m = 1 case is routed
-    to C2, whose eps = 1 formula contains the diagonalizable case.  Under
-    C1 the stationary eps is (curb/drift)^(1/(2m)), the minimiser
-    :func:`specvar.jordan.optimal_epsilon` returns; at delta = 0 it is the
-    eps -> 0 limit.
+    C1 (drift = n - p + 2 sqrt(n-p) delta > curb = (m-1) delta^2) needs
+    m >= 2; the m = 1 case is routed to C2, whose eps = 1 formula contains
+    the diagonalizable case.  Under C1 the stationary eps is
+    (curb/drift)^(1/(2m)), the minimiser :func:`specvar.jordan.optimal_epsilon`
+    returns; at delta = 0 it is the eps -> 0 limit.
     """
-    n, p, m, norm_eq, d = x[:5]
-    if norm_eq == 0.0:
-        return (Step(BRANCH_ZERO, None, 0.0),) * 3
-    if norm_eq < 1.0:
-        by_norm = Step(BRANCH_NORM_SMALL, "s1", norm_eq ** (1.0 / m))
-    else:
-        by_norm = Step(BRANCH_NORM_LARGE, "s2", 1.0)
-    if d < 1.0:
-        by_delta = Step(BRANCH_DELTA_SMALL, "s3", d ** (1.0 / m))
-    else:
-        by_delta = Step(BRANCH_DELTA_LARGE, "s2", 1.0)
-    drift = n - p + 2.0 * math.sqrt(n - p) * d
+    n, p, m, norm_eq, d = _floats(x)[:5]
+    zero = norm_eq == 0.0
+    drift = n - p + 2.0 * np.sqrt(n - p) * d
     curb = (m - 1) * d * d
-    if m >= 2 and drift > curb:
-        stationary = Step(BRANCH_C1, "s4", (curb / drift) ** (1.0 / (2 * m)))
-    else:
-        stationary = Step(BRANCH_C2, "s2", 1.0)
-    return by_norm, by_delta, stationary
+    tests = (
+        (norm_eq < 1.0, BRANCH_NORM_SMALL, BRANCH_NORM_LARGE, norm_eq, m),
+        (d < 1.0, BRANCH_DELTA_SMALL, BRANCH_DELTA_LARGE, d, m),
+        ((m >= 2) & (drift > curb), BRANCH_C1, BRANCH_C2, curb / drift, 2 * m),
+    )
+    return tuple(
+        Step(_label(zero, BRANCH_ZERO, _label(test, inside, fallback)),
+             _where(zero, 0.0, _where(test, _pow(base, 1.0 / root), 1.0)))
+        for test, inside, fallback, base, root in tests
+    )
 
 
-def _core(x: BoundInputs, branch: str) -> float:
-    """phi minus its |tr E|^2/n term, in closed form, on a planned
-    non-zero branch.
-
-    The closed forms hold the eps -> 0 limits at delta = 0 exactly, where
-    phi(eps) itself cannot be evaluated."""
-    n, p, m, norm_eq, d = x[:5]
-    root = math.sqrt(n - p)
-    drift = n - p + 2.0 * root * d
-    if branch == BRANCH_NORM_SMALL:
-        return (drift + d * d / (norm_eq * norm_eq)) * norm_eq ** (2.0 / m)
-    if branch == BRANCH_DELTA_SMALL:
-        return (drift + 1.0) * d ** (2.0 / m)
-    if branch == BRANCH_C1:
-        # interior minimum of phi; only reachable under C1 with m >= 2
-        return m * (drift / (m - 1)) ** (1.0 - 1.0 / m) * d ** (2.0 / m)
-    return (root + d) ** 2
-
-
-def _check_s(name: str, value: int, n: int) -> int:
-    value = int(value)
-    if not 1 <= value <= n:
+def _check_s(name: str, value, n):
+    if np.count_nonzero((value < 1) | (value > n)):
         raise DomainError(f"{name} must lie in [1, {n}], got {value}")
     return value
 
@@ -189,8 +196,9 @@ def _check_s(name: str, value: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 # bounds for a normal original matrix
 
-def normal_bounds(e, a_tilde, hermitian_a: bool, s_tilde: int) -> list[BoundResult]:
-    """The bound family that presumes A normal (caller's responsibility).
+def normal_bounds(e, a_tilde, hermitian_a: bool, s_tilde: int) -> BoundTable:
+    """The bound family that presumes A normal (caller's responsibility):
+    :data:`NORMAL_IDS`, each on the branch ``single``.
 
     HW, SUN and their s(.)-refined / trace-deflated descendants, all in
     terms of E directly; ``s_tilde`` is s(A+E) computed by the caller.
@@ -203,111 +211,95 @@ def normal_bounds(e, a_tilde, hermitian_a: bool, s_tilde: int) -> list[BoundResu
     if e.shape != a_tilde.shape:
         raise DimensionError(f"shape mismatch: {e.shape} vs {a_tilde.shape}")
     n = e.shape[0]
-    s_tilde = _check_s("s_tilde", s_tilde, n)
-    fro = float(np.linalg.norm(e))
-    d = delta(e)
-    inputs = {"delta_e": d, "s_tilde": s_tilde}
-
-    def res(bid, value, applicable=True, reason=""):
-        return BoundResult(
-            id=bid,
-            value=float(value) if applicable else 0.0,
-            branch=BRANCH_SINGLE,
-            applicable=applicable,
-            reason=reason,
-            inputs=inputs,
-        )
-
-    hw_applies = is_normal(a_tilde)
-    return [
-        res(BoundId.HW, fro, hw_applies, "" if hw_applies else "A + E is not normal"),
-        res(BoundId.SUN, math.sqrt(n) * fro),
-        res(BoundId.LI_SUN, math.sqrt(n - s_tilde + 1) * fro),
-        res(BoundId.XU1, math.sqrt(fro * fro + (n - 1) * d * d)),
-        res(BoundId.XU2, math.sqrt(fro * fro + (n - s_tilde) * d * d)),
-        res(
-            BoundId.XU_HERMITIAN,
-            math.sqrt(fro * fro + d * d) if hermitian_a else 0.0,
-            applicable=hermitian_a,
-            reason="" if hermitian_a else "A is not Hermitian",
-        ),
-    ]
+    s_tilde = int(_check_s("s_tilde", s_tilde, n))
+    fro, d = norm_and_delta(e, checked=True)
+    values = (fro, math.sqrt(n) * fro, math.sqrt(n - s_tilde + 1) * fro,
+              math.sqrt(fro * fro + (n - 1) * d * d),
+              math.sqrt(fro * fro + (n - s_tilde) * d * d), math.sqrt(fro * fro + d * d))
+    reasons = ("" if is_normal(a_tilde) else "A + E is not normal", "", "", "", "",
+               "" if hermitian_a else "A is not Hermitian")
+    return BoundTable(
+        NORMAL_IDS, tuple(0.0 if why else value for value, why in zip(values, reasons)),
+        (BRANCH_SINGLE,) * 6, reasons, {"delta_e": d, "s_tilde": s_tilde},
+    )
 
 
 # ---------------------------------------------------------------------------
 # bounds for an arbitrary matrix
 
-UP1 = (BoundId.UP1_1, BoundId.UP1_2, BoundId.UP1_3)
-UP2 = (BoundId.UP2_1, BoundId.UP2_2, BoundId.UP2_3)
-UP3 = (BoundId.UP3_1, BoundId.UP3_2, BoundId.UP3_3)
-
-
-def jordan_bounds(x: BoundInputs, s, steps=None) -> list[BoundResult]:
-    """SONG, LI_CHEN, UP1_*, UP2_* and UP3_*, in that order, on one
+@np.errstate(divide="ignore", invalid="ignore")
+def jordan_bounds(x: BoundInputs, s, steps=None) -> BoundTable:
+    """SONG, LI_CHEN, UP1_*, UP2_* and UP3_* (:data:`JORDAN_IDS`) on one
     ``steps = plan(x)``.
 
-    ``s`` maps ``s1``..``s4`` to the caller's n+1-s(.) values: ``s1`` at
-    eps = ||E_Q||_F^(1/m), ``s3`` at eps = delta^(1/m), ``s4`` at the
-    stationary eps and ``s2`` at eps = 1; Li-Chen reads s1 below
-    ||E_Q||_F = 1 and s2 from there on.  UP1_* carry the leading factor
-    n, UP2_* the planned step's s-value, and UP3_* the factor 2, valid
-    when every prescribed eigenvalue is real; ``x.real_spectrum`` decides
-    that from the exact Jordan data, never from a floating-point spectrum,
-    and a complex spectrum gets ``applicable=False`` UP3 results rather
-    than fake values.
+    ``s`` maps ``s1``..``s4`` to the caller's n+1-s(.) values (scalars,
+    or arrays over the points): ``s1`` at eps = ||E_Q||_F^(1/m), ``s3`` at
+    eps = delta^(1/m), ``s4`` at the stationary eps and ``s2`` at eps = 1;
+    Li-Chen reads s1 below ||E_Q||_F = 1 and s2 from there on.  UP1_*
+    carry the leading factor n, UP2_* the planned step's s-value, and
+    UP3_* the factor 2, valid when every prescribed eigenvalue is real;
+    ``x.real_spectrum`` decides that from the exact Jordan data, never
+    from a floating-point spectrum, and a complex spectrum gets
+    inapplicable UP3 rows rather than fake values.
     """
-    n, p, m, norm_eq = x[:4]
-    s = {key: _check_s(key, s[key], n) for key in S_KEYS}
+    s = {key: _check_s(key, s[key], x.n) for key in S_KEYS}
+    n, p, m, norm_eq, d, trace_abs, real = _floats(x)
     steps = steps or plan(x)
-    branch = steps[0].branch
-    root = math.sqrt(n - p)
-    if branch == BRANCH_ZERO:
-        song = li_chen = 0.0
-    elif branch == BRANCH_NORM_SMALL:
-        song = math.sqrt(n) * (root + 1.0) * norm_eq ** (1.0 / m)
-        li_chen = (
-            math.sqrt(s["s1"] * (n - p + 1.0 + 2.0 * root * norm_eq)) * norm_eq ** (1.0 / m)
-        )
-    else:
-        song = math.sqrt(n) * (root + 1.0) * norm_eq
-        li_chen = math.sqrt(s["s2"] * (n - p + 2.0 * root + norm_eq)) * math.sqrt(norm_eq)
-    inputs = {"s1": s["s1"], "s2": s["s2"]}
-    results = [
-        BoundResult(BoundId.SONG, float(song), branch, inputs=inputs),
-        BoundResult(BoundId.LI_CHEN, float(li_chen), branch, inputs=inputs),
-    ]
-    tr2 = x.trace_abs ** 2 / n
-    cores = [None if st.branch == BRANCH_ZERO else _core(x, st.branch) for st in steps]
-
-    def family(ids, factor, inputs):
-        return [
-            BoundResult(
-                bid, 0.0 if core is None else math.sqrt(factor[st.s_key] * core + tr2),
-                st.branch, inputs=inputs,
-            )
-            for bid, st, core in zip(ids, steps, cores)
-        ]
-
-    results += family(UP1, dict.fromkeys(S_KEYS, n), {})
-    results += family(UP2, s, s)
-    if x.real_spectrum:
-        return results + family(UP3, dict.fromkeys(S_KEYS, 2.0), {})
-    reason = "prescribed eigenvalues are not all real"
-    return results + [
-        BoundResult(bid, 0.0, BRANCH_SINGLE, applicable=False, reason=reason) for bid in UP3
-    ]
+    branches = tuple(step.branch for step in steps)
+    zero = branches[0] == BRANCH_ZERO
+    small = branches[0] == BRANCH_NORM_SMALL
+    root = np.sqrt(n - p)
+    drift = n - p + 2.0 * root * d
+    scale = np.sqrt(n) * (root + 1.0)
+    # steps[0].eps is ||E_Q||_F^(1/m) wherever the norm is small, and 0 on
+    # the zero-perturbation branch, where it makes SONG and LI_CHEN 0
+    song = _where(small, scale * steps[0].eps, scale * norm_eq)
+    li_chen = _where(
+        small,
+        np.sqrt(s["s1"] * (n - p + 1.0 + 2.0 * root * norm_eq)) * steps[0].eps,
+        np.sqrt(s["s2"] * (n - p + 2.0 * root + norm_eq)) * np.sqrt(norm_eq),
+    )
+    # phi minus its trace term in closed form, per step; the forms hold the
+    # eps -> 0 limits at delta = 0 exactly, where phi itself cannot be
+    # evaluated.  On the zero-perturbation branch core and trace term are 0.
+    d_power = _pow(d, 2.0 / m)
+    at_one = _pow(root + d, 2)
+    inside = (
+        (drift + d * d / (norm_eq * norm_eq)) * _pow(norm_eq, 2.0 / m),
+        (drift + 1.0) * d_power,
+        m * _pow(drift / (m - 1), 1.0 - 1.0 / m) * d_power,  # interior minimum
+    )
+    tr2 = _where(zero, 0.0, _pow(trace_abs, 2) / n)
+    values = {"SONG": song, "LI_CHEN": li_chen}
+    labels = (BRANCH_NORM_SMALL, BRANCH_DELTA_SMALL, BRANCH_C1)
+    for i, (branch, core, label) in enumerate(zip(branches, inside, labels)):
+        inner = branch == label
+        core = _where(zero, 0.0, _where(inner, core, at_one))
+        s_up2 = _where(inner, s[S_KEY[label]], s["s2"])
+        values[UP1[i]] = np.sqrt(n * core + tr2)
+        values[UP2[i]] = np.sqrt(s_up2 * core + tr2)
+        values[UP3[i]] = _where(real, np.sqrt(2.0 * core + tr2), 0.0)
+    reason = _label(real, "", "prescribed eigenvalues are not all real")
+    return BoundTable(
+        JORDAN_IDS,  # one point's values as Python floats, as JSON and repr want
+        tuple(v if isinstance(v, np.ndarray) else float(v) for v in map(values.get, JORDAN_IDS)),
+        branches[:1] * 2 + branches * 2 + tuple(_label(real, b, BRANCH_SINGLE) for b in branches),
+        ("",) * 8 + (reason,) * 3, s,
+    )
 
 
 # ---------------------------------------------------------------------------
 # verification
 
-def verify_instance(results: list[BoundResult], d2: float) -> list[tuple[BoundId, float]]:
-    """Slack (bound value minus true D2) for every applicable result.
+def verify_instance(table: BoundTable, d2: float) -> dict[str, float]:
+    """Slack (bound value minus true D2) by id, for every applicable bound.
 
     Nonnegative slack is the operational statement of each theorem;
     use :func:`is_violation` to flag slacks beyond the tolerance.
     """
-    return [(r.id, r.value - float(d2)) for r in results if r.applicable]
+    d2 = float(d2)
+    return {bid: value - d2 for bid, value, why in zip(table.ids, table.values, table.reasons)
+            if not why}
 
 
 def is_violation(value: float, slack: float, tol: float = 1e-7) -> bool:

@@ -71,23 +71,24 @@ def _cmd_bound(args) -> int:
     inst = make_instance(spec, read_matrix(args.perturbation))
     check_amount_scale(inst.norm_e, spec.kappa_q, spec.n)
     sv = s_values(inst, mode=args.s_mode, tol=args.tol, seed=args.seed)
-    results = evaluate_bounds(inst, sv)
+    table = evaluate_bounds(inst, sv)
     d2 = optimal_match(spec.spectrum, perturbed_spectrum(inst)).d2
     print(f"n={spec.n} p={spec.p} m={spec.m} "
           f"|E_Q|={inst.norm_eq!r} delta(E_Q)={inst.delta_eq!r}")
     print(f"D2 = {d2!r}")
     print(f"{'bound':14s} {'branch':18s} {'value':>24s} {'slack':>24s}")
     bad = False
-    for r in results:
-        if not r.applicable:
-            print(f"{r.id.name:14s} {'-':18s} {'inapplicable:':>24s} {r.reason}")
+    for bid, value, branch, reason in zip(table.ids, table.values, table.branches,
+                                          table.reasons):
+        if reason:
+            print(f"{bid:14s} {'-':18s} {'inapplicable:':>24s} {reason}")
             continue
-        slack = r.value - d2
+        slack = value - d2
         flag = ""
-        if is_violation(r.value, slack):
+        if is_violation(value, slack):
             bad = True
             flag = "  VIOLATION"
-        print(f"{r.id.name:14s} {r.branch:18s} {r.value!r:>24s} {slack!r:>24s}{flag}")
+        print(f"{bid:14s} {branch:18s} {value!r:>24s} {slack!r:>24s}{flag}")
     return EXIT_VIOLATION if bad else EXIT_OK
 
 

@@ -3,8 +3,8 @@
 Generates seeded Jordan-structured instances, evaluates every applicable
 bound against the true optimal matching distance D2, checks the envelope
 margins on an eps grid, and aggregates everything into a reproducible
-report: compact JSON (schema 2: record scalars once, one row per result)
-or CSV (trial,bound_id,branch,value,d2,slack).
+report: compact JSON (schema 2: record scalars once, one row per bound of
+the record's bound table) or CSV (trial,bound_id,branch,value,d2,slack).
 
 Two report states are kept strictly apart: a *bound violation* (negative
 slack beyond tolerance -- would disprove a theorem) and a
@@ -27,10 +27,9 @@ import numpy as np
 
 from .blocks import s_number
 from .bounds import (
-    BOUND_NAMES,
-    BoundId,
+    INPUT_KEYS,
     BoundInputs,
-    BoundResult,
+    BoundTable,
     is_violation,
     jordan_bounds,
     normal_bounds,
@@ -264,7 +263,7 @@ class TrialRecord:
     trace_abs: float
     d2: float = 0.0
     d_inf: float = 0.0
-    results: list[BoundResult] = field(default_factory=list)
+    results: BoundTable = field(default_factory=BoundTable)
     slacks: dict[str, float] = field(default_factory=dict)
     violations: list[str] = field(default_factory=list)
     envelope_ratio_min: float = 0.0
@@ -293,17 +292,17 @@ def evaluate_bounds(
     include_normal_family: bool = False,
     hermitian_a: bool = False,
     steps=None,
-) -> list[BoundResult]:
-    """All bound families applicable to this instance, with s-values
-    injected: the Jordan family (:func:`specvar.bounds.jordan_bounds`) on
-    one ``steps = plan(BoundInputs.of(inst))``, then, if asked, the normal
-    family, checked against J + E_Q, so the perturbation it reads is E_Q."""
-    results = jordan_bounds(BoundInputs.of(inst), sv, steps)
+) -> BoundTable:
+    """One table of the bound families for this instance, s-values injected:
+    the Jordan family (:func:`specvar.bounds.jordan_bounds`) on one ``steps =
+    plan(BoundInputs.of(inst))``, then, if asked, the normal family, checked
+    against J + E_Q, so the perturbation it reads is E_Q."""
+    table = jordan_bounds(BoundInputs.of(inst), sv, steps)
     if include_normal_family:
-        results += normal_bounds(
+        table += normal_bounds(
             inst.e_q, inst.perturbed, hermitian_a=hermitian_a, s_tilde=sv["s_tilde"]
         )
-    return results
+    return table
 
 
 def _margin_ratios(inst: PerturbationInstance, grid) -> tuple[float, float, float, float]:
@@ -374,11 +373,11 @@ def run_trial(inst: PerturbationInstance, config: SweepConfig, trial: int) -> Tr
         hermitian_a=normal and config.real_eigenvalues,
         steps=steps,
     )
-    slacks = {BOUND_NAMES[bid]: s for bid, s in verify_instance(results, match.d2)}
+    slacks = verify_instance(results, match.d2)
+    value = dict(zip(results.ids, results.values))
     slack_tol = config.tolerances["slack"]
     violations = [
-        name for r in results if r.applicable
-        and is_violation(r.value, slacks[name := BOUND_NAMES[r.id]], slack_tol)
+        bid for bid, slack in slacks.items() if is_violation(value[bid], slack, slack_tol)
     ]
     env_min, sn_min, ct_min, sd_max = _margin_ratios(inst, EPS_GRID)
     return TrialRecord(
@@ -410,17 +409,18 @@ def summarize(config: SweepConfig, records: list[TrialRecord]) -> dict:
     ok = [r for r in records if r.status == "ok"]
     min_slack: dict[str, float] = {}
     sharp_song = sharp_lichen = math.inf
+    branches = Counter()
     for rec in ok:
         for name, s in rec.slacks.items():
             min_slack[name] = min(min_slack.get(name, math.inf), s)
-        value = {r.id: r.value for r in rec.results if r.applicable}
-        if BoundId.SONG in value and BoundId.UP1_1 in value:
-            sharp_song = min(sharp_song, value[BoundId.SONG] - value[BoundId.UP1_1])
-        if BoundId.LI_CHEN in value and BoundId.UP2_1 in value:
-            sharp_lichen = min(sharp_lichen, value[BoundId.LI_CHEN] - value[BoundId.UP2_1])
-    branches = Counter(
-        (BOUND_NAMES[r.id], r.branch) for rec in ok for r in rec.results if r.applicable
-    )
+        t = rec.results
+        value = dict(zip(t.ids, t.values))
+        sharp_song = min(sharp_song, value["SONG"] - value["UP1_1"])
+        sharp_lichen = min(sharp_lichen, value["LI_CHEN"] - value["UP2_1"])
+        branches.update(
+            (bid, branch) for bid, branch, reason in zip(t.ids, t.branches, t.reasons)
+            if not reason
+        )
     branch_counts: dict[str, dict[str, int]] = {}
     for (name, branch), count in branches.items():
         branch_counts.setdefault(name, {})[branch] = count
@@ -441,7 +441,7 @@ def summarize(config: SweepConfig, records: list[TrialRecord]) -> dict:
         "superdiag_error_ratio_max": max(
             (r.superdiag_error_ratio_max for r in ok), default=0.0
         ),
-        "branch_counts": branch_counts,     # bound -> branch -> applicable results
+        "branch_counts": branch_counts,     # bound -> branch -> ok trials it applied in
         "failure_reasons": dict(failures),  # exception type -> failed trials
     }
 
@@ -486,33 +486,26 @@ def example_scalar_table(
     inst = make_instance(spec, t * np.eye(n, dtype=np.complex128))
     sv = s_values(inst, mode=s_mode, seed=s_seed)
     s1 = sv["s1"]
-    results = {r.id: r for r in evaluate_bounds(inst, sv)}
+    table = evaluate_bounds(inst, sv)
+    value = dict(zip(table.ids, table.values))
+    branch = dict(zip(table.ids, table.branches))
     at = abs(t)
     closed = {
-        BoundId.SONG: (math.sqrt(n - p) + 1.0)
-        * n ** (0.5 + 0.5 / m) * at ** (1.0 / m),
-        BoundId.LI_CHEN: math.sqrt(
-            s1 * (n - p + 1.0 + 2.0 * at * math.sqrt(n * n - n * p))
-        ) * n ** (0.5 / m) * at ** (1.0 / m),
-        BoundId.UP1_1: math.sqrt(
-            (n - p) * n ** (1.0 + 1.0 / m) * at ** (2.0 / m) + n * t * t
-        ),
-        BoundId.UP2_1: math.sqrt(
-            s1 * (n - p) * n ** (1.0 / m) * at ** (2.0 / m) + n * t * t
-        ),
-        BoundId.UP1_2: math.sqrt(n) * at,
-        BoundId.UP1_3: math.sqrt(n) * at,
-        BoundId.UP2_2: math.sqrt(n) * at,
-        BoundId.UP2_3: math.sqrt(n) * at,
+        "SONG": (math.sqrt(n - p) + 1.0) * n ** (0.5 + 0.5 / m) * at ** (1.0 / m),
+        "LI_CHEN": math.sqrt(s1 * (n - p + 1.0 + 2.0 * at * math.sqrt(n * n - n * p)))
+        * n ** (0.5 / m) * at ** (1.0 / m),
+        "UP1_1": math.sqrt((n - p) * n ** (1.0 + 1.0 / m) * at ** (2.0 / m) + n * t * t),
+        "UP2_1": math.sqrt(s1 * (n - p) * n ** (1.0 / m) * at ** (2.0 / m) + n * t * t),
+        **dict.fromkeys(("UP1_2", "UP1_3", "UP2_2", "UP2_3"), math.sqrt(n) * at),
     }
     rows = []
     for bid, cf in closed.items():
-        numeric = results[bid].value
+        numeric = value[bid]
         rel = abs(numeric - cf) / max(abs(cf), 1e-300)
         rows.append(
             {
-                "bound_id": bid.name,
-                "branch": results[bid].branch,
+                "bound_id": bid,
+                "branch": branch[bid],
                 "closed_form": cf,
                 "numeric": numeric,
                 "rel_err": rel,
@@ -540,34 +533,25 @@ def _shallow_fields(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
-def _result_row(r: BoundResult, slacks: dict) -> list:
-    """``[id, value, branch, slack]``; the slack is null only for an
-    inapplicable result, which adds its reason; non-empty inputs follow."""
-    name = BOUND_NAMES[r.id]
-    row = [name, r.value, r.branch, slacks.get(name)]
-    if not r.applicable:
-        row.append(r.reason)
-    if r.inputs:
-        row.append(dict(r.inputs))
-    return row
-
-
-def _result_from_row(row: list) -> BoundResult:
-    name, value, branch, slack, *rest = row
-    reason = rest.pop(0) if slack is None else ""
-    inputs = rest[0] if rest else {}
-    return BoundResult(BoundId[name], value, branch, slack is not None, reason, inputs)
-
-
 def report_to_doc(report: Report) -> dict:
-    """The schema-2 document: each record's scalars once, its results as
-    rows (:func:`_result_row`) from which the slacks are rebuilt on read."""
+    """The schema-2 document: each record's scalars once, and its bound
+    table as rows ``[id, value, branch, slack]``.  The slack is null only
+    for an inapplicable bound, whose row adds its reason; a bound that read
+    injected values adds them (:data:`specvar.bounds.INPUT_KEYS`)."""
     cfg = asdict(report.config)
     cfg["n_range"] = list(report.config.n_range)
     records = []
     for rec in report.records:
         d = _shallow_fields(rec)
-        d["results"] = [_result_row(r, rec.slacks) for r in rec.results]
+        t = rec.results
+        d["results"] = rows = []
+        for bid, value, branch, reason in zip(t.ids, t.values, t.branches, t.reasons):
+            row = [bid, value, branch, rec.slacks.get(bid)]
+            if reason:
+                row.append(reason)
+            if bid in INPUT_KEYS:
+                row.append({key: t.inputs[key] for key in INPUT_KEYS[bid]})
+            rows.append(row)
         del d["slacks"]
         d["violations"] = list(rec.violations)
         records.append(d)
@@ -576,7 +560,8 @@ def report_to_doc(report: Report) -> dict:
 
 
 def report_from_doc(doc: dict) -> Report:
-    """Inverse of :func:`report_to_doc`."""
+    """Inverse of :func:`report_to_doc`: the slacks and the bound table are
+    rebuilt from the rows."""
     version = doc.get("schema_version")
     if version != 2:
         raise ParseError(f"unknown report schema_version {version!r}; only 2 is read")
@@ -586,8 +571,14 @@ def report_from_doc(doc: dict) -> Report:
     records = []
     for d in doc["records"]:
         d = dict(d)
-        d["slacks"] = {row[0]: row[3] for row in d["results"] if row[3] is not None}
-        d["results"] = [_result_from_row(row) for row in d["results"]]
+        rows = d["results"]
+        d["slacks"] = {row[0]: row[3] for row in rows if row[3] is not None}
+        reasons, inputs = [], {}
+        for _, _, _, slack, *rest in rows:
+            reasons.append(rest.pop(0) if slack is None else "")
+            inputs.update(*rest)
+        ids, values, branches = (tuple(row[i] for row in rows) for i in range(3))
+        d["results"] = BoundTable(ids, values, branches, tuple(reasons), inputs)
         records.append(TrialRecord(**d))
     return Report(config=config, records=records, summary=doc["summary"])
 
@@ -600,7 +591,7 @@ def write_report(report: Report, path, format: str = "structured-text") -> None:
     :func:`read_report`).  ``csv`` is the flat per-bound view with the fixed
     column order trial,bound_id,branch,value,d2,slack, preceded by a
     timestamp comment line that is excluded from reproducibility
-    comparisons; it has one row per applicable result of an ok trial, and
+    comparisons; it has one row per applicable bound of an ok trial, and
     one status row per failed trial (bound_id = status, branch = failure
     reason, the numbers empty).
     """
@@ -619,11 +610,11 @@ def write_report(report: Report, path, format: str = "structured-text") -> None:
         for rec in report.records:
             if rec.status != "ok":
                 writer.writerow([rec.trial, rec.status, rec.failure_reason, "", "", ""])
-            d2 = repr(rec.d2)
+            d2, t = repr(rec.d2), rec.results
             writer.writerows(
-                [rec.trial, (name := BOUND_NAMES[r.id]), r.branch, repr(r.value), d2,
-                 repr(rec.slacks[name])]
-                for r in rec.results if r.applicable
+                [rec.trial, bid, branch, repr(value), d2, repr(rec.slacks[bid])]
+                for bid, value, branch, reason in zip(t.ids, t.values, t.branches, t.reasons)
+                if not reason
             )
 
 

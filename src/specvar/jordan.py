@@ -32,7 +32,7 @@ from .exceptions import (
     DomainError,
     NotApplicableError,
 )
-from .linalg import as_matrix, kappa2, norm_and_delta, solve
+from .linalg import as_matrix, frobenius_norm, kappa2, norm_and_delta, solve
 from .spectrum import Spectrum
 
 
@@ -204,13 +204,13 @@ def make_instance(spec: JordanSpec, e) -> PerturbationInstance:
         norm_eq, delta_eq = norm_and_delta(e_q, checked=True)
     else:
         # delta(t I) = 0 analytically; skip the float evaluation's ulp noise
-        norm_eq, delta_eq = float(np.linalg.norm(e_q)), 0.0
+        norm_eq, delta_eq = frobenius_norm(e_q), 0.0
     return PerturbationInstance(
         spec=spec,
         e=e,
         e_q=e_q,
         perturbed=perturbed,
-        norm_e=float(np.linalg.norm(e)),
+        norm_e=frobenius_norm(e),
         norm_eq=norm_eq,
         delta_eq=delta_eq,
         trace_e=complex(np.trace(e)),

@@ -11,6 +11,7 @@ shareable across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,8 +85,21 @@ def norm_and_delta(m, *, checked: bool = False) -> tuple[float, float]:
     n = m.shape[0]
     dev = m.copy()
     dev.reshape(-1)[:: n + 1] -= np.trace(m) / n  # the diagonal, as a view
-    norm = float(np.linalg.norm(m))
-    return norm, min(float(np.linalg.norm(dev)), norm)
+    norm = frobenius_norm(m)
+    return norm, min(frobenius_norm(dev), norm)
+
+
+def frobenius_norm(m: np.ndarray) -> float:
+    """||M||_F of a finite matrix, ``np.linalg.norm`` bit for bit while the
+    sum of squares it forms stays finite (||M||_F below ~1.3e154).  Past
+    that, M is scaled by 2^-k, exactly, with 2^k above every real and
+    imaginary part, and the norm of the scaled matrix by 2^k."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(m))
+        if norm == math.inf:
+            k = math.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1]
+            norm = float(np.ldexp(np.linalg.norm(m * math.ldexp(1.0, -k)), k))
+    return norm
 
 
 @dataclass(frozen=True, eq=False)

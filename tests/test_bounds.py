@@ -3,11 +3,13 @@ sharpness and soundness, on instances and on bare BoundInputs."""
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 import specvar as sv
+from specvar import bounds
 from specvar.bounds import (
     BRANCH_C1,
     BRANCH_C2,
@@ -16,26 +18,48 @@ from specvar.bounds import (
     BRANCH_NORM_LARGE,
     BRANCH_NORM_SMALL,
     BRANCH_ZERO,
+    JORDAN_IDS,
     S_KEYS,
+    UP1,
+    UP2,
+    UP3,
     plan,
 )
 
-UP1 = (sv.BoundId.UP1_1, sv.BoundId.UP1_2, sv.BoundId.UP1_3)
-UP2 = (sv.BoundId.UP2_1, sv.BoundId.UP2_2, sv.BoundId.UP2_3)
-UP3 = (sv.BoundId.UP3_1, sv.BoundId.UP3_2, sv.BoundId.UP3_3)
-BASELINE = (sv.BoundId.SONG, sv.BoundId.LI_CHEN)
+BASELINE = ("SONG", "LI_CHEN")
 
 
-def by_id(results):
-    return {r.id: r for r in results}
+class Row(NamedTuple):
+    """One bound of a table, read across its columns."""
+
+    value: float
+    branch: str
+    reason: str
+
+    @property
+    def applicable(self):
+        return not self.reason
+
+
+def by_id(table):
+    return {
+        bid: Row(value, branch, reason)
+        for bid, value, branch, reason in zip(table.ids, table.values, table.branches,
+                                              table.reasons)
+    }
+
+
+def jordan_table(inst, *s):
+    """jordan_bounds of an instance; s-values not given (s1, s2, s3, s4 in
+    that order) are the pessimistic n."""
+    n = inst.spec.n
+    s = dict(zip(S_KEYS, s + (n,) * (4 - len(s))))
+    return sv.jordan_bounds(sv.BoundInputs.of(inst), s)
 
 
 def jordan(inst, *s):
-    """jordan_bounds of an instance, by id; s-values not given (s1, s2, s3,
-    s4 in that order) are the pessimistic n."""
-    n = inst.spec.n
-    s = dict(zip(S_KEYS, s + (n,) * (4 - len(s))))
-    return by_id(sv.jordan_bounds(sv.BoundInputs.of(inst), s))
+    """:func:`jordan_table`, by id."""
+    return by_id(jordan_table(inst, *s))
 
 
 def plan_of(inst):
@@ -110,15 +134,15 @@ def true_d2(inst):
 class TestNormalBounds:
     def test_zero_perturbation(self):
         e = np.zeros((3, 3))
-        for r in sv.normal_bounds(e, np.eye(3), hermitian_a=True, s_tilde=1):
-            assert r.value == 0.0
+        table = sv.normal_bounds(e, np.eye(3), hermitian_a=True, s_tilde=1)
+        assert table.values == (0.0,) * 6
 
     def test_zero_delta_collapses_to_hw(self):
         e = 0.4 * np.eye(3)
         res = by_id(sv.normal_bounds(e, np.eye(3), hermitian_a=False, s_tilde=1))
-        hw = res[sv.BoundId.HW].value
-        assert res[sv.BoundId.XU1].value == pytest.approx(hw, rel=1e-14)
-        assert res[sv.BoundId.XU2].value == pytest.approx(hw, rel=1e-14)
+        hw = res["HW"].value
+        assert res["XU1"].value == pytest.approx(hw, rel=1e-14)
+        assert res["XU2"].value == pytest.approx(hw, rel=1e-14)
         assert hw == pytest.approx(0.4 * math.sqrt(3), rel=1e-14)
 
     def test_hand_value_xu2(self):
@@ -130,29 +154,29 @@ class TestNormalBounds:
         assert np.linalg.norm(e) == pytest.approx(1.0, rel=1e-14)
         assert sv.delta(e) == pytest.approx(0.5, rel=1e-12)
         res = by_id(sv.normal_bounds(e, np.eye(3), hermitian_a=False, s_tilde=1))
-        assert res[sv.BoundId.XU2].value == pytest.approx(math.sqrt(1.5), rel=1e-12)
-        assert res[sv.BoundId.SUN].value == pytest.approx(math.sqrt(3.0), rel=1e-12)
-        assert res[sv.BoundId.LI_SUN].value == pytest.approx(math.sqrt(3.0), rel=1e-12)
-        assert res[sv.BoundId.XU1].value == pytest.approx(math.sqrt(1.5), rel=1e-12)
+        assert res["XU2"].value == pytest.approx(math.sqrt(1.5), rel=1e-12)
+        assert res["SUN"].value == pytest.approx(math.sqrt(3.0), rel=1e-12)
+        assert res["LI_SUN"].value == pytest.approx(math.sqrt(3.0), rel=1e-12)
+        assert res["XU1"].value == pytest.approx(math.sqrt(1.5), rel=1e-12)
 
     def test_hermitian_gate(self):
         e = np.diag([0.1, 0.2]).astype(complex)
         res = by_id(sv.normal_bounds(e, np.eye(2), hermitian_a=False, s_tilde=2))
-        assert not res[sv.BoundId.XU_HERMITIAN].applicable
-        assert res[sv.BoundId.XU_HERMITIAN].reason
+        assert not res["XU_HERMITIAN"].applicable
+        assert res["XU_HERMITIAN"].reason
         res = by_id(sv.normal_bounds(e, np.eye(2), hermitian_a=True, s_tilde=2))
-        assert res[sv.BoundId.XU_HERMITIAN].applicable
+        assert res["XU_HERMITIAN"].applicable
 
     def test_hw_needs_normal_a_tilde(self):
         e = np.diag([0.1, 0.2]).astype(complex)
         res = by_id(sv.normal_bounds(e, np.eye(2), hermitian_a=False, s_tilde=2))
-        assert res[sv.BoundId.HW].applicable
+        assert res["HW"].applicable
         jordan_like = np.array([[1.0, 1.0], [0.0, 2.0]])
         res = by_id(sv.normal_bounds(e, jordan_like, hermitian_a=False, s_tilde=2))
-        assert not res[sv.BoundId.HW].applicable
-        assert res[sv.BoundId.HW].reason
-        assert res[sv.BoundId.HW].value == 0.0
-        assert res[sv.BoundId.SUN].applicable
+        assert not res["HW"].applicable
+        assert res["HW"].reason
+        assert res["HW"].value == 0.0
+        assert res["SUN"].applicable
 
     def test_s_tilde_validated(self):
         with pytest.raises(sv.DomainError):
@@ -165,9 +189,9 @@ class TestNormalBounds:
             e = sv.complex_gaussian(n, n, rng)
             s_tilde = int(rng.integers(1, n + 1))
             res = by_id(sv.normal_bounds(e, np.eye(n), hermitian_a=False, s_tilde=s_tilde))
-            assert res[sv.BoundId.XU1].value <= res[sv.BoundId.SUN].value + 1e-12
-            assert res[sv.BoundId.XU2].value <= res[sv.BoundId.LI_SUN].value + 1e-12
-            assert res[sv.BoundId.XU2].value <= res[sv.BoundId.XU1].value + 1e-12
+            assert res["XU1"].value <= res["SUN"].value + 1e-12
+            assert res["XU2"].value <= res["LI_SUN"].value + 1e-12
+            assert res["XU2"].value <= res["XU1"].value + 1e-12
 
 
 class TestBaselineBounds:
@@ -183,9 +207,9 @@ class TestBaselineBounds:
             math.sqrt(n * (n - p + 1 + 2 * t * math.sqrt(n * n - n * p)))
             * n ** (0.5 / m) * t ** (1 / m)
         )
-        assert res[sv.BoundId.SONG].value == pytest.approx(song, rel=1e-12)
-        assert res[sv.BoundId.SONG].branch == BRANCH_NORM_SMALL
-        assert res[sv.BoundId.LI_CHEN].value == pytest.approx(lichen, rel=1e-12)
+        assert res["SONG"].value == pytest.approx(song, rel=1e-12)
+        assert res["SONG"].branch == BRANCH_NORM_SMALL
+        assert res["LI_CHEN"].value == pytest.approx(lichen, rel=1e-12)
 
     def test_boundary_takes_large_branch(self):
         # ||E_Q||_F == 1 exactly: the case split is "< 1" / ">= 1"
@@ -214,10 +238,10 @@ class TestBaselineBounds:
         n, p = 4, 2
         norm = 2.5
         res = jordan(inst, 4, 3)
-        assert res[sv.BoundId.SONG].value == pytest.approx(
+        assert res["SONG"].value == pytest.approx(
             math.sqrt(n) * (math.sqrt(n - p) + 1) * norm, rel=1e-13
         )
-        assert res[sv.BoundId.LI_CHEN].value == pytest.approx(
+        assert res["LI_CHEN"].value == pytest.approx(
             math.sqrt(3 * (n - p + 2 * math.sqrt(n - p) + norm)) * math.sqrt(norm),
             rel=1e-13,
         )
@@ -232,9 +256,8 @@ class TestNewBoundsComplex:
         inst = sv.make_instance(spec, t * np.eye(n))
         res = jordan(inst)
         up11 = math.sqrt((n - p) * n ** (1 + 1 / m) * t ** (2 / m) + n * t * t)
-        assert res[sv.BoundId.UP1_1].value == pytest.approx(up11, rel=1e-12)
-        for bid in (sv.BoundId.UP1_2, sv.BoundId.UP1_3, sv.BoundId.UP2_2,
-                    sv.BoundId.UP2_3):
+        assert res["UP1_1"].value == pytest.approx(up11, rel=1e-12)
+        for bid in ("UP1_2", "UP1_3", "UP2_2", "UP2_3"):
             assert res[bid].value == pytest.approx(math.sqrt(n) * t, rel=1e-12)
 
     def test_normal_reduction(self):
@@ -279,26 +302,26 @@ class TestNewBoundsComplex:
             s1 = int(rng.integers(1, n + 1))
             s2 = int(rng.integers(1, n + 1))
             res = jordan(inst, s1, s2)
-            assert res[sv.BoundId.UP1_1].value <= res[sv.BoundId.SONG].value + 1e-12
-            assert res[sv.BoundId.UP2_1].value <= res[sv.BoundId.LI_CHEN].value + 1e-12
+            assert res["UP1_1"].value <= res["SONG"].value + 1e-12
+            assert res["UP2_1"].value <= res["LI_CHEN"].value + 1e-12
 
     def test_branch_labels(self):
         small = mixed_instance(7, e_norm=0.05, kappa=1.0)
         assert small.norm_eq < 1
         res = jordan(small, 1, 1, 1, 1)
-        assert res[sv.BoundId.UP1_1].branch == BRANCH_NORM_SMALL
+        assert res["UP1_1"].branch == BRANCH_NORM_SMALL
         large = mixed_instance(8, e_norm=5.0, kappa=1.0)
         assert large.norm_eq >= 1
         res = jordan(large, 1, 1, 1, 1)
-        assert res[sv.BoundId.UP1_1].branch == BRANCH_NORM_LARGE
-        assert res[sv.BoundId.UP1_2].branch in (BRANCH_DELTA_SMALL, "delta(E_Q) >= 1")
-        assert res[sv.BoundId.UP1_3].branch in (BRANCH_C1, BRANCH_C2)
+        assert res["UP1_1"].branch == BRANCH_NORM_LARGE
+        assert res["UP1_2"].branch in (BRANCH_DELTA_SMALL, "delta(E_Q) >= 1")
+        assert res["UP1_3"].branch in (BRANCH_C1, BRANCH_C2)
 
     def test_m_one_routes_to_c2(self):
         inst = normal_instance(11, n=4, e_norm=0.3)
         res = jordan(inst)
-        assert res[sv.BoundId.UP1_3].branch == BRANCH_C2
-        assert res[sv.BoundId.UP2_3].branch == BRANCH_C2
+        assert res["UP1_3"].branch == BRANCH_C2
+        assert res["UP2_3"].branch == BRANCH_C2
 
     def test_zero_short_circuit(self):
         spec = sv.make_jordan_spec([(1.0, 2), (2.0, 1)])
@@ -318,8 +341,9 @@ class TestNewBoundsComplex:
         for seed in range(25):
             inst = mixed_instance(seed, kappa=20.0, e_norm=0.9)
             d2 = true_d2(inst)
-            res = jordan(inst)
-            for bid, slack in sv.verify_instance(list(res.values()), d2):
+            table = jordan_table(inst)
+            res = by_id(table)
+            for bid, slack in sv.verify_instance(table, d2).items():
                 value = res[bid].value
                 assert not sv.is_violation(value, slack), (bid, slack)
 
@@ -416,7 +440,7 @@ class TestBranchContinuity:
     def test_norm_branch_boundary(self):
         for blocks in self.SPECS:
             below, at = self.sides(blocks)
-            for bid in (sv.BoundId.UP1_1, sv.BoundId.UP2_1):
+            for bid in ("UP1_1", "UP2_1"):
                 assert below[bid].branch == BRANCH_NORM_SMALL
                 assert at[bid].branch == BRANCH_NORM_LARGE
                 assert below[bid].value == pytest.approx(at[bid].value, rel=1e-10)
@@ -428,15 +452,15 @@ class TestBranchContinuity:
         below = scalar_instance(blocks, (1.0 - 1e-9) / math.sqrt(n))
         above = scalar_instance(blocks, (1.0 + 1e-9) / math.sqrt(n))
         assert below.norm_eq < 1.0 <= above.norm_eq
-        lo = jordan(below)[sv.BoundId.UP1_1]
-        hi = jordan(above)[sv.BoundId.UP1_1]
+        lo = jordan(below)["UP1_1"]
+        hi = jordan(above)["UP1_1"]
         assert (lo.branch, hi.branch) == (BRANCH_NORM_SMALL, BRANCH_NORM_LARGE)
         assert lo.value == pytest.approx(hi.value, rel=1e-7)
 
     def test_delta_branch_boundary(self):
         for blocks in self.SPECS:
             below, at = self.sides(blocks)
-            for bid in (sv.BoundId.UP1_2, sv.BoundId.UP2_2):
+            for bid in ("UP1_2", "UP2_2"):
                 assert below[bid].branch == BRANCH_DELTA_SMALL
                 assert at[bid].branch == BRANCH_DELTA_LARGE
                 assert below[bid].value == pytest.approx(at[bid].value, rel=1e-10)
@@ -452,8 +476,8 @@ class TestBranchContinuity:
         below = corner_instance(blocks, d * (1.0 - 1e-9))
         above = corner_instance(blocks, d * (1.0 + 1e-9))
         assert plan_of(below)[2].eps == pytest.approx(1.0, abs=1e-6)
-        lo = jordan(below)[sv.BoundId.UP1_3]
-        hi = jordan(above)[sv.BoundId.UP1_3]
+        lo = jordan(below)["UP1_3"]
+        hi = jordan(above)["UP1_3"]
         assert (lo.branch, hi.branch) == (BRANCH_C1, BRANCH_C2)
         assert lo.value == pytest.approx(hi.value, rel=1e-7)
 
@@ -504,27 +528,27 @@ class TestNewBoundsReal:
         assert inst.norm_eq == 1.5
         res = jordan(inst)
         expected = math.sqrt(2 * (math.sqrt(2) + 1.5) ** 2 + 0.0)
-        assert res[sv.BoundId.UP3_1].value == pytest.approx(expected, rel=1e-13)
+        assert res["UP3_1"].value == pytest.approx(expected, rel=1e-13)
 
     def test_soundness_random_real(self):
         for seed in range(20):
             inst = mixed_instance(seed, real=True, kappa=15.0, e_norm=0.8)
             d2 = true_d2(inst)
-            res = jordan(inst)
-            results = [res[bid] for bid in UP3]
-            for bid, slack in sv.verify_instance(results, d2):
-                value = res[bid].value
-                assert not sv.is_violation(value, slack), (bid, slack)
+            table = jordan_table(inst)
+            res = by_id(table)
+            slacks = sv.verify_instance(table, d2)
+            assert set(UP3) <= set(slacks)
+            for bid in UP3:
+                assert not sv.is_violation(res[bid].value, slacks[bid]), (bid, slacks[bid])
 
 
 class TestVerify:
     def test_zero_perturbation_slacks(self):
         spec = sv.make_jordan_spec([(1.0, 2), (2.0, 1)])
         inst = sv.make_instance(spec, np.zeros((3, 3)))
-        results = list(jordan(inst, 3, 3, 3, 3).values())
-        slacks = sv.verify_instance(results, 0.0)
+        slacks = sv.verify_instance(jordan_table(inst, 3, 3, 3, 3), 0.0)
         assert len(slacks) == 11
-        assert all(s == 0.0 for _, s in slacks)
+        assert all(s == 0.0 for s in slacks.values())
 
     def test_scalar_tight_slack(self):
         # E = t I makes the delta-branch bound coincide with D2
@@ -532,9 +556,9 @@ class TestVerify:
         inst = sv.make_instance(spec, 0.05 * np.eye(4))
         d2 = true_d2(inst)
         res = jordan(inst)
-        slack = res[sv.BoundId.UP1_2].value - d2
+        slack = res["UP1_2"].value - d2
         assert abs(slack) <= 1e-12
-        assert not sv.is_violation(res[sv.BoundId.UP1_2].value, slack)
+        assert not sv.is_violation(res["UP1_2"].value, slack)
 
     def test_is_violation_threshold(self):
         assert not sv.is_violation(1.0, -1e-8)
@@ -543,9 +567,8 @@ class TestVerify:
 
     def test_inapplicable_excluded(self):
         inst = mixed_instance(9)
-        res = jordan(inst)
-        results = [res[bid] for bid in UP3]  # all inapplicable
-        assert sv.verify_instance(results, 0.1) == []
+        slacks = sv.verify_instance(jordan_table(inst), 0.1)  # UP3_* inapplicable
+        assert list(slacks) == list(JORDAN_IDS[:8])
 
 
 # block layouts (n, p, m) up to n = 12, m = 1 and p = 1 among them
@@ -554,7 +577,7 @@ LAYOUTS = (
     (7, 3, 3), (8, 2, 5), (10, 4, 4), (12, 12, 1), (12, 1, 12),
 )
 RATIOS = (0.0, 0.3, 0.7, 1.0)  # delta(E_Q) / ||E_Q||_F
-NORMS = np.logspace(-6, 3, 500).tolist()
+NORMS = np.logspace(-6, 3, 25_000)
 
 
 def point(layout, norm, d):
@@ -564,51 +587,101 @@ def point(layout, norm, d):
     return sv.BoundInputs(*layout, norm, d, math.sqrt(n * (norm * norm - d * d)), True)
 
 
+def grid(norms=NORMS):
+    """:func:`point` at every layout and ratio (the rows, in that order)
+    and every norm (the columns), as one BoundInputs of arrays."""
+    layouts = np.repeat(np.array(LAYOUTS), len(RATIOS), axis=0)
+    n, p, m = (layouts[:, i, None] for i in range(3))
+    norm = np.asarray(norms)[None, :]
+    d = np.tile(RATIOS, len(LAYOUTS))[:, None] * norm
+    return sv.BoundInputs(n, p, m, norm, d, np.sqrt(n * (norm * norm - d * d)), True)
+
+
 def pessimistic(x):
     return dict.fromkeys(S_KEYS, x.n)
 
 
-def kernel_values(s_of, norms=NORMS):
-    """The 11 Jordan-family values (SONG, LI_CHEN, UP1_*, UP2_*, UP3_*) with
-    s-values ``s_of(x)``, at every layout, ratio and norm: an array of shape
-    (10 layouts x 4 ratios, len(norms), 11)."""
-    return np.array([
-        [
-            [r.value for r in sv.jordan_bounds(x, s_of(x))]
-            for x in (point(layout, norm, ratio * norm) for norm in norms)
-        ]
-        for layout, ratio in itertools.product(LAYOUTS, RATIOS)
-    ])
+def random_s(x, rng):
+    """s-values drawn independently for every point of ``x``."""
+    shape = np.broadcast_shapes(np.shape(x.n), np.shape(x.norm_eq))
+    return {key: rng.integers(1, x.n + 1, shape) for key in S_KEYS}
+
+
+def grid_values(table, x):
+    """The 11 Jordan-family value columns (SONG, LI_CHEN, UP1_*, UP2_*,
+    UP3_*) of a table over ``grid()``, each an array of the grid's shape."""
+    assert table.ids == JORDAN_IDS
+    shape = np.shape(x.delta_eq)
+    assert all(np.shape(v) == shape for v in table.values)
+    return table.values
 
 
 def assert_dominance(values):
     """SONG >= UP1_1 and LI_CHEN >= UP2_1 (up to rounding at equality),
     UP2 <= UP1 and UP3 <= UP1."""
-    song, li_chen, up1, up2, up3 = (
-        values[..., 0], values[..., 1], values[..., 2:5], values[..., 5:8], values[..., 8:]
-    )
-    assert (up1[..., 0] <= song * (1 + 1e-12)).all()
-    assert (up2[..., 0] <= li_chen * (1 + 1e-12)).all()
-    assert (up2 <= up1).all() and (up3 <= up1).all()
+    song, li_chen, *up = values
+    assert (up[0] <= song * (1 + 1e-12)).all()
+    assert (up[3] <= li_chen * (1 + 1e-12)).all()
+    for up1, up2, up3 in zip(up[:3], up[3:6], up[6:]):
+        assert (up2 <= up1).all() and (up3 <= up1).all()
 
 
 class TestScalarKernel:
-    # the Jordan family over bare BoundInputs: 10 layouts x 4 ratios x 500
-    # norms from 1e-6 to 1e3 is 20,000 points
+    # the Jordan family over BoundInputs of arrays: 10 layouts x 4 ratios x
+    # 25,000 norms from 1e-6 to 1e3 is 1,000,000 points in one call
+
+    def test_powers_are_libm_pow(self):
+        # np.power can differ from libm's pow (Python's float **, which the
+        # reports were first written with) in the last bit: it did on ~5 % of
+        # inputs on an AVX-512 host; the kernel's power must not, for one
+        # point or many
+        rng = np.random.default_rng(2)
+        x, y = 10.0 ** rng.uniform(-6, 3, 10_000), rng.uniform(0.0, 2.0, 10_000)
+        libm = [math.pow(a, b) for a, b in zip(x.tolist(), y.tolist())]
+        assert bounds._pow(x, y).tolist() == libm
+        assert [float(bounds._pow(a, b)) for a, b in zip(x, y)] == libm
 
     def test_pessimistic_s_monotone_in_the_norm(self):
-        values = kernel_values(pessimistic)
-        assert (np.diff(values, axis=1) >= 0.0).all()
+        x = grid()
+        values = grid_values(sv.jordan_bounds(x, pessimistic(x)), x)
+        assert np.shape(x.delta_eq) == (40, 25_000)
+        assert all((np.diff(v, axis=1) >= 0.0).all() for v in values)
         assert_dominance(values)
 
     def test_dominance_at_random_s(self):
         # every other norm, each point with its own s-values
-        rng = np.random.default_rng(0)
+        x = grid(NORMS[::2])
+        assert_dominance(grid_values(sv.jordan_bounds(x, random_s(x, np.random.default_rng(0))), x))
 
-        def draw(x):
-            return dict(zip(S_KEYS, rng.integers(1, x.n + 1, 4).tolist()))
+    def test_one_array_call_equals_a_call_per_point(self):
+        # every 100th norm of the grid, with random s and every third row a
+        # complex spectrum: the array call and one scalar call per point agree
+        # bit for bit, on values, branches, reasons and eps
+        x = grid()._replace(real_spectrum=np.arange(40)[:, None] % 3 > 0)
+        s = random_s(x, np.random.default_rng(1))
+        table = sv.jordan_bounds(x, s)
 
-        assert_dominance(kernel_values(draw, NORMS[::2]))
+        def sample(columns):
+            # every 100th norm: the rows, the sampled norms, the columns
+            return np.stack([np.broadcast_to(c, x.delta_eq.shape)[:, ::100] for c in columns],
+                            axis=-1)
+
+        values = sample(grid_values(table, x))
+        branches = sample(table.branches).tolist()
+        reasons = sample(table.reasons).tolist()
+        eps = sample([step.eps for step in plan(x)]).tolist()
+        inputs = sample([x.norm_eq, x.delta_eq, x.trace_abs, *s.values()]).tolist()
+        one = np.empty_like(values)
+        for row, layout in enumerate(layout for layout in LAYOUTS for _ in RATIOS):
+            for col, (norm, d, trace, *s_point) in enumerate(inputs[row]):
+                xi = sv.BoundInputs(*layout, norm, d, trace, row % 3 > 0)
+                steps = plan(xi)
+                ti = sv.jordan_bounds(xi, dict(zip(S_KEYS, map(int, s_point))), steps)
+                one[row, col] = ti.values
+                assert list(ti.branches) == branches[row][col]
+                assert list(ti.reasons) == reasons[row][col]
+                assert [step.eps for step in steps] == eps[row][col]
+        assert one.tobytes() == values.tobytes()
 
     def test_continuity_across_the_branch_boundaries(self):
         # just below and at ||E_Q||_F = 1 and delta = 1, and either side of
@@ -629,9 +702,8 @@ class TestScalarKernel:
                               point(layout, hi / ratio, hi)))
             for step, rel, x_lo, x_hi in sides:
                 assert plan(x_lo)[step].branch != plan(x_hi)[step].branch
-                lo_values = sv.jordan_bounds(x_lo, pessimistic(x_lo))
-                hi_values = sv.jordan_bounds(x_hi, pessimistic(x_hi))
-                for r_lo, r_hi in zip(lo_values, hi_values):
-                    assert r_lo.value == pytest.approx(r_hi.value, rel=rel), (layout, step)
+                lo_values = sv.jordan_bounds(x_lo, pessimistic(x_lo)).values
+                hi_values = sv.jordan_bounds(x_hi, pessimistic(x_hi)).values
+                assert lo_values == pytest.approx(hi_values, rel=rel), (layout, step)
                 crossings += 1
         assert crossings == 10 * 3 * 2 + 8 * 3

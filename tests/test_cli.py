@@ -1,5 +1,7 @@
 """Tests for the command-line interface: subcommands and exit codes."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -54,19 +56,68 @@ def test_s_number_past_the_commutant_size_cap(matrix_file, capsys):
     assert "s = " in capsys.readouterr().out
 
 
-def test_bound_exit_zero(tmp_path, matrix_file, capsys):
+BOUND_HEAD = (
+    "n=3 p=2 m=2 |E_Q|=0.6157708902561392 delta(E_Q)=0.608329818729026\n"
+    "D2 = {d2}\n"
+    "bound          branch                                value                    slack\n"
+)
+BOUND_JORDAN_ROWS = [
+    "SONG           ||E_Q||_F < 1            2.7183176199763097",
+    "LI_CHEN        ||E_Q||_F < 1            2.4432904201625036",
+    "UP1_1          ||E_Q||_F < 1            2.4304131448795587",
+    "UP1_2          delta(E_Q) < 1           2.4247636056810657",
+    "UP1_3          C1                       2.3331013102925597",
+    "UP2_1          ||E_Q||_F < 1            2.4304131448795587",
+    "UP2_2          delta(E_Q) < 1           2.4247636056810657",
+    "UP2_3          C1                       2.3331013102925597",
+]
+
+
+def bound_output(tmp_path, matrix_file, capsys, lam):
+    """``specvar bound`` on blocks (lam, 2), (2.5, 1) under a kappa-4 Q and
+    a 0.1-scaled gaussian E: exit code and stdout."""
     rng = np.random.default_rng(0)
     q = sv.random_conditioned(3, 4.0, rng)
-    spec = sv.make_jordan_spec([(1.0, 2), (2.5, 1)], q)
+    spec = sv.make_jordan_spec([(lam, 2), (2.5, 1)], q)
     spec_path = tmp_path / "spec.json"
     sv.write_jordan_spec(spec_path, spec)
     e = sv.complex_gaussian(3, 3, rng) * 0.1
     e_path = matrix_file("e.json", e)
-    assert main(["bound", "--jordan", str(spec_path), "--perturbation", e_path]) == 0
-    out = capsys.readouterr().out
-    assert "D2" in out
-    assert "UP1_1" in out
-    assert "VIOLATION" not in out
+    code = main(["bound", "--jordan", str(spec_path), "--perturbation", e_path])
+    return code, capsys.readouterr().out
+
+
+def test_bound_exit_zero(tmp_path, matrix_file, capsys):
+    # the row view, byte for byte
+    slacks = (
+        "        2.030559634836807", "       1.7555324350230008", "        1.742655159740056",
+        "        1.737005620541563", "        1.645343325153057", "        1.742655159740056",
+        "        1.737005620541563", "        1.645343325153057",
+    )
+    assert bound_output(tmp_path, matrix_file, capsys, 1.0) == (0, (
+        BOUND_HEAD.format(d2="0.6877579851395028")
+        + "".join(row + slack + "\n" for row, slack in zip(BOUND_JORDAN_ROWS, slacks))
+        + "UP3_1          ||E_Q||_F < 1            1.9851888852649633       1.2974309001254605\n"
+        "UP3_2          delta(E_Q) < 1            1.980577837215092       1.2928198520755891\n"
+        "UP3_3          C1                        1.905765993776926       1.2180080086374232\n"
+    ))
+
+
+def test_bound_prints_inapplicable_rows(tmp_path, matrix_file, capsys):
+    # a complex eigenvalue: the UP3 rows carry their reason instead of a value
+    slacks = (
+        "        2.072271337583945", "        1.797244137770139", "        1.784366862487194",
+        "        1.778717323288701", "        1.687055027900195", "        1.784366862487194",
+        "        1.778717323288701", "        1.687055027900195",
+    )
+    inapplicable = (
+        "-                             inapplicable: prescribed eigenvalues are not all real\n"
+    )
+    assert bound_output(tmp_path, matrix_file, capsys, 1.0 + 1.0j) == (0, (
+        BOUND_HEAD.format(d2="0.6460462823923648")
+        + "".join(row + slack + "\n" for row, slack in zip(BOUND_JORDAN_ROWS, slacks))
+        + "".join(f"UP3_{k}          " + inapplicable for k in (1, 2, 3))
+    ))
 
 
 def test_sweep_writes_report(tmp_path, capsys):
@@ -104,8 +155,11 @@ def test_bound_rejects_a_perturbation_whose_squares_overflow(tmp_path, matrix_fi
     spec_path = tmp_path / "spec.json"
     sv.write_jordan_spec(spec_path, sv.make_jordan_spec([(1.0, 2), (4.0, 1)]))
     e_path = matrix_file("e.json", np.full((3, 3), 1e160))
-    assert main(["bound", "--jordan", str(spec_path), "--perturbation", e_path]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # ||E||_F is finite: no overflow on the way
+        assert main(["bound", "--jordan", str(spec_path), "--perturbation", e_path]) == 2
     assert "error:" in (err := capsys.readouterr().err) and "could overflow" in err
+    assert "amount 3e+160 " in err
 
 
 def test_example_default(capsys):

@@ -12,14 +12,17 @@ import specvar as sv
 from specvar import bounds, harness, jordan, linalg, spectrum
 from specvar.bounds import BRANCH_NORM_LARGE, BRANCH_NORM_SMALL, plan
 
-NORMAL_FAMILY = {"HW", "SUN", "LI_SUN", "XU1", "XU2", "XU_HERMITIAN"}
-
-
 def small_config(**kw):
     base = dict(seed=1, trials=8, n_range=(2, 6), block_profile="mixed",
                 perturbation="gaussian", amount=0.5, target_kappa=5.0)
     base.update(kw)
     return sv.SweepConfig(**base)
+
+
+def row(table, bid):
+    """(value, branch, reason) of one bound of a table."""
+    i = table.ids.index(bid)
+    return table.values[i], table.branches[i], table.reasons[i]
 
 
 class TestGenInstance:
@@ -193,7 +196,7 @@ class TestSValues:
         assert rec.n == 12
         out = sv.s_values(inst, mode="computed", seed=cfg.seed, with_s_tilde=True)
         assert out["s_tilde"] == 12
-        assert {r.inputs["s_tilde"] for r in rec.results if "s_tilde" in r.inputs} == {12}
+        assert rec.results.inputs["s_tilde"] == 12
 
 
 class TestRunTrial:
@@ -217,7 +220,7 @@ class TestRunTrial:
         assert rec.status == "failed-infrastructure"
         assert "iteration stalled" in rec.failure_reason
         assert rec.violations == []
-        assert rec.results == []
+        assert rec.results == sv.BoundTable()
 
     def test_lapack_failure_in_s_is_infrastructure(self, stall_lapack):
         # the eigensolve of s_number's H fails: the computed-s trial is
@@ -231,7 +234,7 @@ class TestRunTrial:
         assert rec.failure_reason == (
             "EigensolverError: eigenvalue iteration failed: eigh did not converge"
         )
-        assert rec.results == []
+        assert rec.results == sv.BoundTable()
 
     def test_all_failed_sweep_still_serializes(self, monkeypatch, tmp_path):
         def boom(matrix):
@@ -256,15 +259,12 @@ class TestRunTrial:
     def test_normal_family_included_for_normal_construction(self):
         cfg = small_config(block_profile="diagonalizable", target_kappa=1.0)
         rec = sv.run_trial(sv.gen_instance(cfg, 0), cfg, 0)
-        ids = {r.id for r in rec.results}
-        assert sv.BoundId.HW in ids
-        assert sv.BoundId.XU2 in ids
+        assert {"HW", "XU2"} <= set(rec.results.ids)
 
     def test_normal_family_excluded_otherwise(self):
         cfg = small_config()
         rec = sv.run_trial(sv.gen_instance(cfg, 0), cfg, 0)
-        ids = {r.id for r in rec.results}
-        assert sv.BoundId.HW not in ids
+        assert "HW" not in rec.results.ids
 
     def test_hw_needs_a_normal_a_plus_e(self):
         # A is normal but A + E is not: D2 = 0.50309 > ||E||_F = 0.5, so
@@ -277,8 +277,8 @@ class TestRunTrial:
         assert rec.status == "ok", rec.failure_reason
         assert rec.n == 3 and rec.d2 > rec.norm_e
         assert rec.violations == []
-        hw = {r.id: r for r in rec.results}[sv.BoundId.HW]
-        assert not hw.applicable and hw.reason
+        value, _, reason = row(rec.results, "HW")
+        assert reason and value == 0.0
         assert "HW" not in rec.slacks
 
     def test_hw_kept_for_scalar_e(self):
@@ -290,7 +290,24 @@ class TestRunTrial:
         rep = sv.run_sweep(cfg)
         assert rep.summary["violation_count"] == 0
         for rec in rep.records:
-            assert {r.id: r for r in rec.results}[sv.BoundId.HW].applicable
+            assert row(rec.results, "HW")[2] == ""
+
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "s(M) at the scaled similarity of a sub-roundoff E depends on the draw: "
+        "its Jordan superdiagonals (eps = 7.2e-7) and rescaled couplings "
+        "(||E|| eps^-(m-1), up to 1.3e-7) lie within 11x of the block cutoff "
+        "block_tol ||M||_F = 6.8e-8, so the three draws disagree"
+    ))
+    def test_sub_roundoff_computed_mixed_trial_is_not_ambiguous(self):
+        # n = 36, m = 3, ||E_Q||_F = 1e-18: s at the C1 eps, 7.2e-7, reads
+        # s in [10, 11] across the draws of seed 3 (5 to 13 under seeds 1-5)
+        cfg = sv.SweepConfig(seed=3, trials=6, n_range=(16, 40), block_profile="mixed",
+                             perturbation="rank1", amount=1e-18, target_kappa=1.0,
+                             s_mode="computed", real_eigenvalues=True)
+        rec = sv.run_trial(sv.gen_instance(cfg, 0), cfg, 0)
+        assert rec.n == 36
+        assert rec.status == "ok", rec.failure_reason
 
 
 def masked_margin_ratios(inst, grid):
@@ -430,7 +447,8 @@ class TestRunSweep:
         assert rep.summary["ok"] == 40
         assert rep.summary["violation_count"] == 0
         for rec in rep.records:
-            assert all(r.value > 0.0 for r in rec.results if r.applicable)
+            t = rec.results
+            assert all(value > 0.0 for value, reason in zip(t.values, t.reasons) if not reason)
 
     def test_tiny_perturbation_margins_are_not_negative(self):
         # the deviation must not cancel lambda against lambda + e_ii: at
@@ -456,8 +474,8 @@ class TestRunSweep:
             }
         assert "UP3_1" not in counts  # inapplicable results take no branch
         for rec in rep.records:
-            for r in rec.results:
-                assert r.applicable == (r.id.name in counts)
+            for bid, reason in zip(rec.results.ids, rec.results.reasons):
+                assert (not reason) == (bid in counts)
         assert sum(counts["UP1_2"].values()) == 12
         assert rep.summary["failure_reasons"] == {}
         assert json.loads(json.dumps(rep.summary)) == rep.summary
@@ -466,6 +484,24 @@ class TestRunSweep:
         rep = sv.run_sweep(small_config(trials=6, real_eigenvalues=True))
         assert "UP3_1" in rep.summary["min_slack"]
         assert rep.summary["violation_count"] == 0
+
+
+class TestPaperClaims:
+    def test_up2_1_generalizes_xu2(self):
+        # the abstract's claim that the new bounds generalize the normal-matrix
+        # ones: at m = 1 with unitary Q, UP2_1^2 = (n+1-s) delta^2 + |tr E|^2/n
+        # is XU2^2, read off each record's table to 4 unit roundoffs
+        checked = 0
+        for real, amount in itertools.product((False, True), (0.01, 0.5, 2.0)):
+            cfg = sv.SweepConfig(seed=11, trials=10, block_profile="diagonalizable",
+                                 target_kappa=1.0, s_mode="computed", amount=amount,
+                                 real_eigenvalues=real)
+            for rec in sv.run_sweep(cfg).records:
+                assert rec.status == "ok", rec.failure_reason
+                up2_1, xu2 = row(rec.results, "UP2_1")[0], row(rec.results, "XU2")[0]
+                assert abs(up2_1 - xu2) <= 4 * linalg.UNIT_ROUNDOFF * xu2, (real, amount)
+                checked += 1
+        assert checked == 60
 
 
 class TestPerturbedMatrix:
@@ -491,8 +527,7 @@ class TestPerturbedMatrix:
                              amount=1e-10, target_kappa=1e6)
         rec = sv.run_trial(sv.gen_instance(cfg, 10), cfg, 10)
         assert rec.status == "ok" and rec.violations == []
-        up1_1 = {r.id: r for r in rec.results}[sv.BoundId.UP1_1]
-        assert rec.d2 < up1_1.value
+        assert rec.d2 < row(rec.results, "UP1_1")[0]
 
     def test_scalar_e_shifts_the_spectrum_exactly(self):
         # J + tI is upper triangular: the eigensolve returns lambda + t
@@ -532,11 +567,12 @@ class TestPerturbedMatrix:
                         want[step.s_key] = n + 1 - sv.s_number(scaled, seed=seed).s
                 assert sv_got == want, (seed, trial)
                 rec = sv.run_trial(inst, cfg, trial)
-                got = {r.id: r for r in rec.results}
-                for ref in sv.normal_bounds(inst.e, a_plus_e, hermitian_a=True,
-                                            s_tilde=want["s_tilde"]):
-                    assert got[ref.id].applicable == ref.applicable, ref.id
-                    assert got[ref.id].value == pytest.approx(ref.value, rel=1e-12, abs=0.0)
+                ref = sv.normal_bounds(inst.e, a_plus_e, hermitian_a=True,
+                                       s_tilde=want["s_tilde"])
+                for bid, value, reason in zip(ref.ids, ref.values, ref.reasons):
+                    got_value, _, got_reason = row(rec.results, bid)
+                    assert bool(got_reason) == bool(reason), bid
+                    assert got_value == pytest.approx(value, rel=1e-12, abs=0.0)
 
 
 class TestReportFiles:
@@ -557,13 +593,13 @@ class TestReportFiles:
         ))
         failed = [rec for rec in rep.records if rec.status != "ok"]
         assert [rec.trial for rec in failed] == [1]
-        results = [r for rec in rep.records for r in rec.results]
-        reasons = {r.id.name: r.reason for r in results if not r.applicable}
-        assert {"XU_HERMITIAN", "UP3_1", "UP3_2", "UP3_3"} <= set(reasons)
-        assert all(reasons.values())
-        assert {"s1", "s2", "s3", "s4", "s_tilde", "delta_e"} <= {
-            key for r in results for key in r.inputs
+        reasons = {
+            bid: reason for rec in rep.records
+            for bid, reason in zip(rec.results.ids, rec.results.reasons) if reason
         }
+        assert {"XU_HERMITIAN", "UP3_1", "UP3_2", "UP3_3"} <= set(reasons)
+        assert all(set(rec.results.inputs) == {"s1", "s2", "s3", "s4", "s_tilde", "delta_e"}
+                   for rec in rep.records if rec.status == "ok")
         path = tmp_path / "report.json"
         sv.write_report(rep, path, format="structured-text")
         assert json.loads(path.read_text())["schema_version"] == 2
@@ -582,24 +618,22 @@ class TestReportFiles:
             sv.write_report(sv.run_sweep(cfg), path)
             for rec in sv.read_report(path).records:
                 assert rec.status == "ok"
-                res = {r.id: r for r in rec.results}
+                t = rec.results
                 x = sv.BoundInputs(rec.n, rec.p, rec.m, rec.norm_eq, rec.delta_eq,
-                                   rec.trace_abs, res[sv.BoundId.UP3_1].applicable)
-                assert sv.jordan_bounds(x, res[sv.BoundId.UP2_1].inputs) == [
-                    r for r in rec.results if r.id.name not in NORMAL_FAMILY
-                ]
+                                   rec.trace_abs, row(t, "UP3_1")[2] == "")
+                assert (sv.jordan_bounds(x, t.inputs) == t) is True
                 records += 1
         assert records == 576
 
     def test_document_shares_no_mutable_state_with_the_report(self):
         rep = sv.run_sweep(small_config(trials=2, s_mode="computed"))
+        inputs = dict(rep.records[0].results.inputs)
         doc = harness.report_to_doc(rep)
         row = doc["records"][0]["results"][0]
         row[-1].clear()
         row.clear()
         doc["records"][0]["violations"].append("SONG")
-        assert rep.records[0].results[0].inputs == {"s1": rep.records[0].n,
-                                                    "s2": rep.records[0].n}
+        assert rep.records[0].results.inputs == inputs
         assert rep.records[0].violations == []
 
     @pytest.mark.parametrize("corrupt, message", [

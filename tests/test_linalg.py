@@ -1,5 +1,8 @@
 """Tests for the dense matrix primitives."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -250,6 +253,19 @@ class TestNormAndDelta:
             norm, d = linalg.norm_and_delta(m)
             assert norm == float(np.linalg.norm(m))
             assert d == sv.delta(m)
+
+    def test_huge_entries_keep_finite_norms(self):
+        # the unscaled squares of 1e160 overflow: ||E||_F = 3e160 all the same
+        e = np.full((3, 3), 1e160 + 0j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert linalg.frobenius_norm(e) == pytest.approx(3e160, rel=1e-15)
+            inst = sv.make_instance(sv.make_jordan_spec([(1.0, 2), (4.0, 1)]), e)
+        assert inst.norm_e == linalg.frobenius_norm(e)
+        assert inst.norm_eq == pytest.approx(3e160, rel=1e-15)
+        assert inst.delta_eq == pytest.approx(math.sqrt(6) * 1e160, rel=1e-12)
+        scale = 2.0 ** 600  # scaling by a power of two commutes with the norm
+        assert linalg.frobenius_norm(e * 1e-160 * scale) == linalg.frobenius_norm(e * 1e-160) * scale
 
     def test_make_instance_takes_each_frobenius_norm_once(self, monkeypatch):
         # ||E||_F, ||E_Q||_F and ||E_Q - (tr E_Q / n) I||_F: one call each

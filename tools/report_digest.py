@@ -1,0 +1,66 @@
+"""One sha256 over the reports of a fixed 324-sweep grid.
+
+    python3 tools/report_digest.py            # prints the digest and the sweep count
+
+The grid is every combination of the three generated block profiles
+(diagonalizable, single-jordan, mixed), kappa(Q) in {1, 10, 1e4},
+||E|| in {0.01, 0.5, 2}, the three perturbations, both s-modes and
+real/complex spectra, each sweep with seed 3 and 6 trials at n in 2..12.
+Each sweep goes through ``write_report`` twice: as the structured-text
+JSON document and as the CSV, whose timestamp line is dropped.  The digest
+hashes both, sweep by sweep, so two checkouts that print the same digest
+write byte-identical reports on the whole grid.
+
+It imports ``specvar`` from the ``src/`` of the checkout it lives in, so a
+copy of this script run from another checkout digests that checkout.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import specvar as sv  # noqa: E402
+
+PROFILES = ("diagonalizable", "single-jordan", "mixed")
+KAPPAS = (1.0, 10.0, 1e4)
+AMOUNTS = (0.01, 0.5, 2.0)
+PERTURBATIONS = ("gaussian", "scalar", "rank1")
+S_MODES = ("computed", "pessimistic")
+REAL = (False, True)
+
+
+def grid():
+    for profile, kappa, amount, perturbation, s_mode, real in itertools.product(
+        PROFILES, KAPPAS, AMOUNTS, PERTURBATIONS, S_MODES, REAL
+    ):
+        yield sv.SweepConfig(seed=3, trials=6, block_profile=profile, target_kappa=kappa,
+                             amount=amount, perturbation=perturbation, s_mode=s_mode,
+                             real_eigenvalues=real)
+
+
+def digest() -> tuple[str, int]:
+    h = hashlib.sha256()
+    count = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        json_path, csv_path = Path(tmp) / "r.json", Path(tmp) / "r.csv"
+        for config in grid():
+            report = sv.run_sweep(config)
+            sv.write_report(report, json_path)
+            sv.write_report(report, csv_path, format="csv")
+            h.update(json_path.read_bytes())
+            stamp, body = csv_path.read_bytes().split(b"\n", 1)
+            assert stamp.startswith(b"# generated "), stamp
+            h.update(body)
+            count += 1
+    return h.hexdigest(), count
+
+
+if __name__ == "__main__":
+    value, count = digest()
+    print(f"{value}  ({count} sweeps)")
