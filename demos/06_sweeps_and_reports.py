@@ -36,8 +36,10 @@ rec = report.records[0]
 print(f"trial {rec.trial} (digest {rec.digest}): n={rec.n}, p={rec.p}, m={rec.m}")
 print(f"D2 = {rec.d2:.6f}, D_inf = {rec.d_inf:.6f}, "
       f"min envelope margin ratio = {rec.envelope_ratio_min:.2e}")
-for name, slack in sorted(rec.slacks.items()):
-    print(f"  {name:10s} slack {slack:12.6f}")
+t = rec.results  # the bound table: each applicable bound's slack is value - D2
+for name, value, reason in sorted(zip(t.ids, t.values, t.reasons)):
+    if not reason:
+        print(f"  {name:10s} slack {value - rec.d2:12.6f}")
 
 print()
 print("== reports round-trip and reproduce ==")

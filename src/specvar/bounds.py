@@ -37,7 +37,7 @@ import numpy as np
 from .blocks import is_normal
 from .exceptions import DimensionError, DomainError
 from .jordan import PerturbationInstance
-from .linalg import as_matrix, norm_and_delta
+from .linalg import NORM_RESCALE_BELOW, as_matrix, norm_and_delta
 
 NORMAL_IDS = ("HW", "SUN", "LI_SUN", "XU1", "XU2", "XU_HERMITIAN")
 UP1 = ("UP1_1", "UP1_2", "UP1_3")
@@ -55,6 +55,8 @@ BRANCH_ZERO = "zero-perturbation"
 BRANCH_SINGLE = "single"
 
 S_KEYS = ("s1", "s2", "s3", "s4")
+
+SLACK_TOL = 1e-7  # D2 <= value + SLACK_TOL * (1 + value) holds the bound
 
 # the s-key each planned branch reads; every eps = 1 fallback reads s2
 S_KEY = {
@@ -264,8 +266,10 @@ def jordan_bounds(x: BoundInputs, s, steps=None) -> BoundTable:
     # evaluated.  On the zero-perturbation branch core and trace term are 0.
     d_power = _pow(d, 2.0 / m)
     at_one = _pow(root + d, 2)
+    # (delta / ||E_Q||_F)^2 <= 1, whose two squares underflow for tiny E_Q
+    ratio = _where(norm_eq < NORM_RESCALE_BELOW, (d / norm_eq) ** 2, d * d / (norm_eq * norm_eq))
     inside = (
-        (drift + d * d / (norm_eq * norm_eq)) * _pow(norm_eq, 2.0 / m),
+        (drift + ratio) * _pow(norm_eq, 2.0 / m),
         (drift + 1.0) * d_power,
         m * _pow(drift / (m - 1), 1.0 - 1.0 / m) * d_power,  # interior minimum
     )
@@ -291,17 +295,17 @@ def jordan_bounds(x: BoundInputs, s, steps=None) -> BoundTable:
 # ---------------------------------------------------------------------------
 # verification
 
-def verify_instance(table: BoundTable, d2: float) -> dict[str, float]:
-    """Slack (bound value minus true D2) by id, for every applicable bound.
-
-    Nonnegative slack is the operational statement of each theorem;
-    use :func:`is_violation` to flag slacks beyond the tolerance.
-    """
+def verify_instance(table: BoundTable, d2: float, tol: float = SLACK_TOL) -> list[str]:
+    """The verdict on one instance: the ids, in table order, of the
+    applicable bounds whose slack (bound value minus the true D2) is a
+    violation (:func:`is_violation`).  Nonnegative slack is the
+    operational statement of each theorem; an inapplicable bound's
+    placeholder is never compared."""
     d2 = float(d2)
-    return {bid: value - d2 for bid, value, why in zip(table.ids, table.values, table.reasons)
-            if not why}
+    return [bid for bid, value, why in zip(table.ids, table.values, table.reasons)
+            if not why and is_violation(value, value - d2, tol)]
 
 
-def is_violation(value: float, slack: float, tol: float = 1e-7) -> bool:
+def is_violation(value: float, slack: float, tol: float = SLACK_TOL) -> bool:
     """True iff the slack is negative beyond -tol * (1 + value)."""
     return slack < -tol * (1.0 + value)

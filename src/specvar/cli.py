@@ -13,18 +13,16 @@ import sys
 
 import numpy as np
 
-from .blocks import s_number
-from .bounds import is_violation
+from .blocks import DEFAULT_TOL, s_number
 from .exceptions import SpecvarError
 from .fileio import read_jordan_spec, read_matrix
 from .harness import (
     SweepConfig,
     check_amount_scale,
-    evaluate_bounds,
+    default_tolerances,
     example_scalar_table,
-    perturbed_spectrum,
     run_sweep,
-    s_values,
+    run_trial,
     write_report,
 )
 from .jordan import make_instance
@@ -70,26 +68,24 @@ def _cmd_bound(args) -> int:
     spec = read_jordan_spec(args.jordan)
     inst = make_instance(spec, read_matrix(args.perturbation))
     check_amount_scale(inst.norm_e, spec.kappa_q, spec.n)
-    sv = s_values(inst, mode=args.s_mode, tol=args.tol, seed=args.seed)
-    table = evaluate_bounds(inst, sv)
-    d2 = optimal_match(spec.spectrum, perturbed_spectrum(inst)).d2
-    print(f"n={spec.n} p={spec.p} m={spec.m} "
-          f"|E_Q|={inst.norm_eq!r} delta(E_Q)={inst.delta_eq!r}")
-    print(f"D2 = {d2!r}")
+    config = SweepConfig(seed=args.seed, s_mode=args.s_mode, block_profile="user-file",
+                         jordan_file=args.jordan,
+                         tolerances=default_tolerances() | {"s_tol": args.tol})
+    rec = run_trial(inst, config, 0)
+    if rec.status != "ok":
+        print(f"error: {rec.failure_reason}", file=sys.stderr)
+        return EXIT_ERROR
+    print(f"n={rec.n} p={rec.p} m={rec.m} |E_Q|={rec.norm_eq!r} delta(E_Q)={rec.delta_eq!r}")
+    print(f"D2 = {rec.d2!r}")
     print(f"{'bound':14s} {'branch':18s} {'value':>24s} {'slack':>24s}")
-    bad = False
-    for bid, value, branch, reason in zip(table.ids, table.values, table.branches,
-                                          table.reasons):
+    t = rec.results
+    for bid, value, branch, reason in zip(t.ids, t.values, t.branches, t.reasons):
         if reason:
             print(f"{bid:14s} {'-':18s} {'inapplicable:':>24s} {reason}")
             continue
-        slack = value - d2
-        flag = ""
-        if is_violation(value, slack):
-            bad = True
-            flag = "  VIOLATION"
-        print(f"{bid:14s} {branch:18s} {value!r:>24s} {slack!r:>24s}{flag}")
-    return EXIT_VIOLATION if bad else EXIT_OK
+        flag = "  VIOLATION" if bid in rec.violations else ""
+        print(f"{bid:14s} {branch:18s} {value!r:>24s} {value - rec.d2!r:>24s}{flag}")
+    return EXIT_VIOLATION if rec.violations else EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
@@ -161,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("s-number", help="maximal unitary block count s(M)")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--tol", type=float, default=1e-8,
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                    help="commutant null-space cutoff (s is tolerance-dependent)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_s_number)
@@ -171,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perturbation", required=True, help="matrix file with E")
     p.add_argument("--s-mode", choices=("computed", "pessimistic"),
                    default="pessimistic")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_bound)
 

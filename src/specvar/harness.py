@@ -25,12 +25,12 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .blocks import s_number
+from .blocks import DEFAULT_BLOCK_TOL, DEFAULT_CLUSTER_GAP, DEFAULT_TOL, s_number
 from .bounds import (
     INPUT_KEYS,
+    SLACK_TOL,
     BoundInputs,
     BoundTable,
-    is_violation,
     jordan_bounds,
     normal_bounds,
     plan,
@@ -62,12 +62,9 @@ CSV_COLUMNS = ("trial", "bound_id", "branch", "value", "d2", "slack")
 
 
 def default_tolerances() -> dict[str, float]:
-    return {
-        "slack": 1e-7,       # D2 <= value + slack*(1+value)
-        "s_tol": 1e-8,       # commutant null-space cutoff
-        "cluster_gap": 1e-6,  # eigenvalue clustering, relative to ||H||_2
-        "block_tol": 1e-8,   # off-block coupling, relative to ||M||_F
-    }
+    # the slack of bounds.is_violation, then the s(M) cutoffs of blocks.s_number
+    return {"slack": SLACK_TOL, "s_tol": DEFAULT_TOL,
+            "cluster_gap": DEFAULT_CLUSTER_GAP, "block_tol": DEFAULT_BLOCK_TOL}
 
 
 @dataclass
@@ -197,10 +194,10 @@ def perturbed_spectrum(inst: PerturbationInstance) -> Spectrum:
 def s_values(
     inst: PerturbationInstance,
     mode: str = "pessimistic",
-    tol: float = 1e-8,
+    tol: float = DEFAULT_TOL,
     seed: int = 0,
-    cluster_gap: float = 1e-6,
-    block_tol: float = 1e-8,
+    cluster_gap: float = DEFAULT_CLUSTER_GAP,
+    block_tol: float = DEFAULT_BLOCK_TOL,
     with_s_tilde: bool = False,
     steps=None,
 ) -> dict[str, int]:
@@ -264,7 +261,6 @@ class TrialRecord:
     d2: float = 0.0
     d_inf: float = 0.0
     results: BoundTable = field(default_factory=BoundTable)
-    slacks: dict[str, float] = field(default_factory=dict)
     violations: list[str] = field(default_factory=list)
     envelope_ratio_min: float = 0.0
     scaled_norm_ratio_min: float = 0.0
@@ -373,12 +369,7 @@ def run_trial(inst: PerturbationInstance, config: SweepConfig, trial: int) -> Tr
         hermitian_a=normal and config.real_eigenvalues,
         steps=steps,
     )
-    slacks = verify_instance(results, match.d2)
-    value = dict(zip(results.ids, results.values))
-    slack_tol = config.tolerances["slack"]
-    violations = [
-        bid for bid, slack in slacks.items() if is_violation(value[bid], slack, slack_tol)
-    ]
+    violations = verify_instance(results, match.d2, config.tolerances["slack"])
     env_min, sn_min, ct_min, sd_max = _margin_ratios(inst, EPS_GRID)
     return TrialRecord(
         **base,
@@ -387,7 +378,6 @@ def run_trial(inst: PerturbationInstance, config: SweepConfig, trial: int) -> Tr
         d2=match.d2,
         d_inf=match.d_inf,
         results=results,
-        slacks=slacks,
         violations=violations,
         envelope_ratio_min=env_min,
         scaled_norm_ratio_min=sn_min,
@@ -411,16 +401,14 @@ def summarize(config: SweepConfig, records: list[TrialRecord]) -> dict:
     sharp_song = sharp_lichen = math.inf
     branches = Counter()
     for rec in ok:
-        for name, s in rec.slacks.items():
-            min_slack[name] = min(min_slack.get(name, math.inf), s)
         t = rec.results
+        for bid, value, branch, reason in zip(t.ids, t.values, t.branches, t.reasons):
+            if not reason:  # applicable: its slack is value - D2
+                min_slack[bid] = min(min_slack.get(bid, math.inf), value - rec.d2)
+                branches[bid, branch] += 1
         value = dict(zip(t.ids, t.values))
         sharp_song = min(sharp_song, value["SONG"] - value["UP1_1"])
         sharp_lichen = min(sharp_lichen, value["LI_CHEN"] - value["UP2_1"])
-        branches.update(
-            (bid, branch) for bid, branch, reason in zip(t.ids, t.branches, t.reasons)
-            if not reason
-        )
     branch_counts: dict[str, dict[str, int]] = {}
     for (name, branch), count in branches.items():
         branch_counts.setdefault(name, {})[branch] = count
@@ -546,13 +534,12 @@ def report_to_doc(report: Report) -> dict:
         t = rec.results
         d["results"] = rows = []
         for bid, value, branch, reason in zip(t.ids, t.values, t.branches, t.reasons):
-            row = [bid, value, branch, rec.slacks.get(bid)]
+            row = [bid, value, branch, None if reason else value - rec.d2]
             if reason:
                 row.append(reason)
             if bid in INPUT_KEYS:
                 row.append({key: t.inputs[key] for key in INPUT_KEYS[bid]})
             rows.append(row)
-        del d["slacks"]
         d["violations"] = list(rec.violations)
         records.append(d)
     return {"schema_version": 2, "config": cfg, "records": records,
@@ -560,8 +547,8 @@ def report_to_doc(report: Report) -> dict:
 
 
 def report_from_doc(doc: dict) -> Report:
-    """Inverse of :func:`report_to_doc`: the slacks and the bound table are
-    rebuilt from the rows."""
+    """Inverse of :func:`report_to_doc`: the bound table is rebuilt from
+    the rows, and each slack, ``value - d2``, is left to its reader."""
     version = doc.get("schema_version")
     if version != 2:
         raise ParseError(f"unknown report schema_version {version!r}; only 2 is read")
@@ -572,7 +559,6 @@ def report_from_doc(doc: dict) -> Report:
     for d in doc["records"]:
         d = dict(d)
         rows = d["results"]
-        d["slacks"] = {row[0]: row[3] for row in rows if row[3] is not None}
         reasons, inputs = [], {}
         for _, _, _, slack, *rest in rows:
             reasons.append(rest.pop(0) if slack is None else "")
@@ -612,7 +598,7 @@ def write_report(report: Report, path, format: str = "structured-text") -> None:
                 writer.writerow([rec.trial, rec.status, rec.failure_reason, "", "", ""])
             d2, t = repr(rec.d2), rec.results
             writer.writerows(
-                [rec.trial, bid, branch, repr(value), d2, repr(rec.slacks[bid])]
+                [rec.trial, bid, branch, repr(value), d2, repr(value - rec.d2)]
                 for bid, value, branch, reason in zip(t.ids, t.values, t.branches, t.reasons)
                 if not reason
             )

@@ -26,6 +26,9 @@ from .exceptions import (
 # Unit roundoff of binary64 (half the machine epsilon).
 UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2.0
 
+# Below this ||M||_F, frobenius_norm rescales: its squares may underflow.
+NORM_RESCALE_BELOW = math.ldexp(1.0, -480)
+
 
 def as_matrix(a, *, square: bool = False, name: str = "matrix") -> np.ndarray:
     """Validate ``a`` as a dense complex128 matrix.
@@ -91,14 +94,18 @@ def norm_and_delta(m, *, checked: bool = False) -> tuple[float, float]:
 
 def frobenius_norm(m: np.ndarray) -> float:
     """||M||_F of a finite matrix, ``np.linalg.norm`` bit for bit while the
-    sum of squares it forms stays finite (||M||_F below ~1.3e154).  Past
-    that, M is scaled by 2^-k, exactly, with 2^k above every real and
-    imaginary part, and the norm of the scaled matrix by 2^k."""
+    sum of squares it forms stays finite and above 2^-960, where the
+    squares that underflow move it by less than a rounding (||M||_F from
+    2^-480 ~ 3e-145 to ~1.3e154).  Past either end, each real and imaginary
+    part is scaled by 2^-k, exactly, with 2^k above every part, and the
+    norm of the scaled matrix by 2^k; each part is scaled with ``np.ldexp``
+    because 2^-k itself overflows once the largest part is below 2^-1023."""
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(m))
-        if norm == math.inf:
+        if not NORM_RESCALE_BELOW <= norm < math.inf:
             k = math.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1]
-            norm = float(np.ldexp(np.linalg.norm(m * math.ldexp(1.0, -k)), k))
+            scaled = np.ldexp(m.real, -k) + 1j * np.ldexp(m.imag, -k)
+            norm = float(np.ldexp(np.linalg.norm(scaled), k))
     return norm
 
 

@@ -342,10 +342,8 @@ class TestNewBoundsComplex:
             inst = mixed_instance(seed, kappa=20.0, e_norm=0.9)
             d2 = true_d2(inst)
             table = jordan_table(inst)
-            res = by_id(table)
-            for bid, slack in sv.verify_instance(table, d2).items():
-                value = res[bid].value
-                assert not sv.is_violation(value, slack), (bid, slack)
+            slacks = {bid: r.value - d2 for bid, r in by_id(table).items() if r.applicable}
+            assert sv.verify_instance(table, d2) == [], slacks
 
 
 class TestPlan:
@@ -536,19 +534,19 @@ class TestNewBoundsReal:
             d2 = true_d2(inst)
             table = jordan_table(inst)
             res = by_id(table)
-            slacks = sv.verify_instance(table, d2)
-            assert set(UP3) <= set(slacks)
-            for bid in UP3:
-                assert not sv.is_violation(res[bid].value, slacks[bid]), (bid, slacks[bid])
+            assert all(res[bid].applicable for bid in UP3)
+            slacks = {bid: res[bid].value - d2 for bid in UP3}
+            assert not set(UP3) & set(sv.verify_instance(table, d2)), slacks
 
 
 class TestVerify:
     def test_zero_perturbation_slacks(self):
         spec = sv.make_jordan_spec([(1.0, 2), (2.0, 1)])
         inst = sv.make_instance(spec, np.zeros((3, 3)))
-        slacks = sv.verify_instance(jordan_table(inst, 3, 3, 3, 3), 0.0)
-        assert len(slacks) == 11
-        assert all(s == 0.0 for s in slacks.values())
+        table = jordan_table(inst, 3, 3, 3, 3)
+        assert len(table.ids) == 11 and not any(table.reasons)
+        assert all(value - 0.0 == 0.0 for value in table.values)
+        assert sv.verify_instance(table, 0.0) == []
 
     def test_scalar_tight_slack(self):
         # E = t I makes the delta-branch bound coincide with D2
@@ -567,8 +565,8 @@ class TestVerify:
 
     def test_inapplicable_excluded(self):
         inst = mixed_instance(9)
-        slacks = sv.verify_instance(jordan_table(inst), 0.1)  # UP3_* inapplicable
-        assert list(slacks) == list(JORDAN_IDS[:8])
+        # D2 = 1e300 violates every bound compared; UP3_* is inapplicable
+        assert sv.verify_instance(jordan_table(inst), 1e300) == list(JORDAN_IDS[:8])
 
 
 # block layouts (n, p, m) up to n = 12, m = 1 and p = 1 among them

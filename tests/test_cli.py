@@ -1,11 +1,13 @@
 """Tests for the command-line interface: subcommands and exit codes."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 import specvar as sv
+from specvar import harness
 from specvar.cli import main
 
 
@@ -73,9 +75,9 @@ BOUND_JORDAN_ROWS = [
 ]
 
 
-def bound_output(tmp_path, matrix_file, capsys, lam):
+def bound_main(tmp_path, matrix_file, lam):
     """``specvar bound`` on blocks (lam, 2), (2.5, 1) under a kappa-4 Q and
-    a 0.1-scaled gaussian E: exit code and stdout."""
+    a 0.1-scaled gaussian E, written to spec.json and e.json: exit code."""
     rng = np.random.default_rng(0)
     q = sv.random_conditioned(3, 4.0, rng)
     spec = sv.make_jordan_spec([(lam, 2), (2.5, 1)], q)
@@ -83,8 +85,12 @@ def bound_output(tmp_path, matrix_file, capsys, lam):
     sv.write_jordan_spec(spec_path, spec)
     e = sv.complex_gaussian(3, 3, rng) * 0.1
     e_path = matrix_file("e.json", e)
-    code = main(["bound", "--jordan", str(spec_path), "--perturbation", e_path])
-    return code, capsys.readouterr().out
+    return main(["bound", "--jordan", str(spec_path), "--perturbation", e_path])
+
+
+def bound_output(tmp_path, matrix_file, capsys, lam):
+    """:func:`bound_main`: exit code and stdout."""
+    return bound_main(tmp_path, matrix_file, lam), capsys.readouterr().out
 
 
 def test_bound_exit_zero(tmp_path, matrix_file, capsys):
@@ -118,6 +124,35 @@ def test_bound_prints_inapplicable_rows(tmp_path, matrix_file, capsys):
         + "".join(row + slack + "\n" for row, slack in zip(BOUND_JORDAN_ROWS, slacks))
         + "".join(f"UP3_{k}          " + inapplicable for k in (1, 2, 3))
     ))
+
+
+def test_bound_flags_the_violations_of_its_trial(tmp_path, matrix_file, capsys, monkeypatch):
+    # D2 inflated to 2.44, between the bound values: exit 1, and VIOLATION
+    # on exactly the ids run_trial records for the same instance
+    real_match = harness.optimal_match
+    monkeypatch.setattr(harness, "optimal_match",
+                        lambda a, b: dataclasses.replace(real_match(a, b), d2=2.44))
+    assert bound_main(tmp_path, matrix_file, 1.0) == 1
+    flagged = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+               if line.endswith("  VIOLATION")]
+    spec_path = tmp_path / "spec.json"
+    inst = sv.make_instance(sv.read_jordan_spec(spec_path), sv.read_matrix(tmp_path / "e.json"))
+    config = sv.SweepConfig(block_profile="user-file", jordan_file=str(spec_path))
+    violations = sv.run_trial(inst, config, 0).violations
+    assert flagged == violations
+    assert violations and not {"SONG", "LI_CHEN"} & set(violations)  # some, not all
+
+
+def test_bound_reports_an_infrastructure_failure(tmp_path, matrix_file, capsys, monkeypatch):
+    # a failed eigensolve is not a verdict: exit 2 and the failure, no rows
+    def stalled(inst):
+        raise sv.EigensolverError("iteration stalled")
+
+    monkeypatch.setattr(harness, "perturbed_spectrum", stalled)
+    assert bound_main(tmp_path, matrix_file, 1.0) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: EigensolverError: iteration stalled\n"
 
 
 def test_sweep_writes_report(tmp_path, capsys):

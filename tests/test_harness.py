@@ -4,6 +4,7 @@ serialization."""
 import functools
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -208,7 +209,8 @@ class TestRunTrial:
         assert rec.status == "ok"
         assert rec.d2 == 0.0
         assert rec.violations == []
-        assert all(s == 0.0 for s in rec.slacks.values())
+        t = rec.results
+        assert all(v - rec.d2 == 0.0 for v, why in zip(t.values, t.reasons) if not why)
 
     def test_infrastructure_failure_is_not_a_violation(self, monkeypatch):
         def boom(matrix):
@@ -279,7 +281,7 @@ class TestRunTrial:
         assert rec.violations == []
         value, _, reason = row(rec.results, "HW")
         assert reason and value == 0.0
-        assert "HW" not in rec.slacks
+        assert "HW" not in sv.verify_instance(rec.results, 1e300)  # never compared
 
     def test_hw_kept_for_scalar_e(self):
         # A + tI is normal whenever A is: HW stays applicable
@@ -449,6 +451,33 @@ class TestRunSweep:
         for rec in rep.records:
             t = rec.results
             assert all(value > 0.0 for value, reason in zip(t.values, t.reasons) if not reason)
+
+    def test_norms_below_the_square_underflow_are_not_read_as_zero(self, tmp_path):
+        # entries ~1e-171 have squares below float64's range: the recorded
+        # norms must still be the true ones, to a few ulps, and the trial
+        # must not take the zero-perturbation branch.  D2 there is zgeev's
+        # roundoff, so violations are not counted here.
+        cfg = sv.SweepConfig(seed=1, trials=3, amount=1e-170, target_kappa=1,
+                             block_profile="single-jordan")
+        rep = sv.run_sweep(cfg)
+        assert rep.summary["ok"] == 3
+
+        def true_norm(m):
+            return math.hypot(*m.real.ravel(), *m.imag.ravel())
+
+        for rec in rep.records:
+            inst = sv.gen_instance(cfg, rec.trial)
+            n = inst.spec.n
+            dev = inst.e_q - np.trace(inst.e_q) / n * np.eye(n)
+            for got, want in ((rec.norm_e, true_norm(inst.e)),
+                              (rec.norm_eq, true_norm(inst.e_q)),
+                              (rec.delta_eq, min(true_norm(dev), true_norm(inst.e_q)))):
+                assert got > 0.0
+                assert got == pytest.approx(want, rel=8 * linalg.UNIT_ROUNDOFF)
+            t = rec.results
+            assert bounds.BRANCH_ZERO not in t.branches
+            assert all(map(math.isfinite, t.values))
+        sv.write_report(rep, tmp_path / "r.json")  # every number a finite JSON float
 
     def test_tiny_perturbation_margins_are_not_negative(self):
         # the deviation must not cancel lambda against lambda + e_ii: at
@@ -644,7 +673,7 @@ class TestReportFiles:
          "schema_version None"),
         (lambda doc: dict(doc, config=dict(doc["config"], colour="blue")), "TypeError"),
         (lambda doc: dict(doc, records=[dict(doc["records"][0], results=[["SONG", 1.0]])]),
-         "IndexError"),
+         "ValueError"),
     ], ids=["empty-object", "list", "schema-3", "schema-1", "unknown-config-key", "short-row"])
     def test_read_report_rejects_what_is_not_a_report(self, tmp_path, corrupt, message):
         path = tmp_path / "r.json"
@@ -682,8 +711,9 @@ class TestReportFiles:
         assert rows
         for row in rows:
             rec = rep.records[int(row["trial"])]
+            value = rec.results.values[rec.results.ids.index(row["bound_id"])]
             assert float(row["d2"]) == rec.d2
-            assert float(row["slack"]) == rec.slacks[row["bound_id"]]
+            assert float(row["slack"]) == value - rec.d2
 
     def test_unknown_format(self, tmp_path):
         rep = sv.run_sweep(small_config(trials=1))

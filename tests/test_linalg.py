@@ -267,6 +267,23 @@ class TestNormAndDelta:
         scale = 2.0 ** 600  # scaling by a power of two commutes with the norm
         assert linalg.frobenius_norm(e * 1e-160 * scale) == linalg.frobenius_norm(e * 1e-160) * scale
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e-170, 1e-250, 1e-300, 2.0 ** -1060])
+    def test_tiny_entries_keep_their_norms(self, scale):
+        # the squares underflow, wholly or in part: the matrix is scaled up
+        # by a power of two, part by part (2^1060 itself would overflow)
+        m = random_complex(np.random.default_rng(32), 5) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = linalg.frobenius_norm(m)
+        assert norm == pytest.approx(math.hypot(*m.real.ravel(), *m.imag.ravel()),
+                                     rel=8 * linalg.UNIT_ROUNDOFF)
+        assert linalg.frobenius_norm(np.full((3, 3), 5e-324 + 0j)) == 1.5e-323
+
+    @pytest.mark.parametrize("scale", [2.0 ** -470, 1e-100, 1.0, 1e100])
+    def test_numpy_norm_bit_for_bit_in_between(self, scale):
+        m = random_complex(np.random.default_rng(33), 7) * scale
+        assert linalg.frobenius_norm(m) == float(np.linalg.norm(m))
+
     def test_make_instance_takes_each_frobenius_norm_once(self, monkeypatch):
         # ||E||_F, ||E_Q||_F and ||E_Q - (tr E_Q / n) I||_F: one call each
         cfg = sv.SweepConfig(seed=28, trials=1, n_range=(6, 6))
