@@ -64,22 +64,15 @@ S_KEY = {
     BRANCH_NORM_LARGE: "s2", BRANCH_DELTA_LARGE: "s2", BRANCH_C2: "s2",
 }
 
-# the injected values each bound reads; the others read only BoundInputs
-INPUT_KEYS = {
-    "SONG": ("s1", "s2"), "LI_CHEN": ("s1", "s2"), **dict.fromkeys(UP2, S_KEYS),
-    **dict.fromkeys(NORMAL_IDS, ("delta_e", "s_tilde")),
-}
-
-
 @dataclass(frozen=True)
 class BoundTable:
     """Evaluated bounds as columns, entry i of each for bound ``ids[i]``:
     its value, the branch it took and a reason, empty where it applies.
     An inapplicable bound's value is a zero placeholder that must never be
     compared against D2.  ``inputs`` holds the injected values once
-    (``s1``..``s4``; the normal family's ``s_tilde`` and ``delta_e``), and
-    :data:`INPUT_KEYS` names those each id reads.  For one point every
-    entry is a Python scalar and tables compare as one bool; for
+    (``s1``..``s4``; the normal family's ``s_tilde`` and ``delta_e``).
+    The JSON report writes these five columns as they are.  For one point
+    every entry is a Python scalar and tables compare as one bool; for
     BoundInputs of arrays an entry may be an array over the points."""
 
     ids: tuple = ()
@@ -215,9 +208,11 @@ def normal_bounds(e, a_tilde, hermitian_a: bool, s_tilde: int) -> BoundTable:
     n = e.shape[0]
     s_tilde = int(_check_s("s_tilde", s_tilde, n))
     fro, d = norm_and_delta(e, checked=True)
-    values = (fro, math.sqrt(n) * fro, math.sqrt(n - s_tilde + 1) * fro,
-              math.sqrt(fro * fro + (n - 1) * d * d),
-              math.sqrt(fro * fro + (n - s_tilde) * d * d), math.sqrt(fro * fro + d * d))
+    if fro < NORM_RESCALE_BELOW:  # the squares underflow: hypot of the unsquared parts
+        xu = tuple(math.hypot(fro, math.sqrt(k) * d) for k in (n - 1, n - s_tilde, 1))
+    else:
+        xu = tuple(math.sqrt(fro * fro + k * d * d) for k in (n - 1, n - s_tilde, 1))
+    values = (fro, math.sqrt(n) * fro, math.sqrt(n - s_tilde + 1) * fro) + xu
     reasons = ("" if is_normal(a_tilde) else "A + E is not normal", "", "", "", "",
                "" if hermitian_a else "A is not Hermitian")
     return BoundTable(
@@ -266,23 +261,36 @@ def jordan_bounds(x: BoundInputs, s, steps=None) -> BoundTable:
     # evaluated.  On the zero-perturbation branch core and trace term are 0.
     d_power = _pow(d, 2.0 / m)
     at_one = _pow(root + d, 2)
+    tiny = norm_eq < NORM_RESCALE_BELOW
     # (delta / ||E_Q||_F)^2 <= 1, whose two squares underflow for tiny E_Q
-    ratio = _where(norm_eq < NORM_RESCALE_BELOW, (d / norm_eq) ** 2, d * d / (norm_eq * norm_eq))
+    ratio = _where(tiny, (d / norm_eq) ** 2, d * d / (norm_eq * norm_eq))
+    # each inner core c x^(2/m) as (c, x^(2/m), x)
     inside = (
-        (drift + ratio) * _pow(norm_eq, 2.0 / m),
-        (drift + 1.0) * d_power,
-        m * _pow(drift / (m - 1), 1.0 - 1.0 / m) * d_power,  # interior minimum
+        (drift + ratio, _pow(norm_eq, 2.0 / m), norm_eq),
+        (drift + 1.0, d_power, d),
+        (m * _pow(drift / (m - 1), 1.0 - 1.0 / m), d_power, d),  # interior minimum
     )
     tr2 = _where(zero, 0.0, _pow(trace_abs, 2) / n)
     values = {"SONG": song, "LI_CHEN": li_chen}
     labels = (BRANCH_NORM_SMALL, BRANCH_DELTA_SMALL, BRANCH_C1)
-    for i, (branch, core, label) in enumerate(zip(branches, inside, labels)):
+    for i, (branch, (c, power, _), label) in enumerate(zip(branches, inside, labels)):
         inner = branch == label
-        core = _where(zero, 0.0, _where(inner, core, at_one))
+        core = _where(zero, 0.0, _where(inner, c * power, at_one))
         s_up2 = _where(inner, s[S_KEY[label]], s["s2"])
         values[UP1[i]] = np.sqrt(n * core + tr2)
         values[UP2[i]] = np.sqrt(s_up2 * core + tr2)
         values[UP3[i]] = _where(real, np.sqrt(2.0 * core + tr2), 0.0)
+    if tiny.any() if isinstance(tiny, np.ndarray) else tiny:
+        # below 2^-480 core and |tr E|^2 / n may underflow: there each UP
+        # bound is the hypot of sqrt(K core) and |tr E| / sqrt(n)
+        trace_part = _where(zero, 0.0, trace_abs / np.sqrt(n))
+        for i, (branch, (c, _, base), label) in enumerate(zip(branches, inside, labels)):
+            inner = branch == label
+            half = _where(zero, 0.0, _where(inner, np.sqrt(c) * _pow(base, 1.0 / m), root + d))
+            s_up2 = _where(inner, s[S_KEY[label]], s["s2"])
+            for bid, k, cond in ((UP1[i], n, tiny), (UP2[i], s_up2, tiny),
+                                 (UP3[i], 2.0, tiny & real)):
+                values[bid] = _where(cond, np.hypot(np.sqrt(k) * half, trace_part), values[bid])
     reason = _label(real, "", "prescribed eigenvalues are not all real")
     return BoundTable(
         JORDAN_IDS,  # one point's values as Python floats, as JSON and repr want

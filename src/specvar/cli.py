@@ -17,6 +17,9 @@ from .blocks import DEFAULT_TOL, s_number
 from .exceptions import SpecvarError
 from .fileio import read_jordan_spec, read_matrix
 from .harness import (
+    BLOCK_PROFILES,
+    PERTURBATIONS,
+    S_MODES,
     SweepConfig,
     check_amount_scale,
     default_tolerances,
@@ -137,6 +140,7 @@ def _cmd_example(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    defaults = SweepConfig()
     parser = argparse.ArgumentParser(
         prog="specvar",
         description="Eigenvalue perturbation bounds, verified against the "
@@ -165,26 +169,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="all bounds for one (Jordan data, E) instance")
     p.add_argument("--jordan", required=True, help="Jordan-data file")
     p.add_argument("--perturbation", required=True, help="matrix file with E")
-    p.add_argument("--s-mode", choices=("computed", "pessimistic"),
-                   default="pessimistic")
+    p.add_argument("--s-mode", choices=S_MODES, default=defaults.s_mode)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=defaults.seed)
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("sweep", help="seeded verification sweep")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--n-min", type=int, default=2)
-    p.add_argument("--n-max", type=int, default=12)
-    p.add_argument("--profile", default="mixed",
-                   choices=("diagonalizable", "single-jordan", "mixed", "user-file"))
-    p.add_argument("--perturbation", default="gaussian",
-                   choices=("gaussian", "scalar", "rank1"))
-    p.add_argument("--amount", type=float, default=0.5,
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--trials", type=int, default=defaults.trials)
+    p.add_argument("--n-min", type=int, default=defaults.n_range[0])
+    p.add_argument("--n-max", type=int, default=defaults.n_range[1])
+    p.add_argument("--profile", default=defaults.block_profile, choices=BLOCK_PROFILES)
+    p.add_argument("--perturbation", default=defaults.perturbation, choices=PERTURBATIONS)
+    p.add_argument("--amount", type=float, default=defaults.amount,
                    help="||E||_F for gaussian/rank1, t for scalar")
-    p.add_argument("--kappa", type=float, default=10.0)
-    p.add_argument("--s-mode", choices=("computed", "pessimistic"),
-                   default="pessimistic")
+    p.add_argument("--kappa", type=float, default=defaults.target_kappa)
+    p.add_argument("--s-mode", choices=S_MODES, default=defaults.s_mode)
     p.add_argument("--real-eigenvalues", action="store_true")
     p.add_argument("--jordan", default=None, help="Jordan-data file (user-file profile)")
     p.add_argument("--format", choices=("csv", "structured-text"), default="csv")
@@ -198,8 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=0.05)
     p.add_argument("--jordan", default=None,
                    help="Jordan-data file consistent with (n, p, m)")
-    p.add_argument("--s-mode", choices=("computed", "pessimistic"),
-                   default="pessimistic")
+    p.add_argument("--s-mode", choices=S_MODES, default=defaults.s_mode)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_example)
 

@@ -3,8 +3,8 @@
 Generates seeded Jordan-structured instances, evaluates every applicable
 bound against the true optimal matching distance D2, checks the envelope
 margins on an eps grid, and aggregates everything into a reproducible
-report: compact JSON (schema 2: record scalars once, one row per bound of
-the record's bound table) or CSV (trial,bound_id,branch,value,d2,slack).
+report: compact JSON (schema 3: each record's fields, its bound table as
+the table's columns) or CSV (trial,bound_id,branch,value,d2,slack).
 
 Two report states are kept strictly apart: a *bound violation* (negative
 slack beyond tolerance -- would disprove a theorem) and a
@@ -27,7 +27,6 @@ import numpy as np
 
 from .blocks import DEFAULT_BLOCK_TOL, DEFAULT_CLUSTER_GAP, DEFAULT_TOL, s_number
 from .bounds import (
-    INPUT_KEYS,
     SLACK_TOL,
     BoundInputs,
     BoundTable,
@@ -522,49 +521,41 @@ def _shallow_fields(obj) -> dict:
 
 
 def report_to_doc(report: Report) -> dict:
-    """The schema-2 document: each record's scalars once, and its bound
-    table as rows ``[id, value, branch, slack]``.  The slack is null only
-    for an inapplicable bound, whose row adds its reason; a bound that read
-    injected values adds them (:data:`specvar.bounds.INPUT_KEYS`)."""
+    """The schema-3 document: each record's fields as they are, its bound
+    table as the table's five columns (``ids``, ``values``, ``branches``,
+    ``reasons``, ``inputs``).  The document shares no mutable state with
+    the report; a slack, ``value - d2`` of an applicable bound, is left to
+    the reader."""
     cfg = asdict(report.config)
     cfg["n_range"] = list(report.config.n_range)
     records = []
     for rec in report.records:
         d = _shallow_fields(rec)
-        t = rec.results
-        d["results"] = rows = []
-        for bid, value, branch, reason in zip(t.ids, t.values, t.branches, t.reasons):
-            row = [bid, value, branch, None if reason else value - rec.d2]
-            if reason:
-                row.append(reason)
-            if bid in INPUT_KEYS:
-                row.append({key: t.inputs[key] for key in INPUT_KEYS[bid]})
-            rows.append(row)
+        d["results"] = {**_shallow_fields(rec.results), "inputs": dict(rec.results.inputs)}
         d["violations"] = list(rec.violations)
         records.append(d)
-    return {"schema_version": 2, "config": cfg, "records": records,
+    return {"schema_version": 3, "config": cfg, "records": records,
             "summary": report.summary}
 
 
 def report_from_doc(doc: dict) -> Report:
-    """Inverse of :func:`report_to_doc`: the bound table is rebuilt from
-    the rows, and each slack, ``value - d2``, is left to its reader."""
+    """Inverse of :func:`report_to_doc`, for schema 3 only: each bound
+    table is rebuilt from its columns, which must all be present and of
+    one length."""
     version = doc.get("schema_version")
-    if version != 2:
-        raise ParseError(f"unknown report schema_version {version!r}; only 2 is read")
+    if version != 3:
+        raise ParseError(f"unknown report schema_version {version!r}; only 3 is read")
     cfg = dict(doc["config"])
     cfg["n_range"] = tuple(cfg["n_range"])
     config = SweepConfig(**cfg)
     records = []
     for d in doc["records"]:
         d = dict(d)
-        rows = d["results"]
-        reasons, inputs = [], {}
-        for _, _, _, slack, *rest in rows:
-            reasons.append(rest.pop(0) if slack is None else "")
-            inputs.update(*rest)
-        ids, values, branches = (tuple(row[i] for row in rows) for i in range(3))
-        d["results"] = BoundTable(ids, values, branches, tuple(reasons), inputs)
+        t = d["results"]
+        columns = [tuple(t[key]) for key in ("ids", "values", "branches", "reasons")]
+        if len(set(map(len, columns))) != 1:
+            raise ValueError(f"bound table columns of lengths {list(map(len, columns))}")
+        d["results"] = BoundTable(*columns, dict(t["inputs"]))
         records.append(TrialRecord(**d))
     return Report(config=config, records=records, summary=doc["summary"])
 
@@ -573,7 +564,7 @@ def write_report(report: Report, path, format: str = "structured-text") -> None:
     """Write a report.
 
     ``structured-text`` is the lossless compact JSON form of
-    :func:`report_to_doc` (``schema_version`` 2; read back with
+    :func:`report_to_doc` (``schema_version`` 3; read back with
     :func:`read_report`).  ``csv`` is the flat per-bound view with the fixed
     column order trial,bound_id,branch,value,d2,slack, preceded by a
     timestamp comment line that is excluded from reproducibility
@@ -606,7 +597,7 @@ def write_report(report: Report, path, format: str = "structured-text") -> None:
 
 def read_report(path) -> Report:
     """Read back a structured-text report written by :func:`write_report`
-    (schema version 2); anything else raises ``ParseError``."""
+    (schema version 3); anything else raises ``ParseError``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)

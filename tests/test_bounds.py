@@ -705,3 +705,29 @@ class TestScalarKernel:
                 assert lo_values == pytest.approx(hi_values, rel=rel), (layout, step)
                 crossings += 1
         assert crossings == 10 * 3 * 2 + 8 * 3
+
+    def test_up_bounds_below_the_square_underflow(self):
+        # at m = 1 every UP core is delta^2, so UP_K = (K delta^2 + |tr E|^2 / n)^(1/2)
+        # is homogeneous of degree 1: the reference takes it at 2^k times the
+        # inputs, exactly, where nothing underflows.  One array call over
+        # norms on both sides of 2^-480 agrees with a call per point.
+        norms = [1e-300, 1e-200, 1e-170, 2.0 ** -481, 2.0 ** -480, 1e-140, 0.5]
+        for n in (4, 12):
+            x = sv.BoundInputs(n, n, 1, np.array(norms), 0.6 * np.array(norms),
+                               0.8 * math.sqrt(n) * np.array(norms), True)
+            table = sv.jordan_bounds(x, pessimistic(x))
+            for i, norm in enumerate(norms):
+                xi = sv.BoundInputs(n, n, 1, norm, 0.6 * norm, 0.8 * math.sqrt(n) * norm, True)
+                ti = sv.jordan_bounds(xi, pessimistic(xi))
+                assert ti.values == tuple(float(v[i]) for v in table.values)
+                k = -math.frexp(norm)[1]
+                d, trace = math.ldexp(xi.delta_eq, k), math.ldexp(xi.trace_abs, k)
+                for ids, factor in ((UP1, n), (UP2, n), (UP3, 2)):
+                    want = math.ldexp(math.sqrt(factor * d * d + trace * trace / n), -k)
+                    for bid in ids:
+                        got = ti.values[JORDAN_IDS.index(bid)]
+                        assert abs(got - want) <= 4 * math.ulp(want), (n, norm, bid)
+            # a complex spectrum keeps UP3's zero placeholder
+            complex_x = x._replace(real_spectrum=False)
+            complex_values = sv.jordan_bounds(complex_x, pessimistic(x)).values
+            assert all(not complex_values[JORDAN_IDS.index(bid)].any() for bid in UP3)

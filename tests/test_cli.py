@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import specvar as sv
-from specvar import harness
+from specvar import cli, harness
 from specvar.cli import main
 
 
@@ -176,6 +176,19 @@ def test_sweep_structured_report(tmp_path):
     assert code == 0
     rep = sv.read_report(out_path)
     assert rep.summary["trials"] == 3
+
+
+def test_sweep_without_flags_runs_the_default_config(monkeypatch, capsys):
+    # the parser's defaults are SweepConfig's: one home for each
+    seen = []
+
+    def fake_run_sweep(config):
+        seen.append(config)
+        return harness.Report(config, [], harness.summarize(config, []))
+
+    monkeypatch.setattr(cli, "run_sweep", fake_run_sweep)
+    assert main(["sweep"]) == 0
+    assert seen == [sv.SweepConfig()]
 
 
 def test_sweep_rejects_an_amount_whose_squares_overflow(capsys):

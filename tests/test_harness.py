@@ -20,6 +20,12 @@ def small_config(**kw):
     return sv.SweepConfig(**base)
 
 
+def with_results(doc, change):
+    """``doc`` with its first record's bound table columns passed through ``change``."""
+    first = dict(doc["records"][0], results=change(doc["records"][0]["results"]))
+    return dict(doc, records=[first, *doc["records"][1:]])
+
+
 def row(table, bid):
     """(value, branch, reason) of one bound of a table."""
     i = table.ids.index(bid)
@@ -479,6 +485,28 @@ class TestRunSweep:
             assert all(map(math.isfinite, t.values))
         sv.write_report(rep, tmp_path / "r.json")  # every number a finite JSON float
 
+    def test_bounds_below_the_square_underflow_are_not_read_as_zero(self):
+        # n = 7, m = 1 at ||E_Q||_F = 1e-170: every UP core is delta^2 and
+        # XU1, XU2, XU_HERMITIAN square ||E_Q||_F and delta, so each value
+        # underflowed to 0.  The reference takes the same formulas at 2^600
+        # times the recorded inputs, exactly, where nothing underflows.
+        cfg = sv.SweepConfig(seed=1, trials=2, amount=1e-170, target_kappa=1,
+                             block_profile="diagonalizable", real_eigenvalues=True)
+        rec = harness.run_trial(sv.gen_instance(cfg, 0), cfg, 0)
+        assert (rec.status, rec.n, rec.m) == ("ok", 7, 1)
+        n, up = rec.n, 2.0 ** 600
+        fro, d, trace = (v * up for v in (rec.norm_eq, rec.delta_eq, rec.trace_abs))
+        want = {bid: math.sqrt(factor * d * d + trace * trace / n) / up
+                for ids, factor in ((bounds.UP1, n), (bounds.UP2, n), (bounds.UP3, 2))
+                for bid in ids}
+        want.update((bid, math.sqrt(fro * fro + k * d * d) / up)
+                    for bid, k in (("XU1", n - 1), ("XU2", n - 1), ("XU_HERMITIAN", 1)))
+        assert want["XU1"] == pytest.approx(2.610e-170, rel=1e-3)
+        assert want["UP3_1"] == pytest.approx(1.403e-170, rel=1e-3)
+        for bid, value in want.items():
+            got = row(rec.results, bid)[0]
+            assert abs(got - value) <= 4 * math.ulp(value), bid
+
     def test_tiny_perturbation_margins_are_not_negative(self):
         # the deviation must not cancel lambda against lambda + e_ii: at
         # ||E||_F = 1e-14 that reads envelope ratios down to -8e-3
@@ -631,7 +659,10 @@ class TestReportFiles:
                    for rec in rep.records if rec.status == "ok")
         path = tmp_path / "report.json"
         sv.write_report(rep, path, format="structured-text")
-        assert json.loads(path.read_text())["schema_version"] == 2
+        doc = json.loads(path.read_text())
+        assert doc["schema_version"] == 3
+        assert set(doc["records"][0]["results"]) == {"ids", "values", "branches", "reasons",
+                                                     "inputs"}
         assert sv.read_report(path) == rep
 
     def test_a_report_rederives_its_jordan_bounds(self, tmp_path):
@@ -658,23 +689,29 @@ class TestReportFiles:
         rep = sv.run_sweep(small_config(trials=2, s_mode="computed"))
         inputs = dict(rep.records[0].results.inputs)
         doc = harness.report_to_doc(rep)
-        row = doc["records"][0]["results"][0]
-        row[-1].clear()
-        row.clear()
+        results = doc["records"][0]["results"]
+        results["inputs"].clear()
         doc["records"][0]["violations"].append("SONG")
         assert rep.records[0].results.inputs == inputs
         assert rep.records[0].violations == []
+        # the columns are the table's own tuples: shared, and immutable
+        assert all(isinstance(results[key], tuple)
+                   for key in ("ids", "values", "branches", "reasons"))
 
     @pytest.mark.parametrize("corrupt, message", [
         (lambda doc: {}, "schema_version None"),
         (lambda doc: [1, 2], "AttributeError"),
-        (lambda doc: dict(doc, schema_version=3), "schema_version 3"),
+        (lambda doc: dict(doc, schema_version=2), "schema_version 2"),
+        (lambda doc: dict(doc, schema_version=4), "schema_version 4"),
         (lambda doc: {k: v for k, v in doc.items() if k != "schema_version"},
          "schema_version None"),
         (lambda doc: dict(doc, config=dict(doc["config"], colour="blue")), "TypeError"),
-        (lambda doc: dict(doc, records=[dict(doc["records"][0], results=[["SONG", 1.0]])]),
+        (lambda doc: with_results(doc, lambda t: {k: v for k, v in t.items() if k != "reasons"}),
+         "KeyError"),
+        (lambda doc: with_results(doc, lambda t: dict(t, values=t["values"][:-1])),
          "ValueError"),
-    ], ids=["empty-object", "list", "schema-3", "schema-1", "unknown-config-key", "short-row"])
+    ], ids=["empty-object", "list", "schema-2", "schema-4", "schema-1", "unknown-config-key",
+            "missing-column", "ragged-columns"])
     def test_read_report_rejects_what_is_not_a_report(self, tmp_path, corrupt, message):
         path = tmp_path / "r.json"
         sv.write_report(sv.run_sweep(small_config(trials=1)), path)

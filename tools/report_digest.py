@@ -1,15 +1,18 @@
-"""One sha256 over the reports of a fixed 324-sweep grid.
+"""Two sha256 digests over the reports of a fixed 324-sweep grid.
 
-    python3 tools/report_digest.py            # prints the digest and the sweep count
+    python3 tools/report_digest.py            # prints both digests and the sweep count
 
 The grid is every combination of the three generated block profiles
 (diagonalizable, single-jordan, mixed), kappa(Q) in {1, 10, 1e4},
 ||E|| in {0.01, 0.5, 2}, the three perturbations, both s-modes and
 real/complex spectra, each sweep with seed 3 and 6 trials at n in 2..12.
 Each sweep goes through ``write_report`` twice: as the structured-text
-JSON document and as the CSV, whose timestamp line is dropped.  The digest
-hashes both, sweep by sweep, so two checkouts that print the same digest
-write byte-identical reports on the whole grid.
+JSON document and as the CSV, whose timestamp line is dropped.  The full
+digest hashes both, sweep by sweep, so two checkouts that print the same
+full digest write byte-identical reports on the whole grid.  The stable
+digest hashes, sweep by sweep, the CSV body followed by the summary as
+``json.dumps(summary, sort_keys=True)``: it holds across a change of the
+JSON layout, so it compares checkouts on either side of a schema bump.
 
 It imports ``specvar`` from the ``src/`` of the checkout it lives in, so a
 copy of this script run from another checkout digests that checkout.
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -44,8 +48,9 @@ def grid():
                              real_eigenvalues=real)
 
 
-def digest() -> tuple[str, int]:
-    h = hashlib.sha256()
+def digests() -> tuple[str, str, int]:
+    """(full digest, stable digest, sweep count)."""
+    full, stable = hashlib.sha256(), hashlib.sha256()
     count = 0
     with tempfile.TemporaryDirectory() as tmp:
         json_path, csv_path = Path(tmp) / "r.json", Path(tmp) / "r.csv"
@@ -53,14 +58,17 @@ def digest() -> tuple[str, int]:
             report = sv.run_sweep(config)
             sv.write_report(report, json_path)
             sv.write_report(report, csv_path, format="csv")
-            h.update(json_path.read_bytes())
+            full.update(json_path.read_bytes())
             stamp, body = csv_path.read_bytes().split(b"\n", 1)
             assert stamp.startswith(b"# generated "), stamp
-            h.update(body)
+            full.update(body)
+            stable.update(body)
+            stable.update(json.dumps(report.summary, sort_keys=True).encode())
             count += 1
-    return h.hexdigest(), count
+    return full.hexdigest(), stable.hexdigest(), count
 
 
 if __name__ == "__main__":
-    value, count = digest()
-    print(f"{value}  ({count} sweeps)")
+    full, stable, count = digests()
+    print(f"full    {full}  ({count} sweeps: JSON and CSV reports)")
+    print(f"stable  {stable}  (CSV bodies and summaries)")
