@@ -142,20 +142,36 @@ def _label(cond, a, b):
 
 
 def _pow(x, y):
-    # libm's pow: numpy's scalar ** calls it, and its float_power loop does
+    # libm's pow: Python's float ** calls it, and numpy's float_power loop does
     if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
         return np.float_power(x, y)
     return x ** y
 
 
+def _sqrt(x):
+    # both round correctly; math.sqrt skips numpy's per-call cost on one point
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _div(a, b):
+    # a / b.  Arrays divide by zero into inf/nan, which np.where drops; one
+    # point's quotient by zero is 0.0, where a Python float would raise:
+    # every such quotient lands in a branch that _where drops.
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return a / b
+    return a / b if b else 0.0
+
+
 def _floats(x: BoundInputs) -> BoundInputs:
-    # numpy scalars divide by zero into inf/nan like arrays, where a Python
-    # float raises: np.where evaluates the branches it drops.  n, p and m
-    # are small integers, exact in float64.
-    return BoundInputs(*map(np.float64, x[:6]), x.real_spectrum)
+    # one point's numbers as Python floats, arrays as float64 arrays; n, p
+    # and m are small integers, exact in float64
+    return BoundInputs(
+        *(np.float64(v) if isinstance(v, np.ndarray) else float(v) for v in x[:6]),
+        x.real_spectrum,
+    )
 
 
-@np.errstate(divide="ignore", invalid="ignore")
 def plan(x: BoundInputs) -> tuple[Step, Step, Step]:
     """The single decision of branch and eps for the three envelope
     variants: (||E_Q||_F, delta(E_Q), stationary point), in that order.
@@ -164,26 +180,32 @@ def plan(x: BoundInputs) -> tuple[Step, Step, Step]:
     m >= 2; the m = 1 case is routed to C2, whose eps = 1 formula contains
     the diagonalizable case.  Under C1 the stationary eps is
     (curb/drift)^(1/(2m)), the minimiser :func:`specvar.jordan.optimal_epsilon`
-    returns; at delta = 0 it is the eps -> 0 limit.
+    returns; at delta = 0 it is the eps -> 0 limit.  Below ||E_Q||_F =
+    2^-480, where curb may underflow, that eps is taken from unsquared
+    parts as (sqrt(m-1) delta / sqrt(drift))^(1/m).
     """
     n, p, m, norm_eq, d = _floats(x)[:5]
     zero = norm_eq == 0.0
-    drift = n - p + 2.0 * np.sqrt(n - p) * d
+    drift = n - p + 2.0 * _sqrt(n - p) * d
     curb = (m - 1) * d * d
+    stationary = _where(norm_eq < NORM_RESCALE_BELOW,
+                        _pow(_div(_sqrt(m - 1) * d, _sqrt(drift)), 1.0 / m),
+                        _pow(_div(curb, drift), 1.0 / (2 * m)))
     tests = (
-        (norm_eq < 1.0, BRANCH_NORM_SMALL, BRANCH_NORM_LARGE, norm_eq, m),
-        (d < 1.0, BRANCH_DELTA_SMALL, BRANCH_DELTA_LARGE, d, m),
-        ((m >= 2) & (drift > curb), BRANCH_C1, BRANCH_C2, curb / drift, 2 * m),
+        (norm_eq < 1.0, BRANCH_NORM_SMALL, BRANCH_NORM_LARGE, _pow(norm_eq, 1.0 / m)),
+        (d < 1.0, BRANCH_DELTA_SMALL, BRANCH_DELTA_LARGE, _pow(d, 1.0 / m)),
+        ((m >= 2) & (drift > curb), BRANCH_C1, BRANCH_C2, stationary),
     )
     return tuple(
         Step(_label(zero, BRANCH_ZERO, _label(test, inside, fallback)),
-             _where(zero, 0.0, _where(test, _pow(base, 1.0 / root), 1.0)))
-        for test, inside, fallback, base, root in tests
+             _where(zero, 0.0, _where(test, eps, 1.0)))
+        for test, inside, fallback, eps in tests
     )
 
 
 def _check_s(name: str, value, n):
-    if np.count_nonzero((value < 1) | (value > n)):
+    bad = (value < 1) | (value > n)
+    if bad.any() if isinstance(bad, np.ndarray) else bad:
         raise DomainError(f"{name} must lie in [1, {n}], got {value}")
     return value
 
@@ -224,7 +246,6 @@ def normal_bounds(e, a_tilde, hermitian_a: bool, s_tilde: int) -> BoundTable:
 # ---------------------------------------------------------------------------
 # bounds for an arbitrary matrix
 
-@np.errstate(divide="ignore", invalid="ignore")
 def jordan_bounds(x: BoundInputs, s, steps=None) -> BoundTable:
     """SONG, LI_CHEN, UP1_*, UP2_* and UP3_* (:data:`JORDAN_IDS`) on one
     ``steps = plan(x)``.
@@ -245,16 +266,16 @@ def jordan_bounds(x: BoundInputs, s, steps=None) -> BoundTable:
     branches = tuple(step.branch for step in steps)
     zero = branches[0] == BRANCH_ZERO
     small = branches[0] == BRANCH_NORM_SMALL
-    root = np.sqrt(n - p)
+    root = _sqrt(n - p)
     drift = n - p + 2.0 * root * d
-    scale = np.sqrt(n) * (root + 1.0)
+    scale = _sqrt(n) * (root + 1.0)
     # steps[0].eps is ||E_Q||_F^(1/m) wherever the norm is small, and 0 on
     # the zero-perturbation branch, where it makes SONG and LI_CHEN 0
     song = _where(small, scale * steps[0].eps, scale * norm_eq)
     li_chen = _where(
         small,
-        np.sqrt(s["s1"] * (n - p + 1.0 + 2.0 * root * norm_eq)) * steps[0].eps,
-        np.sqrt(s["s2"] * (n - p + 2.0 * root + norm_eq)) * np.sqrt(norm_eq),
+        _sqrt(s["s1"] * (n - p + 1.0 + 2.0 * root * norm_eq)) * steps[0].eps,
+        _sqrt(s["s2"] * (n - p + 2.0 * root + norm_eq)) * _sqrt(norm_eq),
     )
     # phi minus its trace term in closed form, per step; the forms hold the
     # eps -> 0 limits at delta = 0 exactly, where phi itself cannot be
@@ -263,12 +284,12 @@ def jordan_bounds(x: BoundInputs, s, steps=None) -> BoundTable:
     at_one = _pow(root + d, 2)
     tiny = norm_eq < NORM_RESCALE_BELOW
     # (delta / ||E_Q||_F)^2 <= 1, whose two squares underflow for tiny E_Q
-    ratio = _where(tiny, (d / norm_eq) ** 2, d * d / (norm_eq * norm_eq))
+    ratio = _where(tiny, _div(d, norm_eq) ** 2, _div(d * d, norm_eq * norm_eq))
     # each inner core c x^(2/m) as (c, x^(2/m), x)
     inside = (
         (drift + ratio, _pow(norm_eq, 2.0 / m), norm_eq),
         (drift + 1.0, d_power, d),
-        (m * _pow(drift / (m - 1), 1.0 - 1.0 / m), d_power, d),  # interior minimum
+        (m * _pow(_div(drift, m - 1), 1.0 - 1.0 / m), d_power, d),  # interior minimum
     )
     tr2 = _where(zero, 0.0, _pow(trace_abs, 2) / n)
     values = {"SONG": song, "LI_CHEN": li_chen}
@@ -277,20 +298,20 @@ def jordan_bounds(x: BoundInputs, s, steps=None) -> BoundTable:
         inner = branch == label
         core = _where(zero, 0.0, _where(inner, c * power, at_one))
         s_up2 = _where(inner, s[S_KEY[label]], s["s2"])
-        values[UP1[i]] = np.sqrt(n * core + tr2)
-        values[UP2[i]] = np.sqrt(s_up2 * core + tr2)
-        values[UP3[i]] = _where(real, np.sqrt(2.0 * core + tr2), 0.0)
+        values[UP1[i]] = _sqrt(n * core + tr2)
+        values[UP2[i]] = _sqrt(s_up2 * core + tr2)
+        values[UP3[i]] = _where(real, _sqrt(2.0 * core + tr2), 0.0)
     if tiny.any() if isinstance(tiny, np.ndarray) else tiny:
         # below 2^-480 core and |tr E|^2 / n may underflow: there each UP
         # bound is the hypot of sqrt(K core) and |tr E| / sqrt(n)
-        trace_part = _where(zero, 0.0, trace_abs / np.sqrt(n))
+        trace_part = _where(zero, 0.0, trace_abs / _sqrt(n))
         for i, (branch, (c, _, base), label) in enumerate(zip(branches, inside, labels)):
             inner = branch == label
-            half = _where(zero, 0.0, _where(inner, np.sqrt(c) * _pow(base, 1.0 / m), root + d))
+            half = _where(zero, 0.0, _where(inner, _sqrt(c) * _pow(base, 1.0 / m), root + d))
             s_up2 = _where(inner, s[S_KEY[label]], s["s2"])
             for bid, k, cond in ((UP1[i], n, tiny), (UP2[i], s_up2, tiny),
                                  (UP3[i], 2.0, tiny & real)):
-                values[bid] = _where(cond, np.hypot(np.sqrt(k) * half, trace_part), values[bid])
+                values[bid] = _where(cond, np.hypot(_sqrt(k) * half, trace_part), values[bid])
     reason = _label(real, "", "prescribed eigenvalues are not all real")
     return BoundTable(
         JORDAN_IDS,  # one point's values as Python floats, as JSON and repr want

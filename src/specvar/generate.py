@@ -6,6 +6,7 @@ own determinism: the same generator state always yields the same matrix.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -13,12 +14,16 @@ import numpy as np
 from .exceptions import DimensionError
 
 
+def _complex_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """Standard complex Gaussian entries of the given shape, from one draw:
+    for each trailing matrix its real parts, then its imaginary parts."""
+    z = rng.standard_normal((*shape[:-2], 2, *shape[-2:]))
+    return (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / math.sqrt(2.0)
+
+
 def complex_gaussian(n_rows: int, n_cols: int, rng: np.random.Generator) -> np.ndarray:
     """Standard complex Gaussian matrix (unit-variance entries)."""
-    return (
-        rng.standard_normal((n_rows, n_cols))
-        + 1j * rng.standard_normal((n_rows, n_cols))
-    ) / np.sqrt(2.0)
+    return _complex_normal((n_rows, n_cols), rng)
 
 
 def _haar(g: np.ndarray) -> np.ndarray:
@@ -57,8 +62,7 @@ def random_conditioned(n: int, kappa: float, rng: np.random.Generator) -> np.nda
     if kappa == 1.0 or n <= 1:
         return random_unitary(n, rng)
     # u, then v, drawn as two random_unitary calls would draw them
-    g = complex_gaussian(n, n, rng)
-    u, v = _haar(np.stack((g, complex_gaussian(n, n, rng))))
+    u, v = _haar(_complex_normal((2, n, n), rng))
     return (u * _log_spaced(kappa, n)[None, :]) @ v.conj().T
 
 

@@ -268,12 +268,11 @@ class TrialRecord:
 
 
 def instance_digest(inst: PerturbationInstance) -> str:
-    h = hashlib.sha256()
-    for lam, size in inst.spec.blocks:
-        h.update(np.array([lam.real, lam.imag, size], dtype=np.float64).tobytes())
-    h.update(np.ascontiguousarray(inst.spec.q).tobytes())
-    h.update(np.ascontiguousarray(inst.e).tobytes())
-    return h.hexdigest()[:12]
+    # (re, im, size) per block as float64, then Q and E, in C order
+    blocks = np.array([(lam.real, lam.imag, size) for lam, size in inst.spec.blocks],
+                      dtype=np.float64)
+    data = blocks.tobytes() + inst.spec.q.tobytes() + inst.e.tobytes()
+    return hashlib.sha256(data).hexdigest()[:12]
 
 
 def _is_constructed_normal(config: SweepConfig) -> bool:

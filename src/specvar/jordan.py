@@ -75,8 +75,9 @@ class JordanSpec:
     def __post_init__(self):
         lams, sizes = zip(*self.blocks)
         eigenvalues = np.repeat(np.array(lams, dtype=np.complex128), sizes)
-        positions = np.concatenate([np.arange(size, dtype=np.float64) for size in sizes])
-        superdiagonal = np.flatnonzero(positions[1:])
+        places = [k for size in sizes for k in range(size)]
+        positions = np.array(places, dtype=np.float64)
+        superdiagonal = np.array([i for i, k in enumerate(places[1:]) if k], dtype=np.intp)
         for derived in (eigenvalues, positions, superdiagonal):
             derived.flags.writeable = False
         object.__setattr__(self, "n", sum(sizes))

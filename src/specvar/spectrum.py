@@ -89,8 +89,8 @@ def _matching_from_permutation(a, b, perm, k: int = 0) -> Matching:
     dists = np.abs(b[perm] - a)
     return Matching(
         permutation=perm,
-        d2=math.ldexp(float(np.sqrt(np.sum(dists**2))), k),
-        d_inf=math.ldexp(float(np.max(dists)), k),
+        d2=math.ldexp(math.sqrt(np.sum(dists**2)), k),
+        d_inf=math.ldexp(dists.max(), k),
     )
 
 
