@@ -313,14 +313,12 @@ def _margin_ratios(inst: PerturbationInstance, grid) -> tuple[float, float, floa
     value = margins["phi"]
     if not value[0] > 0.0:
         return 0.0, 0.0, 0.0, 0.0
-    env, norm, cross, sup = (
-        margins[key] / value
-        for key in (
-            "envelope_margin", "scaled_norm_margin", "cross_term_margin",
-            "superdiag_norm_error",
-        )
-    )
-    return float(env.min()), float(norm.min()), float(cross.min()), float(sup.max())
+    # one row a ratio, the error's negated, so that one min serves all four
+    env, norm, cross, sup = (np.array([
+        margins["envelope_margin"], margins["scaled_norm_margin"],
+        margins["cross_term_margin"], -margins["superdiag_norm_error"],
+    ]) / value).min(axis=1).tolist()
+    return env, norm, cross, -sup
 
 
 def run_trial(inst: PerturbationInstance, config: SweepConfig, trial: int) -> TrialRecord:

@@ -16,8 +16,9 @@ envelope bounding || T^-1 Q^-1 (A+E) Q T - Lambda ||_F^2 from which every
 bound in :mod:`specvar.bounds` is derived.  ``envelope_margins`` checks
 that inequality, and the three estimates behind it, on a whole eps grid
 at once: the deviation is T^-1 E_Q T + Omega (Omega the in-block
-superdiagonal, every entry eps), evaluated as one (k, n, n) broadcast from
-the cached E_Q and the block positions ``JordanSpec`` derives once.
+superdiagonal, every entry eps), whose squared norm is a polynomial in
+eps with one coefficient per exponent, summed once from the cached E_Q and
+the block positions ``JordanSpec`` derives once.
 """
 
 from __future__ import annotations
@@ -218,6 +219,21 @@ def make_instance(spec: JordanSpec, e) -> PerturbationInstance:
     )
 
 
+def _phi_terms(inst: PerturbationInstance, eps):
+    # phi's terms: eps^(2(1-m)) delta^2, half the cross term eps^2
+    # sqrt(n-p) delta, (n-p) eps^2 and |tr E|^2 / n
+    if not np.all((0.0 < eps) & (eps <= 1.0)):
+        raise DomainError(f"eps must lie in (0, 1], got {eps}")
+    n, p, m = inst.spec.n, inst.spec.p, inst.spec.m
+    d = inst.delta_eq
+    return (
+        eps ** (2 * (1 - m)) * d * d,
+        eps * eps * np.sqrt(n - p) * d,
+        (n - p) * eps * eps,
+        abs(inst.trace_e) ** 2 / n,
+    )
+
+
 def phi(inst: PerturbationInstance, eps):
     """Envelope value
 
@@ -229,16 +245,8 @@ def phi(inst: PerturbationInstance, eps):
     delta(E_Q)^2 itself.  ``eps`` is a float or an array of them; the
     value has its shape.
     """
-    if not np.all((0.0 < eps) & (eps <= 1.0)):
-        raise DomainError(f"eps must lie in (0, 1], got {eps}")
-    n, p, m = inst.spec.n, inst.spec.p, inst.spec.m
-    d = inst.delta_eq
-    return (
-        eps ** (2 * (1 - m)) * d * d
-        + 2.0 * eps * eps * np.sqrt(n - p) * d
-        + (n - p) * eps * eps
-        + abs(inst.trace_e) ** 2 / n
-    )
+    first, half_cross, superdiag, trace = _phi_terms(inst, eps)
+    return first + 2.0 * half_cross + superdiag + trace
 
 
 def optimal_epsilon(inst: PerturbationInstance) -> float:
@@ -271,49 +279,48 @@ def scaled_similarity(spec: JordanSpec, m, eps: float) -> np.ndarray:
     return m * (t[None, :] / t[:, None])
 
 
-def _sum_squares(stack: np.ndarray) -> np.ndarray:
-    """||X_k||_F^2 for each matrix of a (k, n, n) stack."""
-    v = np.ascontiguousarray(stack).view(np.float64)  # complex as (re, im) pairs
-    return np.einsum("kij,kij->k", v, v)
-
-
 def envelope_margins(inst: PerturbationInstance, eps) -> dict[str, np.ndarray]:
     """phi and the margins of the inequalities behind it, for an array of
-    k eps values, from one broadcast over a (k, n, n) stack.
+    k eps values.
 
-    With S = T^-1 E_Q T (from the cached transport, entrywise as in
-    :func:`scaled_similarity`) and Omega the in-block superdiagonal (every
-    entry eps), T^-1 (J + E_Q) T - Lambda = S + Omega exactly.  Forming
-    the deviation this way never subtracts Lambda from lambda + e_ii, a
-    cancellation that would swamp a tiny E.  Returns arrays of shape (k,):
+    With S = T^-1 E_Q T and Omega the in-block superdiagonal (every entry
+    eps), T^-1 (J + E_Q) T - Lambda = S + Omega exactly.  Forming the
+    deviation this way never subtracts Lambda from lambda + e_ii, a
+    cancellation that would swamp a tiny E.  Entry (i, j) of S is
+    E_Q[i, j] eps^(pos_j - pos_i), so ||S||_F^2 = sum_d w_d eps^(2d), where
+    w_d sums |E_Q[i, j]|^2 over the entries with pos_j - pos_i = d, and
+    Re tr(Omega* S) = eps^2 sum Re E_Q[i, i+1] over the in-block
+    superdiagonal; ||S + Omega||_F^2 is ||S||^2 + 2 Re tr(Omega* S) +
+    ||Omega||^2.  Returns arrays of shape (k,):
 
     - ``phi``: phi(eps),
     - ``envelope_margin``: phi(eps) - ||S + Omega||_F^2,
     - ``scaled_norm_margin``: eps^(2(1-m)) delta^2 + |tr E|^2/n - ||S||_F^2,
     - ``cross_term_margin``: eps^2 sqrt(n-p) delta - Re tr(Omega* S),
-    - ``superdiag_norm_error``: | ||Omega||_F^2 - (n-p) eps^2 |.
+    - ``superdiag_norm_error``: | ||Omega||_F^2 - (n-p) eps^2 |, with
+      ||Omega||_F^2 the count of in-block superdiagonal entries times eps^2.
 
     The three margins are nonnegative up to rounding; the last is an exact
     identity.
     """
-    eps = np.atleast_1d(np.asarray(eps, dtype=np.float64))
-    value = phi(inst, eps)
+    eps = np.array(eps, dtype=np.float64, ndmin=1)
+    first, half_cross, superdiag, trace = _phi_terms(inst, eps)
+    value = first + 2.0 * half_cross + superdiag + trace
     spec = inst.spec
-    n, p, m = spec.n, spec.p, spec.m
-    d = inst.delta_eq
-    t = eps[:, None] ** spec.positions  # row k: the diagonal of T(eps_k)
-    s = inst.e_q * (t[:, None, :] / t[:, :, None])
-    omega = np.zeros(s.shape)
-    sup = spec.superdiagonal
-    omega[:, sup, sup + 1] = eps[:, None]
+    m, sup = spec.m, spec.superdiagonal
+    # w_d at index m - 1 - d (pos_i - pos_j + m - 1), each |E_Q[i, j]|^2
+    # as the squares of its (re, im) parts
+    place = spec.positions.astype(np.intp)
+    offsets = np.subtract.outer(place + (m - 1), place).repeat(2)
+    parts = np.ascontiguousarray(inst.e_q).view(np.float64)
+    weights = np.bincount(offsets, weights=(parts * parts).ravel(), minlength=2 * m - 1)
+    squared = eps * eps
+    norm_s = (squared[:, None] ** np.arange(m - 1, -m, -1, dtype=np.float64)) @ weights
+    cross = squared * inst.e_q.diagonal(1).real[sup].sum()
     return {
         "phi": value,
-        "envelope_margin": value - _sum_squares(s + omega),
-        "scaled_norm_margin": (
-            eps ** (2 * (1 - m)) * d * d + abs(inst.trace_e) ** 2 / n - _sum_squares(s)
-        ),
-        "cross_term_margin": (
-            eps * eps * np.sqrt(n - p) * d - np.einsum("kij,kij->k", omega, s.real)
-        ),
-        "superdiag_norm_error": np.abs(_sum_squares(omega) - (n - p) * eps * eps),
+        "envelope_margin": value - (norm_s + 2.0 * cross + superdiag),
+        "scaled_norm_margin": first + trace - norm_s,
+        "cross_term_margin": half_cross - cross,
+        "superdiag_norm_error": np.abs(sup.size * squared - superdiag),
     }
