@@ -154,9 +154,8 @@ def _sqrt(x):
 
 
 def _div(a, b):
-    # a / b.  Arrays divide by zero into inf/nan, which np.where drops; one
-    # point's quotient by zero is 0.0, where a Python float would raise:
-    # every such quotient lands in a branch that _where drops.
+    # a / b, where an array's x/0 gives inf or nan and one point's 0.0 (a
+    # Python float raises): every such quotient lands in a branch _where drops
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         with np.errstate(divide="ignore", invalid="ignore"):
             return a / b
@@ -164,12 +163,9 @@ def _div(a, b):
 
 
 def _floats(x: BoundInputs) -> BoundInputs:
-    # one point's numbers as Python floats, arrays as float64 arrays; n, p
-    # and m are small integers, exact in float64
-    return BoundInputs(
-        *(np.float64(v) if isinstance(v, np.ndarray) else float(v) for v in x[:6]),
-        x.real_spectrum,
-    )
+    # one point's numbers as Python floats, arrays as float64 (n, p, m exactly)
+    return BoundInputs(*(np.float64(v) if isinstance(v, np.ndarray) else float(v)
+                         for v in x[:6]), x.real_spectrum)
 
 
 def plan(x: BoundInputs) -> tuple[Step, Step, Step]:

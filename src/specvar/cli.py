@@ -88,6 +88,10 @@ def _cmd_bound(args) -> int:
             continue
         flag = "  VIOLATION" if bid in rec.violations else ""
         print(f"{bid:14s} {branch:18s} {value!r:>24s} {value - rec.d2!r:>24s}{flag}")
+    print("worst margin / phi(eps) over the eps grid:")
+    for name in ("envelope_ratio_min", "scaled_norm_ratio_min", "cross_term_ratio_min",
+                 "superdiag_error_ratio_max"):
+        print(f"{name:25s} = {getattr(rec, name)!r}")
     return EXIT_VIOLATION if rec.violations else EXIT_OK
 
 

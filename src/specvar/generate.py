@@ -6,7 +6,6 @@ own determinism: the same generator state always yields the same matrix.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -14,16 +13,12 @@ import numpy as np
 from .exceptions import DimensionError
 
 
-def _complex_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Standard complex Gaussian entries of the given shape, from one draw:
-    for each trailing matrix its real parts, then its imaginary parts."""
-    z = rng.standard_normal((*shape[:-2], 2, *shape[-2:]))
-    return (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / math.sqrt(2.0)
-
-
 def complex_gaussian(n_rows: int, n_cols: int, rng: np.random.Generator) -> np.ndarray:
     """Standard complex Gaussian matrix (unit-variance entries)."""
-    return _complex_normal((n_rows, n_cols), rng)
+    return (
+        rng.standard_normal((n_rows, n_cols))
+        + 1j * rng.standard_normal((n_rows, n_cols))
+    ) / np.sqrt(2.0)
 
 
 def _haar(g: np.ndarray) -> np.ndarray:
@@ -61,8 +56,9 @@ def random_conditioned(n: int, kappa: float, rng: np.random.Generator) -> np.nda
         raise DimensionError(f"target condition number must be >= 1, got {kappa}")
     if kappa == 1.0 or n <= 1:
         return random_unitary(n, rng)
-    # u, then v, drawn as two random_unitary calls would draw them
-    u, v = _haar(_complex_normal((2, n, n), rng))
+    # the stream of two random_unitary calls (u, then v), in one draw
+    z = rng.standard_normal((2, 2, n, n))
+    u, v = _haar((z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0))
     return (u * _log_spaced(kappa, n)[None, :]) @ v.conj().T
 
 

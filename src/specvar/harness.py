@@ -302,8 +302,8 @@ def evaluate_bounds(
 def _margin_ratios(inst: PerturbationInstance, grid) -> tuple[float, float, float, float]:
     """Worst margin / phi(eps) over the eps grid (minima of the envelope,
     scaled-norm and cross-term margins, maximum superdiagonal error) from
-    one :func:`specvar.jordan.envelope_margins` pass, which holds a few
-    (len(grid), n, n) arrays: 37 KB each for 16 points at n = 12.  phi is
+    one :func:`specvar.jordan.envelope_margins` pass, whose largest arrays
+    are (len(grid), 2m-1) powers and the 2n^2 squared parts of E_Q.  phi is
     positive at every grid point or at none, so its first point decides
     for the whole grid: for n > p, phi(eps) >= (n-p) eps^2 > 0; for n = p
     (m = 1) every eps-dependent term of phi vanishes and phi is the

@@ -226,12 +226,8 @@ def _phi_terms(inst: PerturbationInstance, eps):
         raise DomainError(f"eps must lie in (0, 1], got {eps}")
     n, p, m = inst.spec.n, inst.spec.p, inst.spec.m
     d = inst.delta_eq
-    return (
-        eps ** (2 * (1 - m)) * d * d,
-        eps * eps * np.sqrt(n - p) * d,
-        (n - p) * eps * eps,
-        abs(inst.trace_e) ** 2 / n,
-    )
+    return (eps ** (2 * (1 - m)) * d * d, eps * eps * np.sqrt(n - p) * d,
+            (n - p) * eps * eps, abs(inst.trace_e) ** 2 / n)
 
 
 def phi(inst: PerturbationInstance, eps):
@@ -297,8 +293,7 @@ def envelope_margins(inst: PerturbationInstance, eps) -> dict[str, np.ndarray]:
     - ``envelope_margin``: phi(eps) - ||S + Omega||_F^2,
     - ``scaled_norm_margin``: eps^(2(1-m)) delta^2 + |tr E|^2/n - ||S||_F^2,
     - ``cross_term_margin``: eps^2 sqrt(n-p) delta - Re tr(Omega* S),
-    - ``superdiag_norm_error``: | ||Omega||_F^2 - (n-p) eps^2 |, with
-      ||Omega||_F^2 the count of in-block superdiagonal entries times eps^2.
+    - ``superdiag_norm_error``: | ||Omega||_F^2 - (n-p) eps^2 |, ||Omega||_F^2 as count x eps^2.
 
     The three margins are nonnegative up to rounding; the last is an exact
     identity.
@@ -308,8 +303,7 @@ def envelope_margins(inst: PerturbationInstance, eps) -> dict[str, np.ndarray]:
     value = first + 2.0 * half_cross + superdiag + trace
     spec = inst.spec
     m, sup = spec.m, spec.superdiagonal
-    # w_d at index m - 1 - d (pos_i - pos_j + m - 1), each |E_Q[i, j]|^2
-    # as the squares of its (re, im) parts
+    # w_d at index m-1-d = pos_i - pos_j + m-1, from the (re, im) parts' squares
     place = spec.positions.astype(np.intp)
     offsets = np.subtract.outer(place + (m - 1), place).repeat(2)
     parts = np.ascontiguousarray(inst.e_q).view(np.float64)

@@ -1,7 +1,15 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures shared by the test modules, and the hypothesis profile they run
+under."""
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Every run draws the same examples, and no stored failure is replayed, so
+# a commit's test verdict does not depend on the draw or on local state.
+# A counterexample worth keeping is pinned with @example.
+settings.register_profile("repeatable", derandomize=True, database=None)
+settings.load_profile("repeatable")
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import itertools
 import math
 from typing import NamedTuple
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -381,6 +382,28 @@ class TestPlan:
                 assert step.eps == sv.optimal_epsilon(inst)
                 matched += 1
         assert matched >= 1000
+
+    def test_stationary_eps_below_the_square_underflow(self):
+        # delta(E_Q) ~ 1e-170: curb = (m-1) delta^2 underflows, and the C1
+        # eps comes from the unsquared parts, (sqrt(m-1) delta /
+        # sqrt(drift))^(1/m); computed-s mode then computes s4 there
+        cfg = sv.SweepConfig(seed=1, trials=3, amount=1e-170, target_kappa=1,
+                             block_profile="single-jordan", s_mode="computed")
+        inst = sv.gen_instance(cfg, 0)
+        n, p, m = inst.spec.n, inst.spec.p, inst.spec.m
+        step = plan_of(inst)[2]
+        assert step.branch == BRANCH_C1
+        with mpmath.workdps(50):
+            d = mpmath.mpf(inst.delta_eq)
+            base = mpmath.sqrt(m - 1) * d / mpmath.sqrt((n - p) + 2 * mpmath.sqrt(n - p) * d)
+            exact = float(base ** (mpmath.mpf(1) / m))
+            # every planned eps is pow(base, 1.0 / m): the rounding of 1.0 / m,
+            # times |ln base| ~ 390 here, moves it by ~1e-14 relative
+            want = float(base ** mpmath.mpf(1.0 / m))
+        assert 0.0 < want < 1.0
+        assert abs(step.eps - want) <= 4 * math.ulp(want)
+        assert step.eps == pytest.approx(exact, rel=1e-13)
+        assert sv.run_trial(inst, cfg, 0).results.inputs["s4"] < n
 
     def test_up_values_are_phi_at_planned_eps(self):
         for inst in branch_instances():

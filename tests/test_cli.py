@@ -73,6 +73,15 @@ BOUND_JORDAN_ROWS = [
     "UP2_2          delta(E_Q) < 1           2.4247636056810657",
     "UP2_3          C1                       2.3331013102925597",
 ]
+# the worst margin / phi(eps) ratios of the trial's eps grid; the eigenvalues
+# do not enter them, so both outputs below share them
+BOUND_MARGINS = (
+    "worst margin / phi(eps) over the eps grid:\n"
+    "envelope_ratio_min        = 0.3919255122162397\n"
+    "scaled_norm_ratio_min     = 0.0\n"
+    "cross_term_ratio_min      = 2.097059614386365e-05\n"
+    "superdiag_error_ratio_max = 0.0\n"
+)
 
 
 def bound_main(tmp_path, matrix_file, lam):
@@ -106,6 +115,7 @@ def test_bound_exit_zero(tmp_path, matrix_file, capsys):
         + "UP3_1          ||E_Q||_F < 1            1.9851888852649633       1.2974309001254605\n"
         "UP3_2          delta(E_Q) < 1            1.980577837215092       1.2928198520755891\n"
         "UP3_3          C1                        1.905765993776926       1.2180080086374232\n"
+        + BOUND_MARGINS
     ))
 
 
@@ -123,6 +133,7 @@ def test_bound_prints_inapplicable_rows(tmp_path, matrix_file, capsys):
         BOUND_HEAD.format(d2="0.6460462823923648")
         + "".join(row + slack + "\n" for row, slack in zip(BOUND_JORDAN_ROWS, slacks))
         + "".join(f"UP3_{k}          " + inapplicable for k in (1, 2, 3))
+        + BOUND_MARGINS
     ))
 
 
@@ -141,6 +152,24 @@ def test_bound_flags_the_violations_of_its_trial(tmp_path, matrix_file, capsys, 
     violations = sv.run_trial(inst, config, 0).violations
     assert flagged == violations
     assert violations and not {"SONG", "LI_CHEN"} & set(violations)  # some, not all
+
+
+def test_bound_prints_the_margin_ratios_of_its_trial(tmp_path, matrix_file, capsys):
+    # the four eps-grid ratios, as run_trial records them for the same instance
+    assert bound_main(tmp_path, matrix_file, 1.0) == 0
+    lines = capsys.readouterr().out.splitlines()
+    printed = dict(line.split(" = ") for line in lines[lines.index(
+        "worst margin / phi(eps) over the eps grid:") + 1:])
+    spec_path = tmp_path / "spec.json"
+    inst = sv.make_instance(sv.read_jordan_spec(spec_path), sv.read_matrix(tmp_path / "e.json"))
+    config = sv.SweepConfig(block_profile="user-file", jordan_file=str(spec_path))
+    rec = sv.run_trial(inst, config, 0)
+    assert {name.strip(): float(value) for name, value in printed.items()} == {
+        name: getattr(rec, name) for name in (
+            "envelope_ratio_min", "scaled_norm_ratio_min", "cross_term_ratio_min",
+            "superdiag_error_ratio_max",
+        )
+    }
 
 
 def test_bound_reports_an_infrastructure_failure(tmp_path, matrix_file, capsys, monkeypatch):

@@ -354,23 +354,56 @@ def acceptance_cell_instances(trials):
                         yield sv.gen_instance(cfg, trial)
 
 
+def zero_eigenvalue_instance(sizes, kappa, norm, seed):
+    """Jordan blocks of the given sizes, every eigenvalue 0, under a random
+    Q with kappa2(Q) = kappa, and a gaussian E with ||E||_F = norm.  The
+    margins do not read the eigenvalues; at 0 the reference's subtraction
+    of Lambda is exact, so it stays an oracle down to ||E|| = 1e-14."""
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    q = sv.random_conditioned(n, kappa, rng)
+    spec = sv.make_jordan_spec([(0.0, size) for size in sizes], q)
+    g = sv.complex_gaussian(n, n, rng)
+    return sv.make_instance(spec, g * (norm / np.linalg.norm(g)))
+
+
+# eps values off the 1/16 grid, down to 1e-3: at m = 12, eps^(2(1-m)) is 1e66
+OFF_GRID = np.array([1e-3, 0.01, 0.03, 0.07, 0.1, 0.15, 0.2, 0.2718, 0.3, 1 / 3,
+                     0.45, 0.5 + 1e-9, 0.6, 0.7071, 0.9, 1.0 - 1e-12])
+
+
 class TestEnvelopeMarginsDifferential:
     ATOL = 1e-12  # on each margin / phi ratio, fixed before the comparison
+
+    def assert_matches_reference(self, inst, eps):
+        fast = sv.envelope_margins(inst, eps)
+        ref = [reference_margins(inst, float(e)) for e in eps]
+        ref_phi = np.array([r["phi"] for r in ref])
+        assert np.allclose(fast["phi"], ref_phi, rtol=1e-14, atol=0.0)
+        live = ref_phi > 0.0
+        for key in MARGIN_KEYS:
+            got = fast[key][live] / fast["phi"][live]
+            want = np.array([r[key] for r in ref])[live] / ref_phi[live]
+            assert np.allclose(got, want, rtol=0.0, atol=self.ATOL), key
 
     def test_matches_reference_loop(self):
         count = 0
         for inst in acceptance_cell_instances(trials=2):
-            fast = sv.envelope_margins(inst, EPS_GRID)
-            ref = [reference_margins(inst, float(eps)) for eps in EPS_GRID]
-            ref_phi = np.array([r["phi"] for r in ref])
-            assert np.allclose(fast["phi"], ref_phi, rtol=1e-14, atol=0.0)
-            live = ref_phi > 0.0
-            for key in MARGIN_KEYS:
-                got = fast[key][live] / fast["phi"][live]
-                want = np.array([r[key] for r in ref])[live] / ref_phi[live]
-                assert np.allclose(got, want, rtol=0.0, atol=self.ATOL), key
+            self.assert_matches_reference(inst, EPS_GRID)
             count += 1
         assert count == 162
+
+    # single blocks up to m = 12, where eps^(2d) spans 16^(-22)..16^22 on
+    # the grid; n = p; and one mixed layout
+    @pytest.mark.parametrize("sizes", [
+        (2,), (3,), (5,), (8,), (12,), (1,), (1,) * 4, (1,) * 12, (3, 1, 5),
+    ])
+    @pytest.mark.parametrize("kappa", [1e4, 1e6])
+    @pytest.mark.parametrize("norm", [1e-14, 2.0])
+    def test_matches_reference_where_the_exponents_spread(self, sizes, kappa, norm):
+        inst = zero_eigenvalue_instance(sizes, kappa, norm, seed=sum(sizes) + len(sizes))
+        for eps in (EPS_GRID, OFF_GRID):
+            self.assert_matches_reference(inst, eps)
 
     def test_sweep_records_match_reference_loop(self):
         for block_profile in ("diagonalizable", "single-jordan", "mixed"):
