@@ -3,9 +3,9 @@ sharpness and soundness, on instances and on bare BoundInputs."""
 
 import itertools
 import math
+from decimal import Decimal, localcontext
 from typing import NamedTuple
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -393,13 +393,14 @@ class TestPlan:
         n, p, m = inst.spec.n, inst.spec.p, inst.spec.m
         step = plan_of(inst)[2]
         assert step.branch == BRANCH_C1
-        with mpmath.workdps(50):
-            d = mpmath.mpf(inst.delta_eq)
-            base = mpmath.sqrt(m - 1) * d / mpmath.sqrt((n - p) + 2 * mpmath.sqrt(n - p) * d)
-            exact = float(base ** (mpmath.mpf(1) / m))
+        with localcontext() as ctx:  # 50 digits
+            ctx.prec = 50
+            d = Decimal(inst.delta_eq)
+            base = Decimal(m - 1).sqrt() * d / ((n - p) + 2 * Decimal(n - p).sqrt() * d).sqrt()
+            exact = float(base ** (Decimal(1) / m))
             # every planned eps is pow(base, 1.0 / m): the rounding of 1.0 / m,
             # times |ln base| ~ 390 here, moves it by ~1e-14 relative
-            want = float(base ** mpmath.mpf(1.0 / m))
+            want = float(base ** Decimal(1.0 / m))
         assert 0.0 < want < 1.0
         assert abs(step.eps - want) <= 4 * math.ulp(want)
         assert step.eps == pytest.approx(exact, rel=1e-13)
