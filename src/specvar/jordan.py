@@ -220,14 +220,15 @@ def make_instance(spec: JordanSpec, e) -> PerturbationInstance:
 
 
 def _phi_terms(inst: PerturbationInstance, eps):
-    # phi's terms: eps^(2(1-m)) delta^2, half the cross term eps^2
-    # sqrt(n-p) delta, (n-p) eps^2 and |tr E|^2 / n
+    # phi(eps), then its terms: eps^(2(1-m)) delta^2, half the cross term
+    # eps^2 sqrt(n-p) delta, (n-p) eps^2 and |tr E|^2 / n
     if not np.all((0.0 < eps) & (eps <= 1.0)):
         raise DomainError(f"eps must lie in (0, 1], got {eps}")
     n, p, m = inst.spec.n, inst.spec.p, inst.spec.m
     d = inst.delta_eq
-    return (eps ** (2 * (1 - m)) * d * d, eps * eps * np.sqrt(n - p) * d,
-            (n - p) * eps * eps, abs(inst.trace_e) ** 2 / n)
+    first, half_cross = eps ** (2 * (1 - m)) * d * d, eps * eps * np.sqrt(n - p) * d
+    superdiag, trace = (n - p) * eps * eps, abs(inst.trace_e) ** 2 / n
+    return first + 2.0 * half_cross + superdiag + trace, first, half_cross, superdiag, trace
 
 
 def phi(inst: PerturbationInstance, eps):
@@ -241,8 +242,7 @@ def phi(inst: PerturbationInstance, eps):
     delta(E_Q)^2 itself.  ``eps`` is a float or an array of them; the
     value has its shape.
     """
-    first, half_cross, superdiag, trace = _phi_terms(inst, eps)
-    return first + 2.0 * half_cross + superdiag + trace
+    return _phi_terms(inst, eps)[0]
 
 
 def optimal_epsilon(inst: PerturbationInstance) -> float:
@@ -299,8 +299,7 @@ def envelope_margins(inst: PerturbationInstance, eps) -> dict[str, np.ndarray]:
     identity.
     """
     eps = np.array(eps, dtype=np.float64, ndmin=1)
-    first, half_cross, superdiag, trace = _phi_terms(inst, eps)
-    value = first + 2.0 * half_cross + superdiag + trace
+    value, first, half_cross, superdiag, trace = _phi_terms(inst, eps)
     spec = inst.spec
     m, sup = spec.m, spec.superdiagonal
     # w_d at index m-1-d = pos_i - pos_j + m-1, from the (re, im) parts' squares
