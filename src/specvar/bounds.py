@@ -145,7 +145,10 @@ def _pow(x, y):
     # libm's pow: Python's float ** calls it, and numpy's float_power loop does
     if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
         return np.float_power(x, y)
-    return x ** y
+    try:
+        return x ** y
+    except OverflowError:  # where an array's pow gives inf (every x here is >= 0)
+        return math.inf
 
 
 def _sqrt(x):

@@ -13,12 +13,11 @@ import numpy as np
 from .exceptions import DimensionError
 
 
-def complex_gaussian(n_rows: int, n_cols: int, rng: np.random.Generator) -> np.ndarray:
-    """Standard complex Gaussian matrix (unit-variance entries)."""
-    return (
-        rng.standard_normal((n_rows, n_cols))
-        + 1j * rng.standard_normal((n_rows, n_cols))
-    ) / np.sqrt(2.0)
+def complex_gaussian(n_rows: int, n_cols: int, rng: np.random.Generator, stack=()) -> np.ndarray:
+    """Standard complex Gaussian matrix (unit-variance entries); a ``stack``
+    shape draws a stack of them at once, in the stream of one call each."""
+    z = rng.standard_normal((*stack, 2, n_rows, n_cols))
+    return (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / np.sqrt(2.0)
 
 
 def _haar(g: np.ndarray) -> np.ndarray:
@@ -57,8 +56,7 @@ def random_conditioned(n: int, kappa: float, rng: np.random.Generator) -> np.nda
     if kappa == 1.0 or n <= 1:
         return random_unitary(n, rng)
     # the stream of two random_unitary calls (u, then v), in one draw
-    z = rng.standard_normal((2, 2, n, n))
-    u, v = _haar((z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0))
+    u, v = _haar(complex_gaussian(n, n, rng, (2,)))
     return (u * _log_spaced(kappa, n)[None, :]) @ v.conj().T
 
 

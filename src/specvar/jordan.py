@@ -293,7 +293,7 @@ def envelope_margins(inst: PerturbationInstance, eps) -> dict[str, np.ndarray]:
     - ``envelope_margin``: phi(eps) - ||S + Omega||_F^2,
     - ``scaled_norm_margin``: eps^(2(1-m)) delta^2 + |tr E|^2/n - ||S||_F^2,
     - ``cross_term_margin``: eps^2 sqrt(n-p) delta - Re tr(Omega* S),
-    - ``superdiag_norm_error``: | ||Omega||_F^2 - (n-p) eps^2 |, ||Omega||_F^2 as count x eps^2.
+    - ``superdiag_norm_error``: | ||Omega||_F^2 - (n-p) eps^2 |.
 
     The three margins are nonnegative up to rounding; the last is an exact
     identity.

@@ -386,7 +386,9 @@ class TestPlan:
     def test_stationary_eps_below_the_square_underflow(self):
         # delta(E_Q) ~ 1e-170: curb = (m-1) delta^2 underflows, and the C1
         # eps comes from the unsquared parts, (sqrt(m-1) delta /
-        # sqrt(drift))^(1/m); computed-s mode then computes s4 there
+        # sqrt(drift))^(1/m); computed-s mode then computes s4 there.  Which
+        # s4 it computes depends on the block cutoff: the scaled matrix's
+        # couplings lie far below it, so only s4's range is checked
         cfg = sv.SweepConfig(seed=1, trials=3, amount=1e-170, target_kappa=1,
                              block_profile="single-jordan", s_mode="computed")
         inst = sv.gen_instance(cfg, 0)
@@ -404,7 +406,7 @@ class TestPlan:
         assert 0.0 < want < 1.0
         assert abs(step.eps - want) <= 4 * math.ulp(want)
         assert step.eps == pytest.approx(exact, rel=1e-13)
-        assert sv.run_trial(inst, cfg, 0).results.inputs["s4"] < n
+        assert 1 <= sv.run_trial(inst, cfg, 0).results.inputs["s4"] <= n
 
     def test_up_values_are_phi_at_planned_eps(self):
         for inst in branch_instances():
@@ -704,6 +706,22 @@ class TestScalarKernel:
                 assert list(ti.reasons) == reasons[row][col]
                 assert [step.eps for step in steps] == eps[row][col]
         assert one.tobytes() == values.tobytes()
+
+    def test_one_point_overflows_to_inf_as_the_array_does(self):
+        # norms whose squares and powers overflow: one point's bounds are
+        # the array call's, inf included, instead of an OverflowError
+        norms = np.array([1e200, 1e300, 1.7e308])
+        for layout, real in itertools.product(LAYOUTS, (True, False)):
+            x = sv.BoundInputs(*layout, norms, 0.5 * norms, norms, np.full(3, real))
+            with np.errstate(over="ignore", invalid="ignore"):
+                table = sv.jordan_bounds(x, pessimistic(x))
+            for i, norm in enumerate(norms):
+                xi = sv.BoundInputs(*layout, float(norm), 0.5 * float(norm), float(norm), real)
+                ti = sv.jordan_bounds(xi, pessimistic(xi))
+                assert np.array(ti.values).tobytes() == np.array(
+                    [np.broadcast_to(v, 3)[i] for v in table.values]).tobytes()
+                assert list(ti.branches) == [np.broadcast_to(b, 3)[i] for b in table.branches]
+                assert math.inf in ti.values
 
     def test_continuity_across_the_branch_boundaries(self):
         # just below and at ||E_Q||_F = 1 and delta = 1, and either side of

@@ -1,7 +1,7 @@
-"""Two sha256 digests over the reports of a fixed 324-sweep grid.
+"""Two sha256 digests over the reports of a fixed 324-sweep grid, then
+one per report field.
 
-    python3 tools/report_digest.py            # prints both digests and the sweep count
-    python3 tools/report_digest.py --fields   # and one digest per record field and summary key
+    python3 tools/report_digest.py
 
 The grid is every combination of the three generated block profiles
 (diagonalizable, single-jordan, mixed), kappa(Q) in {1, 10, 1e4},
@@ -15,7 +15,7 @@ digest hashes, sweep by sweep, the CSV body followed by the summary as
 ``json.dumps(summary, sort_keys=True)``: it holds across a change of the
 JSON layout, so it compares checkouts on either side of a schema bump.
 
-With ``--fields`` it also prints one digest per ``TrialRecord`` field
+After the two digests it prints one per ``TrialRecord`` field
 (``record.<name>``, over every record of the grid, each value as the JSON
 report writes it) and one per summary key (``summary.<key>``).  Diffing
 that output between two checkouts names the fields a change moved.
@@ -26,7 +26,6 @@ copy of this script run from another checkout digests that checkout.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import itertools
 import json
@@ -56,10 +55,11 @@ def grid():
                              real_eigenvalues=real)
 
 
-def digests(fields: dict | None = None) -> tuple[str, str, int]:
-    """(full digest, stable digest, sweep count).  A ``fields`` dict gets
-    one sha256 per ``record.<name>`` and ``summary.<key>``."""
+def digests() -> tuple[str, str, int, dict]:
+    """(full digest, stable digest, sweep count, field digests): the last
+    maps each ``record.<name>`` and ``summary.<key>`` to its sha256."""
     full, stable = hashlib.sha256(), hashlib.sha256()
+    fields = defaultdict(hashlib.sha256)
     count = 0
     with tempfile.TemporaryDirectory() as tmp:
         json_path, csv_path = Path(tmp) / "r.json", Path(tmp) / "r.csv"
@@ -74,25 +74,19 @@ def digests(fields: dict | None = None) -> tuple[str, str, int]:
             full.update(body)
             stable.update(body)
             stable.update(json.dumps(report.summary, sort_keys=True).encode())
-            if fields is not None:
-                doc = json.loads(doc)
-                parts = [(f"record.{key}", value)
-                         for record in doc["records"] for key, value in record.items()]
-                parts += [(f"summary.{key}", value) for key, value in doc["summary"].items()]
-                for name, value in parts:
-                    fields[name].update(json.dumps(value, sort_keys=True).encode())
+            doc = json.loads(doc)
+            parts = [(f"record.{key}", value)
+                     for record in doc["records"] for key, value in record.items()]
+            parts += [(f"summary.{key}", value) for key, value in doc["summary"].items()]
+            for name, value in parts:
+                fields[name].update(json.dumps(value, sort_keys=True).encode())
             count += 1
-    return full.hexdigest(), stable.hexdigest(), count
+    return full.hexdigest(), stable.hexdigest(), count, fields
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--fields", action="store_true",
-                        help="also print one digest per record field and summary key")
-    args = parser.parse_args()
-    fields = defaultdict(hashlib.sha256) if args.fields else None
-    full, stable, count = digests(fields)
+    full, stable, count, fields = digests()
     print(f"full    {full}  ({count} sweeps: JSON and CSV reports)")
     print(f"stable  {stable}  (CSV bodies and summaries)")
-    for name, h in (fields or {}).items():
+    for name, h in fields.items():
         print(f"{name:34s} {h.hexdigest()}")
