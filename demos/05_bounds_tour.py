@@ -68,9 +68,9 @@ for norm, value, branch in zip(norms, curve.values[up1_1], curve.branches[up1_1]
 
 print()
 print("== the scalar-perturbation reference table ==")
-table = sv.example_scalar_table(4, 2, 2, 0.05,
-                                sv.make_jordan_spec([(1.0, 2), (3.0, 2)],
-                                                    sv.random_conditioned(4, 5.0, rng)))
+table = sv.example_scalar_table(sv.make_jordan_spec([(1.0, 2), (3.0, 2)],
+                                                    sv.random_conditioned(4, 5.0, rng)),
+                                0.05)
 print(f"D2 = {table['d2']:.12f} (expected {table['d2_expected']})")
 for row in table["rows"]:
     print(f"{row['bound_id']:8s} closed form {row['closed_form']:.12f} "

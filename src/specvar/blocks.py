@@ -214,7 +214,7 @@ def _eigh(h):
         raise EigensolverError(f"eigenvalue iteration failed: {exc}") from exc
 
 
-def _decompose_once(m, basis, rng, cluster_gap, block_tol):
+def _decompose_once(m, basis, rng):
     n = m.shape[0]
     gamma = rng.standard_normal(len(basis))
     h = np.zeros((n, n), dtype=np.complex128)
@@ -222,7 +222,7 @@ def _decompose_once(m, basis, rng, cluster_gap, block_tol):
         h += g * (b + b.conj().T) / 2.0
     w, v = _eigh(h)
     # eigh returns ascending eigenvalues, so clusters are already contiguous
-    return _merge_coupled(m, v, _cluster_sizes(w, cluster_gap), block_tol)
+    return _merge_coupled(m, v, _cluster_sizes(w, DEFAULT_CLUSTER_GAP), DEFAULT_BLOCK_TOL)
 
 
 @lru_cache(maxsize=64)
@@ -233,14 +233,7 @@ def _h_weights(seed: int) -> tuple[float, float]:
     return float(a), float(b)
 
 
-def s_number(
-    m,
-    tol: float = DEFAULT_TOL,
-    seed: int = 0,
-    *,
-    cluster_gap: float = DEFAULT_CLUSTER_GAP,
-    block_tol: float = DEFAULT_BLOCK_TOL,
-) -> BlockDecomposition:
+def s_number(m, tol: float = DEFAULT_TOL, seed: int = 0) -> BlockDecomposition:
     """Maximal unitary block-diagonalization of M with its witness U.
 
     When a seeded Hermitian element H of the *-algebra has a simple
@@ -254,22 +247,22 @@ def s_number(
     ``AmbiguityError`` carrying the candidates is raised.
 
     s is a tolerance-dependent quantity: the reported value is for the
-    given cutoffs (``cluster_gap``, ``block_tol`` and ``tol`` on both
-    routes), which matters for matrices that are merely close to
-    block-diagonalizable.
+    null-space cutoff ``tol`` (on both routes) and the fixed
+    :data:`DEFAULT_CLUSTER_GAP` and :data:`DEFAULT_BLOCK_TOL`, which matters
+    for matrices that are merely close to block-diagonalizable.
     """
     m = as_matrix(m, square=True)
     a, b = _h_weights(seed)
     ma = m.conj().T
     w, v = _eigh(a * (m + ma) + 1j * b * (m - ma))
-    clusters = _cluster_sizes(w, cluster_gap)
+    clusters = _cluster_sizes(w, DEFAULT_CLUSTER_GAP)
     if len(clusters) == w.size:
         # every commutant element is V diag(y) V*: nothing random to draw.
         # For off-block residual r, each unit X in the span of the block
         # projectors has ||(MX - XM, M*X - XM*)||_F <= 2r: keep the split if
         # that is within the null-space cutoff tol 2||M||_2, else solve.  The
         # bound ||M||_F / sqrt(n) <= ||M||_2 (less a rounding margin) goes first
-        dec = _merge_coupled(m, v, clusters, block_tol)
+        dec = _merge_coupled(m, v, clusters, DEFAULT_BLOCK_TOL)
         if dec.s == 1:
             return dec
         r = offblock_residual(m, dec.u, dec.block_sizes)
@@ -278,12 +271,7 @@ def s_number(
         ):
             return dec
     basis = commutant_basis(m, tol, v=v, sizes=clusters)
-    draws = [
-        _decompose_once(
-            m, basis, np.random.default_rng([seed, k]), cluster_gap, block_tol
-        )
-        for k in range(3)
-    ]
+    draws = [_decompose_once(m, basis, np.random.default_rng([seed, k])) for k in range(3)]
     counts = sorted({d.s for d in draws})
     if len(counts) > 1:
         raise AmbiguityError(

@@ -323,7 +323,7 @@ def jordan_bounds(x: BoundInputs, s, steps=None) -> BoundTable:
 # ---------------------------------------------------------------------------
 # verification
 
-def verify_instance(table: BoundTable, d2: float, tol: float = SLACK_TOL) -> list[str]:
+def verify_instance(table: BoundTable, d2: float) -> list[str]:
     """The verdict on one instance: the ids, in table order, of the
     applicable bounds whose slack (bound value minus the true D2) is a
     violation (:func:`is_violation`).  Nonnegative slack is the
@@ -331,9 +331,9 @@ def verify_instance(table: BoundTable, d2: float, tol: float = SLACK_TOL) -> lis
     placeholder is never compared."""
     d2 = float(d2)
     return [bid for bid, value, why in zip(table.ids, table.values, table.reasons)
-            if not why and is_violation(value, value - d2, tol)]
+            if not why and is_violation(value, value - d2)]
 
 
-def is_violation(value: float, slack: float, tol: float = SLACK_TOL) -> bool:
-    """True iff the slack is negative beyond -tol * (1 + value)."""
-    return slack < -tol * (1.0 + value)
+def is_violation(value: float, slack: float) -> bool:
+    """True iff the slack is negative beyond -SLACK_TOL * (1 + value)."""
+    return slack < -SLACK_TOL * (1.0 + value)

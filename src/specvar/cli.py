@@ -22,7 +22,6 @@ from .harness import (
     S_MODES,
     SweepConfig,
     check_amount_scale,
-    default_tolerances,
     example_scalar_table,
     run_sweep,
     run_trial,
@@ -72,8 +71,7 @@ def _cmd_bound(args) -> int:
     inst = make_instance(spec, read_matrix(args.perturbation))
     check_amount_scale(inst.norm_e, spec.kappa_q, spec.n)
     config = SweepConfig(seed=args.seed, s_mode=args.s_mode, block_profile="user-file",
-                         jordan_file=args.jordan,
-                         tolerances=default_tolerances() | {"s_tol": args.tol})
+                         jordan_file=args.jordan, s_tol=args.tol)
     rec = run_trial(inst, config, 0)
     if rec.status != "ok":
         print(f"error: {rec.failure_reason}", file=sys.stderr)
@@ -129,9 +127,7 @@ def _cmd_example(args) -> int:
 
         q = random_conditioned(4, 5.0, np.random.default_rng(args.seed))
         spec = make_jordan_spec([(1.0, 2), (3.0, 2)], q)
-    table = example_scalar_table(
-        args.n, args.p, args.m, args.t, spec, s_mode=args.s_mode, s_seed=args.seed
-    )
+    table = example_scalar_table(spec, args.t, s_mode=args.s_mode, s_seed=args.seed)
     print(f"n={table['n']} p={table['p']} m={table['m']} t={table['t']} s1={table['s1']}")
     print(f"D2 = {table['d2']!r}  (expected {table['d2_expected']!r})")
     print(f"{'bound':10s} {'closed form':>24s} {'numeric':>24s} {'rel err':>12s}")
@@ -174,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jordan", required=True, help="Jordan-data file")
     p.add_argument("--perturbation", required=True, help="matrix file with E")
     p.add_argument("--s-mode", choices=S_MODES, default=defaults.s_mode)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=defaults.s_tol)
     p.add_argument("--seed", type=int, default=defaults.seed)
     p.set_defaults(func=_cmd_bound)
 
@@ -196,12 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("example", help="scalar-perturbation closed-form table")
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--p", type=int, default=2)
-    p.add_argument("--m", type=int, default=2)
     p.add_argument("--t", type=float, default=0.05)
     p.add_argument("--jordan", default=None,
-                   help="Jordan-data file consistent with (n, p, m)")
+                   help="Jordan-data file (default: the (4, 2, 2) reference)")
     p.add_argument("--s-mode", choices=S_MODES, default=defaults.s_mode)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_example)

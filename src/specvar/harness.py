@@ -3,7 +3,7 @@
 Generates seeded Jordan-structured instances, evaluates every applicable
 bound against the true optimal matching distance D2, checks the envelope
 margins on an eps grid, and aggregates everything into a reproducible
-report: compact JSON (schema 3: each record's fields, its bound table as
+report: compact JSON (schema 4: each record's fields, its bound table as
 the table's columns) or CSV (trial,bound_id,branch,value,d2,slack).
 
 Two report states are kept strictly apart: a *bound violation* (negative
@@ -25,9 +25,8 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .blocks import DEFAULT_BLOCK_TOL, DEFAULT_CLUSTER_GAP, DEFAULT_TOL, s_number
+from .blocks import DEFAULT_TOL, s_number
 from .bounds import (
-    SLACK_TOL,
     BoundInputs,
     BoundTable,
     jordan_bounds,
@@ -60,16 +59,14 @@ S_MODES = ("computed", "pessimistic")
 CSV_COLUMNS = ("trial", "bound_id", "branch", "value", "d2", "slack")
 
 
-def default_tolerances() -> dict[str, float]:
-    # the slack of bounds.is_violation, then the s(M) cutoffs of blocks.s_number
-    return {"slack": SLACK_TOL, "s_tol": DEFAULT_TOL,
-            "cluster_gap": DEFAULT_CLUSTER_GAP, "block_tol": DEFAULT_BLOCK_TOL}
-
-
 @dataclass
 class SweepConfig:
     """Reproducible sweep description: identical configs yield identical
-    reports (byte-identical CSV modulo the timestamp header)."""
+    reports (byte-identical CSV modulo the timestamp header).  ``s_tol`` is
+    the null-space cutoff computed mode hands to
+    :func:`specvar.blocks.s_number`; the other cutoffs of s(M) and the
+    verdict's slack are module constants (``blocks.DEFAULT_CLUSTER_GAP``,
+    ``blocks.DEFAULT_BLOCK_TOL``, ``bounds.SLACK_TOL``)."""
 
     seed: int = 0
     trials: int = 100
@@ -81,7 +78,7 @@ class SweepConfig:
     s_mode: str = "pessimistic"
     real_eigenvalues: bool = False
     jordan_file: str | None = None  # required by the user-file profile
-    tolerances: dict = field(default_factory=default_tolerances)
+    s_tol: float = DEFAULT_TOL
 
 
 # Largest kappa(Q) * n * |amount| a sweep takes.  ||E||_F is the amount
@@ -129,10 +126,8 @@ def validate_config(config: SweepConfig) -> None:
             raise ConfigError("user-file profile needs jordan_file")
     else:  # the file's Q and n are checked once read, in gen_instance
         check_amount_scale(config.amount, config.target_kappa, hi)
-    for key in default_tolerances():  # each one a trial reads; extra keys pass
-        value = config.tolerances.get(key)
-        if not (isinstance(value, (int, float)) and 0.0 <= value < math.inf):
-            raise ConfigError(f"tolerance '{key}' must be a finite number >= 0, got {value!r}")
+    if not (isinstance(config.s_tol, (int, float)) and 0.0 <= config.s_tol < math.inf):
+        raise ConfigError(f"s_tol must be a finite number >= 0, got {config.s_tol!r}")
 
 
 def _draw_blocks(config: SweepConfig, n: int, rng) -> list[tuple[complex, int]]:
@@ -195,8 +190,6 @@ def s_values(
     mode: str = "pessimistic",
     tol: float = DEFAULT_TOL,
     seed: int = 0,
-    cluster_gap: float = DEFAULT_CLUSTER_GAP,
-    block_tol: float = DEFAULT_BLOCK_TOL,
     with_s_tilde: bool = False,
     steps=None,
 ) -> dict[str, int]:
@@ -204,7 +197,8 @@ def s_values(
 
     Pessimistic mode assumes s(.) = 1 everywhere (always valid), which
     keeps soundness sweeps independent of the tolerance-laden s
-    computation.  Computed mode evaluates s(T^-1 (J + E_Q) T) once for
+    computation.  Computed mode evaluates s(T^-1 (J + E_Q) T), with
+    :func:`specvar.blocks.s_number` at cutoff ``tol``, once for
     each s-key the branch plan (:func:`specvar.bounds.plan`) names, at that
     step's eps; the rest, and the eps -> 0 limits, stay at the pessimistic
     n.  ``s_tilde`` is s(J + E_Q), which only the normal-A bound family
@@ -221,10 +215,7 @@ def s_values(
         return out
 
     def s_of(matrix) -> int:
-        dec = s_number(
-            matrix, tol=tol, seed=seed, cluster_gap=cluster_gap, block_tol=block_tol
-        )
-        return dec.s
+        return s_number(matrix, tol=tol, seed=seed).s
 
     g = inst.perturbed
     steps = steps or plan(BoundInputs.of(inst))
@@ -345,10 +336,8 @@ def run_trial(inst: PerturbationInstance, config: SweepConfig, trial: int) -> Tr
         sv = s_values(
             inst,
             mode=config.s_mode,
-            tol=config.tolerances["s_tol"],
+            tol=config.s_tol,
             seed=config.seed,
-            cluster_gap=config.tolerances["cluster_gap"],
-            block_tol=config.tolerances["block_tol"],
             with_s_tilde=normal,
             steps=steps,
         )
@@ -365,7 +354,7 @@ def run_trial(inst: PerturbationInstance, config: SweepConfig, trial: int) -> Tr
         hermitian_a=normal and config.real_eigenvalues,
         steps=steps,
     )
-    violations = verify_instance(results, match.d2, config.tolerances["slack"])
+    violations = verify_instance(results, match.d2)
     env_min, sn_min, ct_min, sd_max = _margin_ratios(inst, EPS_GRID)
     return TrialRecord(
         **base,
@@ -445,11 +434,8 @@ def run_sweep(config: SweepConfig) -> Report:
 # the scalar-perturbation reference table
 
 def example_scalar_table(
-    n: int,
-    p: int,
-    m: int,
-    t: float,
     spec,
+    t: float,
     s_mode: str = "pessimistic",
     s_seed: int = 0,
 ) -> dict:
@@ -457,14 +443,12 @@ def example_scalar_table(
 
     For a scalar perturbation every eigenvalue shifts by exactly t, so
     D2 = sqrt(n) |t|, delta(E_Q) = 0 and tr E = n t; each bound collapses
-    to a closed form in (n, p, m, t) alone.  Returns rows of
-    (bound id, closed form, numeric value, relative error) plus the D2
-    pair; closed form and numeric evaluation must agree to ~1e-10.
+    to a closed form in (n, p, m, t) alone, (n, p, m) the spec's own.
+    Returns rows of (bound id, closed form, numeric value, relative error)
+    plus the D2 pair; closed form and numeric evaluation must agree to
+    ~1e-10.
     """
-    if spec.n != n or spec.p != p or spec.m != m:
-        raise ConfigError(
-            f"spec has (n,p,m)=({spec.n},{spec.p},{spec.m}), expected ({n},{p},{m})"
-        )
+    n, p, m = spec.n, spec.p, spec.m
     if not (0.0 < abs(t) < 1.0 / math.sqrt(n)):
         raise ConfigError(f"t must satisfy 0 < |t| < 1/sqrt(n), got {t}")
     inst = make_instance(spec, t * np.eye(n, dtype=np.complex128))
@@ -518,7 +502,7 @@ def _shallow_fields(obj) -> dict:
 
 
 def report_to_doc(report: Report) -> dict:
-    """The schema-3 document: each record's fields as they are, its bound
+    """The schema-4 document: each record's fields as they are, its bound
     table as the table's five columns (``ids``, ``values``, ``branches``,
     ``reasons``, ``inputs``).  The document shares no mutable state with
     the report; a slack, ``value - d2`` of an applicable bound, is left to
@@ -531,17 +515,17 @@ def report_to_doc(report: Report) -> dict:
         d["results"] = {**_shallow_fields(rec.results), "inputs": dict(rec.results.inputs)}
         d["violations"] = list(rec.violations)
         records.append(d)
-    return {"schema_version": 3, "config": cfg, "records": records,
+    return {"schema_version": 4, "config": cfg, "records": records,
             "summary": report.summary}
 
 
 def report_from_doc(doc: dict) -> Report:
-    """Inverse of :func:`report_to_doc`, for schema 3 only: each bound
+    """Inverse of :func:`report_to_doc`, for schema 4 only: each bound
     table is rebuilt from its columns, which must all be present and of
     one length."""
     version = doc.get("schema_version")
-    if version != 3:
-        raise ParseError(f"unknown report schema_version {version!r}; only 3 is read")
+    if version != 4:
+        raise ParseError(f"unknown report schema_version {version!r}; only 4 is read")
     cfg = dict(doc["config"])
     cfg["n_range"] = tuple(cfg["n_range"])
     config = SweepConfig(**cfg)
@@ -561,7 +545,7 @@ def write_report(report: Report, path, format: str = "structured-text") -> None:
     """Write a report.
 
     ``structured-text`` is the lossless compact JSON form of
-    :func:`report_to_doc` (``schema_version`` 3; read back with
+    :func:`report_to_doc` (``schema_version`` 4; read back with
     :func:`read_report`).  ``csv`` is the flat per-bound view with the fixed
     column order trial,bound_id,branch,value,d2,slack, preceded by a
     timestamp comment line that is excluded from reproducibility
@@ -594,7 +578,7 @@ def write_report(report: Report, path, format: str = "structured-text") -> None:
 
 def read_report(path) -> Report:
     """Read back a structured-text report written by :func:`write_report`
-    (schema version 3); anything else raises ``ParseError``."""
+    (schema version 4); anything else raises ``ParseError``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)

@@ -33,7 +33,7 @@ from .exceptions import (
     DomainError,
     NotApplicableError,
 )
-from .linalg import as_matrix, frobenius_norm, kappa2, norm_and_delta, solve
+from .linalg import NORM_RESCALE_BELOW, as_matrix, frobenius_norm, kappa2, norm_and_delta, solve
 from .spectrum import Spectrum
 
 
@@ -99,8 +99,8 @@ class JordanSpec:
 def make_jordan_spec(blocks, q=None) -> JordanSpec:
     """Validate and build a JordanSpec.
 
-    ``q`` may be a matrix, None, or the string "identity".  Q must be
-    square of the total block size and nonsingular (kappa2 check).
+    ``q`` may be a matrix or None (the identity).  Q must be square of
+    the total block size and nonsingular (kappa2 check).
     """
     blocks = tuple((complex(lam), int(size)) for lam, size in blocks)
     if not blocks:
@@ -111,7 +111,7 @@ def make_jordan_spec(blocks, q=None) -> JordanSpec:
         if not cmath.isfinite(lam):
             raise DimensionError("block eigenvalues must be finite")
     n = sum(size for _, size in blocks)
-    if q is None or (isinstance(q, str) and q == "identity"):
+    if q is None:
         q = np.eye(n, dtype=np.complex128)
     q = as_matrix(q, square=True, name="Q")
     if q.shape[0] != n:
@@ -250,8 +250,11 @@ def optimal_epsilon(inst: PerturbationInstance) -> float:
 
     Returns ((m-1) delta^2 / (n - p + 2 sqrt(n-p) delta))^(1/(2m)) when
     that interior stationary point lies inside (0, 1) -- the sign of phi'
-    flips there -- and 1 otherwise.  Requires m >= 2 (callers must use the
-    diagonalizable path when m = 1) and delta(E_Q) > 0.
+    flips there -- and 1 otherwise.  Below ||E_Q||_F = 2^-480, where the
+    square (m-1) delta^2 may underflow, the point is taken from unsquared
+    parts as (sqrt(m-1) delta / sqrt(drift))^(1/m), as
+    :func:`specvar.bounds.plan` takes it.  Requires m >= 2 (callers must
+    use the diagonalizable path when m = 1) and delta(E_Q) > 0.
     """
     n, p, m = inst.spec.n, inst.spec.p, inst.spec.m
     if m < 2 or n == p:
@@ -264,9 +267,11 @@ def optimal_epsilon(inst: PerturbationInstance) -> float:
         raise DomainError("optimal_epsilon requires delta(E_Q) > 0")
     drift = n - p + 2.0 * np.sqrt(n - p) * d
     curb = (m - 1) * d * d
-    if drift > curb:
-        return float((curb / drift) ** (1.0 / (2 * m)))
-    return 1.0
+    if drift <= curb:
+        return 1.0
+    if inst.norm_eq < NORM_RESCALE_BELOW:
+        return float((np.sqrt(m - 1) * d / np.sqrt(drift)) ** (1.0 / m))
+    return float((curb / drift) ** (1.0 / (2 * m)))
 
 
 def scaled_similarity(spec: JordanSpec, m, eps: float) -> np.ndarray:

@@ -18,7 +18,6 @@ KAPPAS = (1.0, 10.0, 100.0)
 NORMS = (0.01, 0.5, 2.0)
 TRIALS_PER_CELL = 56  # 9 * 56 = 504 >= 500 instances
 
-SLACK_TOL = 1e-7
 SHARP_TOL = 1e-12
 MARGIN_TOL = 1e-8
 REDUCTION_TOL = 1e-10
@@ -74,7 +73,7 @@ def test_criterion_2_example_table():
     q = sv.random_conditioned(4, 5.0, np.random.default_rng(20))
     assert sv.kappa2(q) == pytest.approx(5.0, rel=1e-10)
     spec = sv.make_jordan_spec([(1.0, 2), (3.0, 2)], q)
-    table = sv.example_scalar_table(4, 2, 2, 0.05, spec)
+    table = sv.example_scalar_table(spec, 0.05)
     worst = max(row["rel_err"] for row in table["rows"])
     d2_err = abs(table["d2"] - 0.1)
     ok = worst <= TABLE_TOL and d2_err <= TABLE_TOL and len(table["rows"]) == 8

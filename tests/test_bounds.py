@@ -363,7 +363,10 @@ class TestPlan:
 
     def test_stationary_eps_is_optimal_epsilon(self):
         # plan computes the C1 minimiser itself; optimal_epsilon stays the
-        # reference, and the two agree bit for bit
+        # reference, and the two agree bit for bit, also below the square
+        # underflow (delta(E_Q) ~ 1e-170, m = 7: eps ~ 5.18e-25)
+        tiny = sv.SweepConfig(seed=1, trials=3, amount=1e-170, target_kappa=1,
+                              block_profile="single-jordan")
         sweeps = (
             sv.SweepConfig(seed=3, trials=70, block_profile=profile, amount=amount,
                            target_kappa=kappa, perturbation=perturbation)
@@ -373,6 +376,7 @@ class TestPlan:
         )
         instances = itertools.chain(
             branch_instances(),
+            [sv.gen_instance(tiny, 0)],
             (sv.gen_instance(cfg, idx) for cfg in sweeps for idx in range(cfg.trials)),
         )
         matched = 0

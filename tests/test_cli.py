@@ -84,9 +84,10 @@ BOUND_MARGINS = (
 )
 
 
-def bound_main(tmp_path, matrix_file, lam):
+def bound_main(tmp_path, matrix_file, lam, *flags):
     """``specvar bound`` on blocks (lam, 2), (2.5, 1) under a kappa-4 Q and
-    a 0.1-scaled gaussian E, written to spec.json and e.json: exit code."""
+    a 0.1-scaled gaussian E, written to spec.json and e.json, with any
+    further ``flags``: exit code."""
     rng = np.random.default_rng(0)
     q = sv.random_conditioned(3, 4.0, rng)
     spec = sv.make_jordan_spec([(lam, 2), (2.5, 1)], q)
@@ -94,7 +95,7 @@ def bound_main(tmp_path, matrix_file, lam):
     sv.write_jordan_spec(spec_path, spec)
     e = sv.complex_gaussian(3, 3, rng) * 0.1
     e_path = matrix_file("e.json", e)
-    return main(["bound", "--jordan", str(spec_path), "--perturbation", e_path])
+    return main(["bound", "--jordan", str(spec_path), "--perturbation", e_path, *flags])
 
 
 def bound_output(tmp_path, matrix_file, capsys, lam):
@@ -170,6 +171,23 @@ def test_bound_prints_the_margin_ratios_of_its_trial(tmp_path, matrix_file, caps
             "superdiag_error_ratio_max",
         )
     }
+
+
+def test_bound_hands_its_tol_to_s_number(tmp_path, matrix_file, monkeypatch):
+    # --tol is the one s(M) cutoff a caller sets; computed mode reaches
+    # s_number with it, and without it with blocks.DEFAULT_TOL
+    tols = []
+    real = harness.s_number
+
+    def spying(m, tol, seed):
+        tols.append(tol)
+        return real(m, tol=tol, seed=seed)
+
+    monkeypatch.setattr(harness, "s_number", spying)
+    for flags, want in (((), sv.blocks.DEFAULT_TOL), (("--tol", "3e-7"), 3e-7)):
+        tols.clear()
+        assert bound_main(tmp_path, matrix_file, 1.0, "--s-mode", "computed", *flags) == 0
+        assert tols and set(tols) == {want}
 
 
 def test_bound_reports_an_infrastructure_failure(tmp_path, matrix_file, capsys, monkeypatch):

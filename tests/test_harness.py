@@ -111,21 +111,10 @@ class TestGenInstance:
             )
         with pytest.raises(sv.ConfigError):
             sv.gen_instance(small_config(block_profile="user-file"), 0)
-        # each tolerance a trial reads must be there, finite and >= 0
-        for key, value in itertools.product(
-            ("slack", "s_tol", "cluster_gap", "block_tol"),
-            (None, -1e-8, float("nan"), float("inf"), "1e-8"),
-        ):
-            tol = dict(sv.SweepConfig().tolerances, **{key: value})
-            if value is None:
-                del tol[key]
-            with pytest.raises(sv.ConfigError, match=f"tolerance '{key}'"):
-                sv.run_sweep(small_config(trials=2, tolerances=tol))
-        with pytest.raises(sv.ConfigError, match="tolerance 's_tol'"):
-            sv.run_sweep(sv.SweepConfig(trials=2, tolerances={"slack": 1e-7}))
-        # extra keys, like the envelope tolerance older reports carry, pass
-        tol = dict(sv.SweepConfig().tolerances, envelope=1e-8)
-        assert sv.run_sweep(small_config(trials=2, tolerances=tol)).summary["ok"] == 2
+        # the one cutoff a caller sets must be a finite number >= 0
+        for value in (None, -1e-8, float("nan"), float("inf"), "1e-8"):
+            with pytest.raises(sv.ConfigError, match="s_tol"):
+                sv.run_sweep(small_config(trials=2, s_tol=value))
 
     def test_amount_whose_squares_could_overflow_rejected(self, tmp_path):
         # kappa * n_max * |amount| may reach the cap, never pass it
@@ -188,6 +177,22 @@ class TestSValues:
                 steps = plan(sv.BoundInputs.of(inst))
                 keys = {step.s_key for step in steps if step.eps > 0.0}
                 assert len(calls) == len(keys) + extra
+
+    def test_run_trial_hands_s_tol_to_s_number(self, monkeypatch):
+        # SweepConfig.s_tol is the cutoff of every s(.) a computed trial takes
+        tols = []
+        real = harness.s_number
+
+        def spying(m, tol, seed):
+            tols.append(tol)
+            return real(m, tol=tol, seed=seed)
+
+        monkeypatch.setattr(harness, "s_number", spying)
+        cfg = small_config(s_mode="computed", block_profile="diagonalizable",
+                           target_kappa=1.0, s_tol=3e-7)
+        for idx in range(cfg.trials):
+            assert harness.run_trial(sv.gen_instance(cfg, idx), cfg, idx).status == "ok"
+        assert tols and set(tols) == {3e-7}
 
     def test_hermitian_s_tilde_is_unambiguous(self):
         # A + E = A + 0.5 I is Hermitian with 12 distinct eigenvalues, so
@@ -660,7 +665,7 @@ class TestReportFiles:
         path = tmp_path / "report.json"
         sv.write_report(rep, path, format="structured-text")
         doc = json.loads(path.read_text())
-        assert doc["schema_version"] == 3
+        assert doc["schema_version"] == 4
         assert set(doc["records"][0]["results"]) == {"ids", "values", "branches", "reasons",
                                                      "inputs"}
         assert sv.read_report(path) == rep
@@ -702,7 +707,7 @@ class TestReportFiles:
         (lambda doc: {}, "schema_version None"),
         (lambda doc: [1, 2], "AttributeError"),
         (lambda doc: dict(doc, schema_version=2), "schema_version 2"),
-        (lambda doc: dict(doc, schema_version=4), "schema_version 4"),
+        (lambda doc: dict(doc, schema_version=3), "schema_version 3"),
         (lambda doc: {k: v for k, v in doc.items() if k != "schema_version"},
          "schema_version None"),
         (lambda doc: dict(doc, config=dict(doc["config"], colour="blue")), "TypeError"),
@@ -710,7 +715,7 @@ class TestReportFiles:
          "KeyError"),
         (lambda doc: with_results(doc, lambda t: dict(t, values=t["values"][:-1])),
          "ValueError"),
-    ], ids=["empty-object", "list", "schema-2", "schema-4", "schema-1", "unknown-config-key",
+    ], ids=["empty-object", "list", "schema-2", "schema-3", "schema-1", "unknown-config-key",
             "missing-column", "ragged-columns"])
     def test_read_report_rejects_what_is_not_a_report(self, tmp_path, corrupt, message):
         path = tmp_path / "r.json"
@@ -764,36 +769,30 @@ class TestExampleTable:
         return sv.make_jordan_spec([(1.0, 2), (3.0, 2)], q)
 
     def test_reference_configuration(self):
-        table = sv.example_scalar_table(4, 2, 2, 0.05, self._spec())
+        table = sv.example_scalar_table(self._spec(), 0.05)
         assert table["d2"] == pytest.approx(0.1, abs=1e-10)
         assert table["d2_expected"] == pytest.approx(0.1, rel=1e-15)
         for row in table["rows"]:
             assert row["rel_err"] <= 1e-10, row
 
     def test_negative_t(self):
-        table = sv.example_scalar_table(4, 2, 2, -0.2, self._spec(seed=3))
+        table = sv.example_scalar_table(self._spec(seed=3), -0.2)
         for row in table["rows"]:
             assert row["rel_err"] <= 1e-10
 
     def test_sqrt_n_t_rows(self):
-        table = sv.example_scalar_table(4, 2, 2, 0.05, self._spec(seed=5))
+        table = sv.example_scalar_table(self._spec(seed=5), 0.05)
         flat = {row["bound_id"]: row["numeric"] for row in table["rows"]}
         for name in ("UP1_2", "UP1_3", "UP2_2", "UP2_3"):
             assert flat[name] == pytest.approx(0.1, rel=1e-12)
 
-    def test_inconsistent_shape_rejected(self):
-        with pytest.raises(sv.ConfigError):
-            sv.example_scalar_table(4, 2, 3, 0.05, self._spec())
-
     def test_t_out_of_range(self):
         with pytest.raises(sv.ConfigError):
-            sv.example_scalar_table(4, 2, 2, 0.6, self._spec())
+            sv.example_scalar_table(self._spec(), 0.6)
         with pytest.raises(sv.ConfigError):
-            sv.example_scalar_table(4, 2, 2, 0.0, self._spec())
+            sv.example_scalar_table(self._spec(), 0.0)
 
     def test_computed_s_mode(self):
-        table = sv.example_scalar_table(
-            4, 2, 2, 0.05, self._spec(seed=7), s_mode="computed"
-        )
+        table = sv.example_scalar_table(self._spec(seed=7), 0.05, s_mode="computed")
         for row in table["rows"]:
             assert row["rel_err"] <= 1e-10

@@ -17,8 +17,9 @@ JSON layout, so it compares checkouts on either side of a schema bump.
 
 After the two digests it prints one per ``TrialRecord`` field
 (``record.<name>``, over every record of the grid, each value as the JSON
-report writes it) and one per summary key (``summary.<key>``).  Diffing
-that output between two checkouts names the fields a change moved.
+report writes it), one per summary key (``summary.<key>``) and one per
+report config field (``config.<name>``).  Diffing that output between two
+checkouts names the fields a change moved, the config layout's included.
 
 It imports ``specvar`` from the ``src/`` of the checkout it lives in, so a
 copy of this script run from another checkout digests that checkout.
@@ -57,7 +58,8 @@ def grid():
 
 def digests() -> tuple[str, str, int, dict]:
     """(full digest, stable digest, sweep count, field digests): the last
-    maps each ``record.<name>`` and ``summary.<key>`` to its sha256."""
+    maps each ``record.<name>``, ``summary.<key>`` and ``config.<name>``
+    to its sha256."""
     full, stable = hashlib.sha256(), hashlib.sha256()
     fields = defaultdict(hashlib.sha256)
     count = 0
@@ -78,6 +80,7 @@ def digests() -> tuple[str, str, int, dict]:
             parts = [(f"record.{key}", value)
                      for record in doc["records"] for key, value in record.items()]
             parts += [(f"summary.{key}", value) for key, value in doc["summary"].items()]
+            parts += [(f"config.{key}", value) for key, value in doc["config"].items()]
             for name, value in parts:
                 fields[name].update(json.dumps(value, sort_keys=True).encode())
             count += 1
