@@ -5,39 +5,42 @@ unitary U.  It equals n exactly when M is normal and 1 when M is unitarily
 irreducible.  There is no closed-form procedure, so we use the standard
 construction for the *-algebra generated by {M, M*}, solved inside the
 eigenspaces of one of its Hermitian elements (Murota, Kanno, Kojima &
-Kojima 2010; Maehara & Murota 2011):
+Kojima 2010; Maehara & Murota 2010, 2011):
 
 1. draw a seeded Hermitian element H = a(M + M*) + i b(M - M*) of the
    algebra, take H = V diag(w) V* and cluster w.  Every element X of the
    commutant {X : MX = XM and M*X = XM*} commutes with H, so it has the
-   form X = V blockdiag(Y_1, ..., Y_c) V* with one block per cluster.
-   When every cluster is a single eigenvalue (the generic case), X is
-   V diag(y) V*, so the eigenvectors of H are already the finest split:
-   step 4 merges them and steps 2-3 are skipped, unless the merged split
-   leaves a residual coupling past the null-space cutoff of step 2;
-2. otherwise compute an orthonormal basis of the commutant as the
-   numerical null space of X -> (MX - XM, M*X - XM*) restricted to that
-   form: a 2n^2 x K operator with K = sum k_c^2 unknowns (K = n^2 when H
-   is scalar -- the unrestricted case), QR-factored, its null space read
-   off the SVD of the K x K triangular factor R;
-3. draw a random Hermitian element of the commutant; with probability
-   one its eigenspaces are exactly the finest M-reducing subspaces;
+   form X = V blockdiag(Y_1, ..., Y_c) V* with one block per cluster;
+2. line up repeated blocks: in a basis that splits M into A (x) I_k, a
+   cluster of H from A spans x (x) R for a unitary R, so V_j* M V_i is a
+   scalar times R_j* R_i (Schur's lemma).  Each multi-column cluster turns
+   by the polar factor of its strongest link to one already turned (for a
+   simple H nothing turns); column p of every cluster then lies in copy p,
+   and step 4 merges the columns into the finest split, kept if its
+   residual is within step 3's cutoff.  A coupling between clusters of
+   different sizes, a non-scalar V_j* M V_j or a link with unequal
+   singular values goes on to step 3;
+3. otherwise solve for the commutant in the form of step 1: the null
+   space of X -> (MX - XM, M*X - XM*), a 2n^2 x K operator with
+   K = sum k_c^2 unknowns (n^2 when H is scalar), read off the SVD of its
+   K x K QR factor R.  A random Hermitian element of the commutant has,
+   with probability one, the finest M-reducing subspaces as eigenspaces;
 4. order the eigenvectors by cluster and merge the groups that still
    couple in U* M U: the connected components of the coupling graph,
    repeated until no merged group couples to another (at once one block
    when the first group couples to every other).
 
-The restriction in step 2 is exact for any H, so degenerate inputs
-(diag(B, B), normal matrices with repeated eigenvalues, scalars) only make
-the clusters, and K, larger.  Every draw is fully determined by the seed.
-Wherever step 2 runs, three independent draws in step 3 must agree on s
-or an ``AmbiguityError`` is raised, so results are reproducible; a split
-kept from a simple spectrum draws nothing after H and cannot raise it.
+Degenerate inputs (diag(B, B), normal matrices with repeated eigenvalues,
+scalars) stop at step 2.  Every draw is fully determined by the seed.
+Wherever step 3 runs, three independent draws must agree on s or an
+``AmbiguityError`` is raised, so results are reproducible; a split kept at
+step 2 draws nothing after H and cannot raise it.
 H's weights (a, b) are drawn once per seed and cached.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -206,6 +209,55 @@ def _merge_coupled(m, u, sizes, block_tol) -> BlockDecomposition:
     return BlockDecomposition(u=u, block_sizes=tuple(sizes.tolist()), s=sizes.size)
 
 
+def _align_copies(m, v, sizes, block_tol):
+    """V with each multi-column eigenspace of H turned so that the copies of
+    a repeated block line up (step 2 above), or None where a check declines,
+    each against block_tol ||M||_F.  The links form a maximum spanning forest
+    of the coupling graph, summed both ways as in _merge_coupled; each uses
+    the larger of V_j* M V_i and (V_i* M V_j)*."""
+    sizes = np.asarray(sizes)
+    multi = np.flatnonzero(sizes > 1).tolist()
+    if not multi:
+        return v
+    thresh = block_tol * (float(np.linalg.norm(m)) or 1.0)
+    starts = np.cumsum(sizes) - sizes
+    cols = [slice(lo, lo + k) for lo, k in zip(starts.tolist(), sizes.tolist())]
+    b = v.conj().T @ m @ v
+    mean = np.repeat(np.add.reduceat(np.diagonal(b), starts) / sizes, sizes)
+    # ||V_j* M V_i||_F^2, and ||V_j* M V_j - (its mean) I||_F^2 on the diagonal
+    flow = np.abs(b - np.diag(mean)) ** 2
+    flow = np.add.reduceat(np.add.reduceat(flow, starts, axis=0), starts, axis=1)
+    w = flow + flow.T  # both directions, as _merge_coupled sums them
+    if max(w[sizes[:, None] != sizes].max(initial=0.0), flow.diagonal().max()) > thresh**2:
+        return None
+    # a maximum spanning forest (Prim's), each linked eigenspace after its parent
+    w, flow = w.tolist(), flow.tolist()
+    link, parent, tree = dict.fromkeys(multi, 0.0), {}, []
+    while link:
+        j = max(link, key=link.get)
+        if math.sqrt(link.pop(j)) > thresh:
+            tree.append((j, parent[j]))
+        for i in link:
+            if w[j][i] > link[i]:
+                link[i], parent[i] = w[j][i], j
+    r = np.eye(v.shape[1], dtype=np.complex128)
+    for k in {sizes[j] for j, _ in tree}:  # one stacked SVD per size
+        links = [(j, i) for j, i in tree if sizes[j] == k]
+        t = np.array([b[cols[i], cols[j]].conj().T if flow[i][j] > flow[j][i]
+                      else b[cols[j], cols[i]] for j, i in links])
+        try:
+            x, sigma, yh = np.linalg.svd(t)
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(f"copy transport failed: {exc}") from exc
+        if (sigma[:, 0] - sigma[:, -1] > thresh).any():
+            return None
+        for (j, _), polar in zip(links, x @ yh):
+            r[cols[j], cols[j]] = polar
+    for j, i in tree:  # parents first; a root's block stays I
+        r[cols[j], cols[j]] = r[cols[j], cols[j]] @ r[cols[i], cols[i]]
+    return v @ r
+
+
 def _eigh(h):
     """``np.linalg.eigh``, its non-convergence raised as ``EigensolverError``."""
     try:
@@ -236,15 +288,17 @@ def _h_weights(seed: int) -> tuple[float, float]:
 def s_number(m, tol: float = DEFAULT_TOL, seed: int = 0) -> BlockDecomposition:
     """Maximal unitary block-diagonalization of M with its witness U.
 
-    When a seeded Hermitian element H of the *-algebra has a simple
-    spectrum, its eigenvectors, with the coupled ones merged, are the
+    The eigenvectors of a seeded Hermitian element H of the *-algebra,
+    with each multi-column eigenspace turned so that the copies of a
+    repeated block line up and the coupled columns merged, are the
     witness if its off-block residual is at most tol ||M||_2; the cheaper
     lower bound tol ||M||_F / sqrt(n) of that cutoff is tried first, so
-    the SVD behind ||M||_2 runs only when it fails.  Otherwise
-    the commutant of {M, M*} is solved inside the eigenspaces of H, and a
-    seeded random Hermitian element of it attains the finest reduction
-    with probability one; three reseeded draws must agree on s, or an
-    ``AmbiguityError`` carrying the candidates is raised.
+    the SVD behind ||M||_2 runs only when it fails.  Otherwise, or when
+    the eigenspaces do not line up as repeated blocks do, the commutant of
+    {M, M*} is solved inside the eigenspaces of H, and a seeded random
+    Hermitian element of it attains the finest reduction with probability
+    one; three reseeded draws must agree on s, or an ``AmbiguityError``
+    carrying the candidates is raised.
 
     s is a tolerance-dependent quantity: the reported value is for the
     null-space cutoff ``tol`` (on both routes) and the fixed
@@ -256,13 +310,15 @@ def s_number(m, tol: float = DEFAULT_TOL, seed: int = 0) -> BlockDecomposition:
     ma = m.conj().T
     w, v = _eigh(a * (m + ma) + 1j * b * (m - ma))
     clusters = _cluster_sizes(w, DEFAULT_CLUSTER_GAP)
-    if len(clusters) == w.size:
-        # every commutant element is V diag(y) V*: nothing random to draw.
-        # For off-block residual r, each unit X in the span of the block
-        # projectors has ||(MX - XM, M*X - XM*)||_F <= 2r: keep the split if
-        # that is within the null-space cutoff tol 2||M||_2, else solve.  The
-        # bound ||M||_F / sqrt(n) <= ||M||_2 (less a rounding margin) goes first
-        dec = _merge_coupled(m, v, clusters, DEFAULT_BLOCK_TOL)
+    u = _align_copies(m, v, clusters, DEFAULT_BLOCK_TOL)
+    if u is not None:
+        # the columns of each copy couple only among themselves: nothing
+        # random to draw.  For off-block residual r, each unit X in the span
+        # of the block projectors has ||(MX - XM, M*X - XM*)||_F <= 2r: keep
+        # the split if that is within the null-space cutoff tol 2||M||_2,
+        # else solve.  The bound ||M||_F / sqrt(n) <= ||M||_2 (less a
+        # rounding margin) goes first
+        dec = _merge_coupled(m, u, [1] * w.size, DEFAULT_BLOCK_TOL)
         if dec.s == 1:
             return dec
         r = offblock_residual(m, dec.u, dec.block_sizes)

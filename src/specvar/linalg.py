@@ -33,11 +33,15 @@ NORM_RESCALE_BELOW = math.ldexp(1.0, -480)
 def as_matrix(a, *, square: bool = False, name: str = "matrix") -> np.ndarray:
     """Validate ``a`` as a dense complex128 matrix.
 
-    Rejects non-2-D input, empty dimensions and non-finite entries; with
+    Rejects input with no complex128 form (strings, objects, ragged rows),
+    non-2-D input, empty dimensions and non-finite entries; with
     ``square=True`` also rejects rectangular shapes.  No copy is made when
     ``a`` is already complex128.
     """
-    m = np.asarray(a, dtype=np.complex128)
+    try:
+        m = np.asarray(a, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise DimensionError(f"{name} is not a numeric array: {exc}") from exc
     if m.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {m.shape}")
     if m.shape[0] < 1 or m.shape[1] < 1:

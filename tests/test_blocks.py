@@ -387,6 +387,34 @@ def commutant_solves(monkeypatch):
     return calls
 
 
+def decline_clusters(monkeypatch):
+    """Make the copy alignment decline every H with a multi-column
+    eigenspace, so that the commutant solve and its three draws decide."""
+    align = blocks._align_copies
+
+    def declined(m, v, sizes, block_tol):
+        return align(m, v, sizes, block_tol) if max(sizes) == 1 else None
+
+    monkeypatch.setattr(blocks, "_align_copies", declined)
+
+
+def repeated_blocks(name):
+    """Hidden repeated irreducible blocks, whose H has multi-column
+    eigenspaces, and their known s."""
+    rng = np.random.default_rng(34)
+    b, c, j = gaussian(3, rng), gaussian(4, rng), jordan_block(0.3 - 0.7j, 3)
+    lams = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    parts, s = {
+        "B,B": ([b, b], 2),
+        "B,B,B": ([b, b, b], 3),
+        "B,B,C": ([b, b, c], 3),
+        "J,J": ([j, j], 2),
+        "normal": ([np.diag(np.repeat(lams, 3))], 9),
+        "3I": (None, 5),
+    }[name]
+    return (3.0 * np.eye(5) if parts is None else hidden(parts, rng)), s
+
+
 class TestMergeCoupled:
     def test_merging_repeats_until_stable(self):
         # A-B couple at 10x the threshold, A-C and B-C at 0.8x each: once
@@ -468,6 +496,30 @@ class TestMergeEarlyExit:
         assert calls == []
         assert sv.s_number(hidden([gaussian(4, rng), gaussian(4, rng)], rng)).s == 2
         assert calls
+
+
+class TestAlignedCopies:
+    @pytest.mark.parametrize("name", ["B,B", "B,B,B", "B,B,C", "J,J", "normal", "3I"])
+    def test_matches_the_whole_space_commutant_without_a_solve(self, name, monkeypatch):
+        m, s = repeated_blocks(name)
+        n = m.shape[0]
+        ref = reference_s_number(m)
+        assert len(ref) == s
+        calls = commutant_solves(monkeypatch)
+        for seed in range(4):
+            assert max(h_ansatz(m, seed)[1]) > 1
+            dec = sv.s_number(m, seed=seed)
+            assert (dec.s, sorted(dec.block_sizes)) == (s, sorted(ref))
+            assert np.linalg.norm(dec.u.conj().T @ dec.u - np.eye(n)) <= 1e-12 * n
+            assert sv.offblock_residual(m, dec.u, dec.block_sizes) <= 1e-8 * np.linalg.norm(m)
+        assert calls == []
+
+    def test_transport_failure_raises_eigensolver_error(self, stall_lapack):
+        # the SVD behind a link's polar factor, not numpy's bare LinAlgError
+        m = repeated_blocks("B,B")[0]
+        stall_lapack("svd")
+        with pytest.raises(sv.EigensolverError, match="copy transport failed: svd"):
+            sv.s_number(m)
 
 
 class TestHWeights:
@@ -590,7 +642,9 @@ class TestQRRoute:
 
     def test_s_number_matches_the_numpy_route(self, monkeypatch):
         # the commutant from the thin SVD and ||M||_2 from np.linalg.svd:
-        # s, block sizes and U are bit for bit the same
+        # s, block sizes and U are bit for bit the same.  Clustered H goes
+        # to the commutant solve, as it does when the copy alignment declines
+        decline_clusters(monkeypatch)
         mats = list(computed_sweep_matrices()) + list(structured_matrices())
         got = [sv.s_number(m) for m in mats]
         solves = []
@@ -620,7 +674,7 @@ class TestQRRoute:
         ids=["eigh", "qr", "svd", "zgesdd"],
     )
     def test_lapack_failure_raises_eigensolver_error(
-        self, routine, only, stage, stall_lapack
+        self, routine, only, stage, stall_lapack, monkeypatch
     ):
         # a failed eigh (of H), QR or SVD of R, or a failed values-only SVD
         # (zgesdd, for ||M||_2) surfaces as EigensolverError, which sweeps
@@ -628,7 +682,9 @@ class TestQRRoute:
         rng = np.random.default_rng(33)
         b = gaussian(3, rng)
         m = hidden([b, b], rng)
-        assert len(h_ansatz(m)[1]) == 3  # clustered H: the commutant route
+        # clustered H with the copy alignment declined: the commutant route
+        assert len(h_ansatz(m)[1]) == 3
+        decline_clusters(monkeypatch)
         stall_lapack(routine, **only)
         with pytest.raises(sv.EigensolverError, match=f"{stage} failed: {routine}"):
             sv.s_number(m)
@@ -658,13 +714,23 @@ class TestRestrictedCommutant:
         assert sv.s_number(hidden([jordan_block(0.5j, 6)], rng)).s == 1
         assert calls == []
         b = gaussian(4, rng)
-        assert sv.s_number(hidden([b, b], rng)).s == 2
+        m = hidden([b, b], rng)
+        assert sv.s_number(m).s == 2  # clustered H, copies aligned
+        assert calls == []
+        decline_clusters(monkeypatch)
+        assert sv.s_number(m).s == 2  # clustered H, alignment declined
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("twin", [False, True], ids=["simple-h", "clustered-h"])
-    def test_coupling_cutoff_on_both_routes(self, twin, monkeypatch):
+    @pytest.mark.parametrize(
+        "twin, declined, solves",
+        [(False, False, (0, 0)), (True, True, (1, 1)), (True, False, (1, 0))],
+        ids=["simple-h", "clustered-h", "aligned-copies"],
+    )
+    def test_coupling_cutoff_on_both_routes(self, twin, declined, solves, monkeypatch):
         # two blocks of order 3 coupled at 10x above or below block_tol ||M||_F;
-        # the twin pair diag(B, B) takes the clustered route.  The blocks'
+        # the twin pair diag(B, B) takes the clustered route: the commutant
+        # solve when the copy alignment is declined, else the alignment, which
+        # declines the copies coupled above the cutoff by itself.  The blocks'
         # spectra lie far apart, so H's eigenvectors hardly rotate under the
         # coupling and the cutoff alone decides s.
         rng = np.random.default_rng(17)
@@ -675,11 +741,14 @@ class TestRestrictedCommutant:
         c = gaussian(3, rng)
         w = sv.random_unitary(6, rng)
         calls = commutant_solves(monkeypatch)
-        for factor, s in ((10.0, 1), (0.1, 2)):
+        if declined:
+            decline_clusters(monkeypatch)
+        for factor, s, solved in zip((10.0, 0.1), (1, 2), solves):
             m = m0.copy()
             m[:3, 3:] = factor * blocks.DEFAULT_BLOCK_TOL * np.linalg.norm(m0) * c / np.linalg.norm(c)
+            before = len(calls)
             assert sv.s_number(w @ m @ w.conj().T).s == s
-        assert len(calls) == (2 if twin else 0)
+            assert len(calls) - before == solved
 
     def test_near_diagonal_noise_is_not_split_past_the_cutoff(self, monkeypatch):
         # many sub-threshold pair couplings can add up to a large residual;
@@ -769,6 +838,25 @@ class TestRestrictedCommutant:
         assert np.linalg.norm(dec.u.conj().T @ dec.u - np.eye(64)) <= 1e-8 * 8
         assert sv.offblock_residual(m, dec.u, dec.block_sizes) <= 1e-8 * np.linalg.norm(m)
         assert min(elapsed) < 1.0
+
+    def test_repeated_blocks_past_the_size_cap(self):
+        # aligned copies run no commutant solve, so its cap does not apply
+        rng = np.random.default_rng(36)
+        for n in (64, 300):
+            b = gaussian(n // 2, rng)
+            m = hidden([b, b], rng)
+            elapsed = []
+            for _ in range(2):
+                start = time.perf_counter()
+                dec = sv.s_number(m)
+                elapsed.append(time.perf_counter() - start)
+            assert dec.s == 2
+            assert dec.block_sizes == (n // 2, n // 2)
+            assert sv.offblock_residual(m, dec.u, dec.block_sizes) <= 1e-8 * np.linalg.norm(m)
+            assert n > 64 or min(elapsed) < 1.0
+        dec = sv.s_number(3.0 * np.eye(100))
+        assert dec.s == 100
+        assert dec.block_sizes == (1,) * 100
 
     def test_order_300_past_the_size_cap(self):
         # only the commutant solve is capped, and a simple H never runs it

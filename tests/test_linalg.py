@@ -188,6 +188,21 @@ class TestPlumbing:
         with pytest.raises(sv.NonFiniteError):
             sv.as_matrix(m)
 
+    @pytest.mark.parametrize(
+        "entry",
+        ["identity", np.array([[{}, 1.0], [2.0, 3.0]], dtype=object), [[1.0, 2.0], [3.0]]],
+        ids=["string", "object-array", "ragged"],
+    )
+    def test_non_numeric_input_is_a_dimension_error(self, entry):
+        # a DimensionError, still a ValueError, not numpy's bare error; the
+        # same for a string transform and for s_number
+        with pytest.raises(sv.DimensionError, match="not a numeric array"):
+            sv.as_matrix(entry)
+        with pytest.raises(sv.DimensionError):
+            sv.make_jordan_spec([(1, 2)], entry)
+        with pytest.raises(sv.DimensionError):
+            sv.s_number(entry)
+
     def test_solve_and_roundtrip(self):
         rng = np.random.default_rng(7)
         q = random_complex(rng, 5)
