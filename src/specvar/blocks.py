@@ -15,11 +15,10 @@ Kojima 2010; Maehara & Murota 2010, 2011):
    cluster of H from A spans x (x) R for a unitary R, so V_j* M V_i is a
    scalar times R_j* R_i (Schur's lemma).  Each multi-column cluster turns
    by the polar factor of its strongest link to one already turned (for a
-   simple H nothing turns); column p of every cluster then lies in copy p,
-   and step 4 merges the columns into the finest split, kept if its
-   residual is within step 3's cutoff.  A coupling between clusters of
-   different sizes, a non-scalar V_j* M V_j or a link with unequal
-   singular values goes on to step 3;
+   simple H nothing turns).  Unless clusters of different sizes couple or
+   that leaves coupling between copies (column p of each cluster is copy
+   p), step 4 merges the columns into the finest split, kept if its
+   residual is within step 3's cutoff;
 3. otherwise solve for the commutant in the form of step 1: the null
    space of X -> (MX - XM, M*X - XM*), a 2n^2 x K operator with
    K = sum k_c^2 unknowns (n^2 when H is scalar), read off the SVD of its
@@ -40,7 +39,6 @@ H's weights (a, b) are drawn once per seed and cached.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -214,7 +212,10 @@ def _align_copies(m, v, sizes, block_tol):
     a repeated block line up (step 2 above), or None where a check declines,
     each against block_tol ||M||_F.  The links form a maximum spanning forest
     of the coupling graph, summed both ways as in _merge_coupled; each uses
-    the larger of V_j* M V_i and (V_i* M V_j)*."""
+    the larger of V_j* M V_i and (V_i* M V_j)*.  Kept only if the coupling
+    between copies, summed, is within the cutoff: no merge then joins two
+    copies, so every group's H has a simple spectrum and the group is
+    irreducible."""
     sizes = np.asarray(sizes)
     multi = np.flatnonzero(sizes > 1).tolist()
     if not multi:
@@ -223,19 +224,17 @@ def _align_copies(m, v, sizes, block_tol):
     starts = np.cumsum(sizes) - sizes
     cols = [slice(lo, lo + k) for lo, k in zip(starts.tolist(), sizes.tolist())]
     b = v.conj().T @ m @ v
-    mean = np.repeat(np.add.reduceat(np.diagonal(b), starts) / sizes, sizes)
-    # ||V_j* M V_i||_F^2, and ||V_j* M V_j - (its mean) I||_F^2 on the diagonal
-    flow = np.abs(b - np.diag(mean)) ** 2
-    flow = np.add.reduceat(np.add.reduceat(flow, starts, axis=0), starts, axis=1)
-    w = flow + flow.T  # both directions, as _merge_coupled sums them
-    if max(w[sizes[:, None] != sizes].max(initial=0.0), flow.diagonal().max()) > thresh**2:
+    # ||V_j* M V_i||_F^2, and in w summed both ways as _merge_coupled sums them
+    flow = np.add.reduceat(np.add.reduceat(np.abs(b) ** 2, starts, axis=0), starts, axis=1)
+    w = flow + flow.T
+    if w[sizes[:, None] != sizes].max(initial=0.0) > thresh**2:
         return None
     # a maximum spanning forest (Prim's), each linked eigenspace after its parent
     w, flow = w.tolist(), flow.tolist()
     link, parent, tree = dict.fromkeys(multi, 0.0), {}, []
     while link:
         j = max(link, key=link.get)
-        if math.sqrt(link.pop(j)) > thresh:
+        if link.pop(j) > thresh**2:
             tree.append((j, parent[j]))
         for i in link:
             if w[j][i] > link[i]:
@@ -246,16 +245,17 @@ def _align_copies(m, v, sizes, block_tol):
         t = np.array([b[cols[i], cols[j]].conj().T if flow[i][j] > flow[j][i]
                       else b[cols[j], cols[i]] for j, i in links])
         try:
-            x, sigma, yh = np.linalg.svd(t)
+            x, _, yh = np.linalg.svd(t)
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(f"copy transport failed: {exc}") from exc
-        if (sigma[:, 0] - sigma[:, -1] > thresh).any():
-            return None
         for (j, _), polar in zip(links, x @ yh):
             r[cols[j], cols[j]] = polar
     for j, i in tree:  # parents first; a root's block stays I
         r[cols[j], cols[j]] = r[cols[j], cols[j]] @ r[cols[i], cols[i]]
-    return v @ r
+    # column p of every size-k eigenspace is copy k n + p (all size-1 ones, n)
+    copy = np.repeat(sizes * v.shape[1] - starts, sizes) + np.arange(v.shape[1])
+    c = r.conj().T @ b @ r  # links outside the forest included
+    return None if np.sum(np.abs(c[copy[:, None] != copy]) ** 2) > thresh**2 else v @ r
 
 
 def _eigh(h):
@@ -312,12 +312,11 @@ def s_number(m, tol: float = DEFAULT_TOL, seed: int = 0) -> BlockDecomposition:
     clusters = _cluster_sizes(w, DEFAULT_CLUSTER_GAP)
     u = _align_copies(m, v, clusters, DEFAULT_BLOCK_TOL)
     if u is not None:
-        # the columns of each copy couple only among themselves: nothing
-        # random to draw.  For off-block residual r, each unit X in the span
-        # of the block projectors has ||(MX - XM, M*X - XM*)||_F <= 2r: keep
-        # the split if that is within the null-space cutoff tol 2||M||_2,
-        # else solve.  The bound ||M||_F / sqrt(n) <= ||M||_2 (less a
-        # rounding margin) goes first
+        # the copies couple only among themselves: nothing random to draw.
+        # For off-block residual r, each unit X in the span of the block
+        # projectors has ||(MX - XM, M*X - XM*)||_F <= 2r: keep the split if
+        # that is within the null-space cutoff tol 2||M||_2, else solve.  The
+        # bound ||M||_F / sqrt(n) <= ||M||_2 (less a rounding margin) goes first
         dec = _merge_coupled(m, u, [1] * w.size, DEFAULT_BLOCK_TOL)
         if dec.s == 1:
             return dec

@@ -33,10 +33,9 @@ NORM_RESCALE_BELOW = math.ldexp(1.0, -480)
 def as_matrix(a, *, square: bool = False, name: str = "matrix") -> np.ndarray:
     """Validate ``a`` as a dense complex128 matrix.
 
-    Rejects input with no complex128 form (strings, objects, ragged rows),
-    non-2-D input, empty dimensions and non-finite entries; with
-    ``square=True`` also rejects rectangular shapes.  No copy is made when
-    ``a`` is already complex128.
+    Rejects non-numeric input (strings, objects, ragged rows), non-2-D
+    input, empty dimensions, non-finite entries and, with ``square=True``,
+    rectangular shapes.  No copy is made when ``a`` is already complex128.
     """
     try:
         m = np.asarray(a, dtype=np.complex128)

@@ -514,6 +514,33 @@ class TestAlignedCopies:
             assert sv.offblock_residual(m, dec.u, dec.block_sizes) <= 1e-8 * np.linalg.norm(m)
         assert calls == []
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_inequivalent_blocks_with_one_h_decline(self, seed, monkeypatch):
+        # diag(A1, A2) with A1 in the eigenbasis of the seed's H and A2 its
+        # off-diagonal entries turned by phases theta_ij (and A2_ji by
+        # -theta_ij): both have the same diagonal H, so H has three double
+        # eigenvalues, every diagonal block is scalar and every link has
+        # equal singular values.  The phases sum to 1.4 round the cycle, so
+        # A1 and A2 are not unitarily equivalent and the one link outside
+        # the spanning tree still couples the copies once turned
+        rng = np.random.default_rng(40 + seed)
+        a, b = blocks._h_weights(seed)
+        g = gaussian(3, rng)
+        v = np.linalg.eigh(a * (g + g.conj().T) + 1j * b * (g - g.conj().T))[1]
+        a1 = v.conj().T @ g @ v
+        a2 = a1.copy()
+        for (i, j), theta in {(0, 1): 0.7, (1, 2): 1.1, (0, 2): -0.4}.items():
+            a2[i, j] *= np.exp(1j * theta)
+            a2[j, i] *= np.exp(-1j * theta)
+        m = hidden([a1, a2], rng)
+        assert h_ansatz(m, seed)[1] == [2, 2, 2]
+        assert sorted(reference_s_number(m)) == [3, 3]
+        calls = commutant_solves(monkeypatch)
+        dec = sv.s_number(m, seed=seed)
+        assert (dec.s, dec.block_sizes) == (2, (3, 3))
+        assert sv.offblock_residual(m, dec.u, dec.block_sizes) <= 1e-8 * np.linalg.norm(m)
+        assert len(calls) == 1
+
     def test_transport_failure_raises_eigensolver_error(self, stall_lapack):
         # the SVD behind a link's polar factor, not numpy's bare LinAlgError
         m = repeated_blocks("B,B")[0]
