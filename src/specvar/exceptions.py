@@ -34,15 +34,6 @@ class EigensolverError(SpecvarError, RuntimeError):
     """The underlying eigenvalue iteration failed to converge."""
 
 
-class AmbiguityError(SpecvarError, RuntimeError):
-    """Reseeded block-structure draws disagree; carries the candidate block
-    counts in ``candidates``."""
-
-    def __init__(self, message, candidates=()):
-        super().__init__(message)
-        self.candidates = tuple(candidates)
-
-
 class ConfigError(SpecvarError, ValueError):
     """A sweep or instance configuration is invalid or infeasible."""
 

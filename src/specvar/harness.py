@@ -8,8 +8,8 @@ the table's columns) or CSV (trial,bound_id,branch,value,d2,slack).
 
 Two report states are kept strictly apart: a *bound violation* (negative
 slack beyond tolerance -- would disprove a theorem) and a
-*failed-infrastructure* trial (eigensolver non-convergence, ambiguous
-block structure).  An infrastructure hiccup must never masquerade as a
+*failed-infrastructure* trial (eigensolver non-convergence, an input past
+a size limit).  An infrastructure hiccup must never masquerade as a
 disproof.
 """
 
@@ -35,7 +35,6 @@ from .bounds import (
     verify_instance,
 )
 from .exceptions import (
-    AmbiguityError,
     ConfigError,
     EigensolverError,
     ParseError,
@@ -341,7 +340,7 @@ def run_trial(inst: PerturbationInstance, config: SweepConfig, trial: int) -> Tr
             with_s_tilde=normal,
             steps=steps,
         )
-    except (EigensolverError, AmbiguityError, SizeLimitError) as exc:
+    except (EigensolverError, SizeLimitError) as exc:
         return TrialRecord(
             **base,
             status="failed-infrastructure",

@@ -306,21 +306,26 @@ class TestRunTrial:
             assert row(rec.results, "HW")[2] == ""
 
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "s(M) at the scaled similarity of a sub-roundoff E depends on the draw: "
-        "its Jordan superdiagonals (eps = 7.2e-7) and rescaled couplings "
-        "(||E|| eps^-(m-1), up to 1.3e-7) lie within 11x of the block cutoff "
-        "block_tol ||M||_F = 6.8e-8, so the three draws disagree"
-    ))
-    def test_sub_roundoff_computed_mixed_trial_is_not_ambiguous(self):
-        # n = 36, m = 3, ||E_Q||_F = 1e-18: s at the C1 eps, 7.2e-7, reads
-        # s in [10, 11] across the draws of seed 3 (5 to 13 under seeds 1-5)
-        cfg = sv.SweepConfig(seed=3, trials=6, n_range=(16, 40), block_profile="mixed",
-                             perturbation="rank1", amount=1e-18, target_kappa=1.0,
-                             s_mode="computed", real_eigenvalues=True)
-        rec = sv.run_trial(sv.gen_instance(cfg, 0), cfg, 0)
-        assert rec.n == 36
-        assert rec.status == "ok", rec.failure_reason
+    @pytest.mark.parametrize("kappa", [1.0, 10.0])
+    @pytest.mark.parametrize("perturbation", ["gaussian", "rank1"])
+    def test_sub_roundoff_computed_mixed_trial_is_not_ambiguous(self, kappa, perturbation):
+        # at ||E_Q|| = 1e-18 the scaled similarities' Jordan superdiagonals
+        # and rescaled couplings lie near the block cutoff, so s_number
+        # takes the commutant route and its split can fail the residual
+        # check.  No trial may fail, and an s read too high would add UP2
+        # and LI_CHEN violations to those of s = 1 (rounding ones, which
+        # the pessimistic sweep shows too)
+        computed, pessimistic = (
+            sv.run_sweep(sv.SweepConfig(
+                seed=3, trials=6, n_range=(16, 40), block_profile="mixed",
+                perturbation=perturbation, amount=1e-18, target_kappa=kappa,
+                s_mode=s_mode, real_eigenvalues=True))
+            for s_mode in ("computed", "pessimistic")
+        )
+        assert computed.summary["failed_infrastructure"] == 0
+        for rec, ref in zip(computed.records, pessimistic.records, strict=True):
+            assert rec.status == "ok", rec.failure_reason
+            assert set(rec.violations) <= set(ref.violations), rec.trial
 
 
 def masked_margin_ratios(inst, grid):

@@ -1,4 +1,4 @@
-"""Two sha256 digests over the reports of a fixed 324-sweep grid, then
+"""Two sha256 digests over the reports of a fixed 328-sweep grid, then
 one per report field.
 
     python3 tools/report_digest.py
@@ -7,6 +7,10 @@ The grid is every combination of the three generated block profiles
 (diagonalizable, single-jordan, mixed), kappa(Q) in {1, 10, 1e4},
 ||E|| in {0.01, 0.5, 2}, the three perturbations, both s-modes and
 real/complex spectra, each sweep with seed 3 and 6 trials at n in 2..12.
+Four computed-s sweeps follow, the only ones that reach the commutant
+solve of ``s_number``: the mixed profile with real spectra, kappa(Q) in
+{1, 10}, gaussian and rank-1 E at ||E|| = 1e-18, seed 3 and 6 trials at
+n in 16..40.
 Each sweep goes through ``write_report`` twice: as the structured-text
 JSON document and as the CSV, whose timestamp line is dropped.  The full
 digest hashes both, sweep by sweep, so two checkouts that print the same
@@ -54,6 +58,11 @@ def grid():
         yield sv.SweepConfig(seed=3, trials=6, block_profile=profile, target_kappa=kappa,
                              amount=amount, perturbation=perturbation, s_mode=s_mode,
                              real_eigenvalues=real)
+    # sub-roundoff E near the block cutoff: the commutant route
+    for kappa, perturbation in itertools.product((1.0, 10.0), ("gaussian", "rank1")):
+        yield sv.SweepConfig(seed=3, trials=6, n_range=(16, 40), block_profile="mixed",
+                             target_kappa=kappa, amount=1e-18, perturbation=perturbation,
+                             s_mode="computed", real_eigenvalues=True)
 
 
 def digests() -> tuple[str, str, int, dict]:
