@@ -15,9 +15,15 @@ from .exceptions import DimensionError
 
 def complex_gaussian(n_rows: int, n_cols: int, rng: np.random.Generator, stack=()) -> np.ndarray:
     """Standard complex Gaussian matrix (unit-variance entries); a ``stack``
-    shape draws a stack of them at once, in the stream of one call each."""
+    shape draws a stack of them at once, in the stream of one call each.
+    The draw is scaled by 1/sqrt(2) in place: numpy divides a complex array
+    by a real scalar as a product with its reciprocal, so this is
+    ``(re + 1j * im) / sqrt(2)`` bit for bit."""
     z = rng.standard_normal((*stack, 2, n_rows, n_cols))
-    return (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / np.sqrt(2.0)
+    z *= 1.0 / np.sqrt(2.0)
+    g = np.empty((*stack, n_rows, n_cols), dtype=np.complex128)
+    g.real, g.imag = z[..., 0, :, :], z[..., 1, :, :]
+    return g
 
 
 def _haar(g: np.ndarray) -> np.ndarray:

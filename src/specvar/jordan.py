@@ -18,13 +18,17 @@ that inequality, and the three estimates behind it, on a whole eps grid
 at once: the deviation is T^-1 E_Q T + Omega (Omega the in-block
 superdiagonal, every entry eps), whose squared norm is a polynomial in
 eps with one coefficient per exponent, summed once from the cached E_Q and
-the block positions ``JordanSpec`` derives once.
+the block positions ``JordanSpec`` derives once.  What phi and the margins
+take from eps alone (the domain check, the powers of eps, the superdiagonal
+terms) is computed once per (grid, m, n - p).
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,9 +80,8 @@ class JordanSpec:
     def __post_init__(self):
         lams, sizes = zip(*self.blocks)
         eigenvalues = np.repeat(np.array(lams, dtype=np.complex128), sizes)
-        places = [k for size in sizes for k in range(size)]
-        positions = np.array(places, dtype=np.float64)
-        superdiagonal = np.array([i for i, k in enumerate(places[1:]) if k], dtype=np.intp)
+        positions = np.array([k for size in sizes for k in range(size)], dtype=np.float64)
+        superdiagonal = positions[1:].nonzero()[0]
         for derived in (eigenvalues, positions, superdiagonal):
             derived.flags.writeable = False
         object.__setattr__(self, "n", sum(sizes))
@@ -215,20 +218,56 @@ def make_instance(spec: JordanSpec, e) -> PerturbationInstance:
         norm_e=frobenius_norm(e),
         norm_eq=norm_eq,
         delta_eq=delta_eq,
-        trace_e=complex(np.trace(e)),
+        trace_e=complex(e.trace()),
     )
 
 
-def _phi_terms(inst: PerturbationInstance, eps):
-    # phi(eps), then its terms: eps^(2(1-m)) delta^2, half the cross term
-    # eps^2 sqrt(n-p) delta, (n-p) eps^2 and |tr E|^2 / n
+class _EpsTables(NamedTuple):
+    """What phi and the margins take from eps alone, for one (eps, m, n - p)."""
+
+    curb: np.ndarray             # eps^(2(1-m))
+    squared: np.ndarray          # eps eps
+    drift: np.ndarray            # eps eps sqrt(n-p)
+    superdiag: np.ndarray        # (n-p) eps eps
+    powers: np.ndarray           # (k, 2m-1): eps^(2d), d = m-1 down to 1-m
+    superdiag_error: np.ndarray  # |(n-p) eps^2 - (n-p) eps eps|
+
+
+@lru_cache(maxsize=256)
+def _eps_tables(grid: bytes, shape: tuple, m: int, drift: int) -> _EpsTables:
+    # read-only, once per key.  A scalar eps stays a float, whose powers are
+    # libm's, as a Python float's are; a grid's are numpy's
+    eps = np.frombuffer(grid, dtype=np.float64).reshape(shape)
+    if not shape:
+        eps = eps[()]
     if not np.all((0.0 < eps) & (eps <= 1.0)):
         raise DomainError(f"eps must lie in (0, 1], got {eps}")
+    squared = eps * eps
+    superdiag = drift * eps * eps
+    tables = _EpsTables(
+        curb=eps ** (2 * (1 - m)),
+        squared=squared,
+        drift=squared * np.sqrt(drift),
+        superdiag=superdiag,
+        powers=squared.reshape(-1, 1) ** np.arange(m - 1, -m, -1, dtype=np.float64),
+        superdiag_error=np.abs(drift * squared - superdiag),
+    )
+    for table in tables:
+        if isinstance(table, np.ndarray):
+            table.flags.writeable = False
+    return tables
+
+
+def _phi_terms(inst: PerturbationInstance, eps):
+    # phi(eps), then its terms eps^(2(1-m)) delta^2, half the cross term
+    # eps^2 sqrt(n-p) delta and |tr E|^2 / n, then the eps tables
+    grid = np.asarray(eps, dtype=np.float64)
     n, p, m = inst.spec.n, inst.spec.p, inst.spec.m
+    tables = _eps_tables(grid.tobytes(), grid.shape, m, n - p)
     d = inst.delta_eq
-    first, half_cross = eps ** (2 * (1 - m)) * d * d, eps * eps * np.sqrt(n - p) * d
-    superdiag, trace = (n - p) * eps * eps, abs(inst.trace_e) ** 2 / n
-    return first + 2.0 * half_cross + superdiag + trace, first, half_cross, superdiag, trace
+    first, half_cross = tables.curb * d * d, tables.drift * d
+    trace = abs(inst.trace_e) ** 2 / n
+    return first + 2.0 * half_cross + tables.superdiag + trace, first, half_cross, trace, tables
 
 
 def phi(inst: PerturbationInstance, eps):
@@ -301,10 +340,13 @@ def envelope_margins(inst: PerturbationInstance, eps) -> dict[str, np.ndarray]:
     - ``superdiag_norm_error``: | ||Omega||_F^2 - (n-p) eps^2 |.
 
     The three margins are nonnegative up to rounding; the last is an exact
-    identity.
+    identity: Omega has n - p entries, so the error is the rounding gap
+    between (n-p) (eps eps) and ((n-p) eps) eps, a function of the grid
+    and n - p alone, whatever E is.  It and every other factor of eps alone
+    are computed once per (grid, m, n - p) and shared read-only.
     """
     eps = np.array(eps, dtype=np.float64, ndmin=1)
-    value, first, half_cross, superdiag, trace = _phi_terms(inst, eps)
+    value, first, half_cross, trace, tables = _phi_terms(inst, eps)
     spec = inst.spec
     m, sup = spec.m, spec.superdiagonal
     # w_d at index m-1-d = pos_i - pos_j + m-1, from the (re, im) parts' squares
@@ -312,13 +354,12 @@ def envelope_margins(inst: PerturbationInstance, eps) -> dict[str, np.ndarray]:
     offsets = np.subtract.outer(place + (m - 1), place).repeat(2)
     parts = np.ascontiguousarray(inst.e_q).view(np.float64)
     weights = np.bincount(offsets, weights=(parts * parts).ravel(), minlength=2 * m - 1)
-    squared = eps * eps
-    norm_s = (squared[:, None] ** np.arange(m - 1, -m, -1, dtype=np.float64)) @ weights
-    cross = squared * inst.e_q.diagonal(1).real[sup].sum()
+    norm_s = tables.powers @ weights
+    cross = tables.squared * inst.e_q.diagonal(1).real[sup].sum()
     return {
         "phi": value,
-        "envelope_margin": value - (norm_s + 2.0 * cross + superdiag),
+        "envelope_margin": value - (norm_s + 2.0 * cross + tables.superdiag),
         "scaled_norm_margin": first + trace - norm_s,
         "cross_term_margin": half_cross - cross,
-        "superdiag_norm_error": np.abs(sup.size * squared - superdiag),
+        "superdiag_norm_error": tables.superdiag_error,
     }

@@ -90,9 +90,10 @@ def norm_and_delta(m, *, checked: bool = False) -> tuple[float, float]:
         m = as_matrix(m, square=True)
     n = m.shape[0]
     dev = m.copy()
-    dev.reshape(-1)[:: n + 1] -= np.trace(m) / n  # the diagonal, as a view
-    norm = frobenius_norm(m)
-    return norm, min(frobenius_norm(dev), norm)
+    dev.reshape(-1)[:: n + 1] -= m.trace() / n  # the diagonal, as a view
+    with np.errstate(over="ignore"):  # one guard for both norms
+        norm = _frobenius_norm(m)
+        return norm, min(_frobenius_norm(dev), norm)
 
 
 def frobenius_norm(m: np.ndarray) -> float:
@@ -103,12 +104,17 @@ def frobenius_norm(m: np.ndarray) -> float:
     part is scaled by 2^-k, exactly, with 2^k above every part, and the
     norm of the scaled matrix by 2^k; each part is scaled with ``np.ldexp``
     because 2^-k itself overflows once the largest part is below 2^-1023."""
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(m))
-        if not NORM_RESCALE_BELOW <= norm < math.inf:
-            k = math.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1]
-            scaled = np.ldexp(m.real, -k) + 1j * np.ldexp(m.imag, -k)
-            norm = float(np.ldexp(np.linalg.norm(scaled), k))
+    with np.errstate(over="ignore"):  # ndarray.dot warns on overflow
+        return _frobenius_norm(m)
+
+
+def _frobenius_norm(m: np.ndarray) -> float:
+    # frobenius_norm inside a caller's overflow guard
+    norm = float(np.linalg.norm(m))
+    if not NORM_RESCALE_BELOW <= norm < math.inf:
+        k = math.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1]
+        scaled = np.ldexp(m.real, -k) + 1j * np.ldexp(m.imag, -k)
+        norm = float(np.ldexp(np.linalg.norm(scaled), k))
     return norm
 
 

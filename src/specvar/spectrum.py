@@ -89,7 +89,7 @@ def _matching_from_permutation(a, b, perm, k: int = 0) -> Matching:
     dists = np.abs(b[perm] - a)
     return Matching(
         permutation=perm,
-        d2=math.ldexp(math.sqrt(np.sum(dists**2)), k),
+        d2=math.ldexp(math.sqrt((dists**2).sum()), k),
         d_inf=math.ldexp(dists.max(), k),
     )
 
@@ -165,6 +165,9 @@ def optimal_match(a, b) -> Matching:
     overflows; d2 and d_inf are scaled back by 2^k.  Power-of-two scaling
     is exact away from underflow, so for ordinary spectra the costs, the
     permutation and both distances are those of the unscaled values.
+    When ``a`` is one value (its first and last entries in canonical order
+    are equal), every permutation costs the same; the solve is skipped for
+    the identity, which :func:`_assignment` returns on such equal rows.
     """
     a, b = _as_spectrum(a), _as_spectrum(b)
     if len(a) != len(b):
@@ -173,7 +176,10 @@ def optimal_match(a, b) -> Matching:
     k = math.frexp(np.abs(parts).max())[1]  # 2^k > every part
     both = np.ldexp(parts, -k).view(np.complex128)
     a_k, b_k = both[: len(a)], both[len(a):]
-    perm = _assignment(np.abs(b_k[None, :] - a_k[:, None]) ** 2)
+    if a.values[0] == a.values[-1]:
+        perm = np.arange(len(a))
+    else:
+        perm = _assignment(np.abs(b_k[None, :] - a_k[:, None]) ** 2)
     return _matching_from_permutation(a_k, b_k, perm, k)
 
 

@@ -327,6 +327,44 @@ class TestRunTrial:
             assert rec.status == "ok", rec.failure_reason
             assert set(rec.violations) <= set(ref.violations), rec.trial
 
+    @staticmethod
+    def planned_s_factors(cfg, trial):
+        """(n, {s-key: n + 1 - s}) over the s-keys the trial's plan names."""
+        inst = sv.gen_instance(cfg, trial)
+        steps = plan(bounds.BoundInputs.of(inst))
+        factors = harness.s_values(
+            inst, mode="computed", tol=cfg.s_tol, seed=cfg.seed, steps=steps
+        )
+        planned = {step.s_key for step in steps if step.eps > 0.0}
+        assert planned
+        return inst.spec.n, {key: factors[key] for key in sorted(planned)}
+
+    # s read too high, which can make UP2 falsely tight.  A generic E has
+    # s = 1, so every planned factor n + 1 - s should read n; these read s = n
+    @pytest.mark.xfail(strict=True, reason=(
+        "E_Q's couplings at ||E|| = 1e-10 lie below DEFAULT_BLOCK_TOL ||M||_F, "
+        "so s_number splits a diagonal J + E_Q into n blocks"))
+    def test_diagonalizable_computed_cell_reads_s_one_at_1e_minus_10(self):
+        cfg = sv.SweepConfig(
+            seed=9, trials=10, block_profile="diagonalizable", target_kappa=1.0,
+            perturbation="gaussian", amount=1e-10, s_mode="computed",
+        )
+        for trial in range(cfg.trials):
+            n, factors = self.planned_s_factors(cfg, trial)
+            assert factors == dict.fromkeys(factors, n), trial
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "at ||E|| = 1e-170 the scaled similarities' couplings lie below the "
+        "block cutoff, and s1, s3 and s4 read s = n = 7"))
+    def test_sub_underflow_single_jordan_trial_reads_s_one(self):
+        cfg = sv.SweepConfig(
+            seed=1, trials=3, amount=1e-170, target_kappa=1,
+            block_profile="single-jordan", s_mode="computed",
+        )
+        n, factors = self.planned_s_factors(cfg, 0)
+        assert n == 7 and set(factors) == {"s1", "s3", "s4"}
+        assert factors == dict.fromkeys(factors, n)
+
 
 def masked_margin_ratios(inst, grid):
     """The margin reduction that skips every grid point with phi = 0."""

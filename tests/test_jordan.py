@@ -1,6 +1,8 @@
 """Tests for Jordan-structured instances, the T(eps) scaling and the
 envelope."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -424,6 +426,64 @@ class TestEnvelopeMarginsDifferential:
                     min(ratios["cross_term_margin"]), max(ratios["superdiag_norm_error"]),
                 )
                 assert got == pytest.approx(want, rel=0.0, abs=self.ATOL)
+
+    # the factors that depend on eps alone are cached per (grid, m, n - p)
+    def test_equal_length_grids_in_alternation(self):
+        assert len(EPS_GRID) == len(OFF_GRID)
+        # two layouts with one (m, n - p) key: (3, 1, 5) and (5, 3, 1)
+        insts = [zero_eigenvalue_instance(sizes, 1e4, 0.5, seed=11)
+                 for sizes in ((3, 1, 5), (5, 3, 1))]
+        first = {}
+        for _ in range(2):
+            for inst, grid in itertools.product(insts, (EPS_GRID, OFF_GRID, EPS_GRID)):
+                self.assert_matches_reference(inst, grid)
+                got = sv.envelope_margins(inst, grid)
+                want = first.setdefault((id(inst), grid.tobytes()), got)
+                for key in got:
+                    assert np.array_equal(got[key], want[key]), key
+
+    @pytest.mark.parametrize("sizes", [(3, 1, 5), (1, 1)])
+    def test_scalar_eps_and_one_point_grid(self, sizes):
+        # a float and a 1-point grid have the same bytes; each keeps its own
+        # arithmetic (libm's powers for a float, numpy's for an array, which
+        # differ in the last bit at some of these points where numpy's are
+        # vectorized)
+        inst = zero_eigenvalue_instance(sizes, 10.0, 0.5, seed=12)
+        for e in np.arange(1, 101) / 100:
+            for point in (float(e), np.array([e]), float(e)):  # either after the other
+                got = sv.phi(inst, point)
+                assert np.shape(got) == np.shape(point)
+                assert np.array_equal(got, phi_formula(inst, point))
+
+    @pytest.mark.parametrize("bad", [np.array([0.5, 0.0]), np.array([1.5]), 0.0, -1.0])
+    def test_domain_error_on_consecutive_calls(self, bad):
+        inst = make_mixed_instance(6)
+        for _ in range(2):
+            with pytest.raises(sv.DomainError):
+                sv.phi(inst, bad)
+            with pytest.raises(sv.DomainError):
+                sv.envelope_margins(inst, bad)
+
+    def test_writing_to_a_result_leaves_the_next_call_alone(self):
+        inst = zero_eigenvalue_instance((3, 1, 5), 1e4, 0.5, seed=13)
+        want = {key: value.copy() for key, value in sv.envelope_margins(inst, EPS_GRID).items()}
+        for value in [*sv.envelope_margins(inst, EPS_GRID).values(), sv.phi(inst, EPS_GRID)]:
+            try:
+                value[...] = 7.0
+            except ValueError:  # the shared tables are read-only
+                assert not value.flags.writeable
+        got = sv.envelope_margins(inst, EPS_GRID)
+        assert all(np.array_equal(got[key], want[key]) for key in want)
+        assert np.array_equal(sv.phi(inst, EPS_GRID), want["phi"])
+        self.assert_matches_reference(inst, EPS_GRID)
+
+
+def phi_formula(inst, eps):
+    """phi(eps) term by term, in the order of operations phi keeps."""
+    n, p, m = inst.spec.n, inst.spec.p, inst.spec.m
+    d = inst.delta_eq
+    first, half_cross = eps ** (2 * (1 - m)) * d * d, eps * eps * np.sqrt(n - p) * d
+    return first + 2.0 * half_cross + (n - p) * eps * eps + abs(inst.trace_e) ** 2 / n
 
 
 class TestEnvelopeMargin:

@@ -1,5 +1,7 @@
 """Tests for spectra and the optimal matching distances."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -178,6 +180,23 @@ def spectra_with_repeated_eigenvalues(rng, n):
     return a, a + rng.uniform(1e-3, 1.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
+def one_value_spectra(rng, n):
+    """n copies of one prescribed eigenvalue, and a perturbation of them."""
+    a = np.full(n, complex(*rng.uniform(-2, 2, 2)))
+    return a, a + rng.uniform(1e-3, 1.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+def solver_match(a, b):
+    """optimal_match through ``_assignment`` on every input: the same
+    scaled costs, and no shortcut for a one-value ``a``."""
+    a, b = sv.Spectrum(a).values, sv.Spectrum(b).values
+    parts = np.concatenate((a, b)).view(np.float64)
+    k = math.frexp(np.abs(parts).max())[1]
+    a_k, b_k = np.split(np.ldexp(parts, -k).view(np.complex128), 2)
+    perm = spectrum._assignment(np.abs(b_k[None, :] - a_k[:, None]) ** 2)
+    return spectrum._matching_from_permutation(a_k, b_k, perm, k)
+
+
 def assignment_problems():
     """(label, cost) pairs: n = 1, uniform costs, integer costs with many
     ties, and the costs of spectra with repeated eigenvalues, at n <= 13,
@@ -212,11 +231,17 @@ class TestAssignment:
 
     def test_d2_equals_brute_force_up_to_seven(self):
         rng = np.random.default_rng(18)
-        for n in (1, 2, 3, 4, 5, 6, 7, 7, 7):
-            a, b = spectra_with_repeated_eigenvalues(rng, n)
+        cases = [spectra_with_repeated_eigenvalues(rng, n) for n in (1, 2, 3, 4, 5, 6, 7, 7, 7)]
+        # one-value spectra, on which optimal_match skips the solve
+        cases += [one_value_spectra(rng, n) for n in range(1, 9)]
+        for a, b in cases:
+            n = len(a)
             m = sv.optimal_match(a, b)
             assert sorted(m.permutation.tolist()) == list(range(n))
             assert m.d2 == pytest.approx(sv.brute_force_match(a, b).d2, rel=1e-12)
+            solved = solver_match(a, b)
+            assert np.array_equal(m.permutation, solved.permutation)
+            assert (m.d2, m.d_inf) == (solved.d2, solved.d_inf)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_cost_rejected(self, bad):
