@@ -26,8 +26,11 @@ Kojima 2010; Maehara & Murota 2010, 2011):
    M-reducing subspaces as eigenspaces;
 4. order the eigenvectors by cluster and merge the groups that still
    couple in U* M U: the connected components of the coupling graph,
-   repeated until no merged group couples to another (at once one block
-   when the first group couples to every other).
+   repeated until no merged group couples to another.  It ends at once
+   with one block when the first group couples to every other or all
+   groups form one component, and after a pass that merges as soon as
+   the off-block residual r of U* M U leaves no pair of groups coupled;
+   the check below reads that r.
 
 Either route keeps its split only if the off-block residual r of U* M U is
 within the null-space cutoff tol ||M||_2 (each unit X in the span of the
@@ -154,17 +157,21 @@ def _cluster_sizes(w: np.ndarray, gap_tol: float) -> list[int]:
     return sizes
 
 
+def _offblock(block_sizes) -> np.ndarray:
+    """The mask of the entries outside the consecutive diagonal blocks of
+    the given sizes: the pairs of rows and columns with different block
+    labels."""
+    label = np.repeat(np.arange(len(block_sizes)), block_sizes)
+    return label[:, None] != label
+
+
 def offblock_residual(m, u, block_sizes) -> float:
     """||offblock(U* M U)||_F: coupling outside the prescribed diagonal
     blocks."""
     m = as_matrix(m, square=True)
     u = as_matrix(u, square=True)
     b = u.conj().T @ m @ u
-    edges = np.cumsum([0, *block_sizes])
-    mask = np.ones_like(b, dtype=bool)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mask[lo:hi, lo:hi] = False
-    return float(np.linalg.norm(b[mask]))
+    return float(np.linalg.norm(b[_offblock(block_sizes)]))
 
 
 def _components(adjacency: np.ndarray) -> np.ndarray:
@@ -180,14 +187,18 @@ def _components(adjacency: np.ndarray) -> np.ndarray:
         reach = wider
 
 
-def _merge_coupled(m, u, sizes, block_tol) -> BlockDecomposition:
+def _merge_coupled(m, u, sizes, block_tol):
     """Merge the column groups of U that couple in U* M U (both off-diagonal
-    blocks together) beyond block_tol * ||M||_F, by connected components.
+    blocks together) beyond block_tol * ||M||_F, by connected components:
+    the decomposition and the off-block residual r of its U* M U where the
+    merge stopped on it, else None.
 
     A merged group can couple to a third above the threshold although each
-    part stays below it, so merging repeats until nothing changes.  Merged
-    groups are made contiguous by column permutation (order of first
-    member).
+    part stays below it, so merging repeats until nothing changes.  After
+    a pass that merges, r <= thresh (1 - 1e-6) ends it: each pair of groups
+    couples by at most r, and the margin is far above the rounding between
+    those pair sums and r.  Merged groups are made contiguous by column
+    permutation (order of first member).
     """
     thresh = block_tol * (float(np.linalg.norm(m)) or 1.0)
     power = np.abs(u.conj().T @ m @ u) ** 2
@@ -199,8 +210,10 @@ def _merge_coupled(m, u, sizes, block_tol) -> BlockDecomposition:
             w = np.add.reduceat(np.add.reduceat(power, starts, axis=0), starts, axis=1)
         adjacency = np.sqrt(w + w.T) > thresh
         if adjacency[0, 1:].all():  # connected: one block, order kept
-            return BlockDecomposition(u=u, block_sizes=(u.shape[1],), s=1)
+            return BlockDecomposition(u=u, block_sizes=(u.shape[1],), s=1), None
         label = _components(adjacency)
+        if not label.any():  # one component: the stable sort keeps the order
+            return BlockDecomposition(u=u, block_sizes=(u.shape[1],), s=1), None
         firsts = np.unique(label)
         if firsts.size == sizes.size:
             break
@@ -208,7 +221,10 @@ def _merge_coupled(m, u, sizes, block_tol) -> BlockDecomposition:
         u = u[:, cols]
         power = power[np.ix_(cols, cols)]
         sizes = np.bincount(label, weights=sizes)[firsts].astype(int)
-    return BlockDecomposition(u=u, block_sizes=tuple(sizes.tolist()), s=sizes.size)
+        r = float(np.sqrt(np.sum(power[_offblock(sizes)])))
+        if r <= thresh * (1.0 - 1e-6):
+            return BlockDecomposition(u=u, block_sizes=tuple(sizes.tolist()), s=sizes.size), r
+    return BlockDecomposition(u=u, block_sizes=tuple(sizes.tolist()), s=sizes.size), None
 
 
 def _align_copies(m, v, sizes, block_tol):
@@ -270,13 +286,15 @@ def _eigh(h):
         raise EigensolverError(f"eigenvalue iteration failed: {exc}") from exc
 
 
-def _witnessed(m, dec, tol) -> bool:
-    """True iff one block, or the split's off-block residual is within
+def _witnessed(m, dec, r, tol) -> bool:
+    """True iff one block, or the split's off-block residual r is within
     tol ||M||_2; its lower bound tol ||M||_F / sqrt(n), less a rounding
-    margin, is tried first, so the SVD behind ||M||_2 runs only if it fails."""
+    margin, is tried first, so the SVD behind ||M||_2 runs only if it fails.
+    r is the one the merge handed over, computed here where it is None."""
     if dec.s == 1:
         return True
-    r = offblock_residual(m, dec.u, dec.block_sizes)
+    if r is None:
+        r = offblock_residual(m, dec.u, dec.block_sizes)
     cheap = tol * (1.0 - 1e-6) * np.linalg.norm(m) / np.sqrt(m.shape[0])
     return r <= cheap or r <= tol * singular_values(m)[0]
 
@@ -313,8 +331,8 @@ def s_number(m, tol: float = DEFAULT_TOL, seed: int = 0) -> BlockDecomposition:
     u = _align_copies(m, v, clusters, DEFAULT_BLOCK_TOL)
     if u is not None:
         # the copies couple only among themselves: nothing random to draw
-        dec = _merge_coupled(m, u, [1] * n, DEFAULT_BLOCK_TOL)
-        if _witnessed(m, dec, tol):
+        dec, r = _merge_coupled(m, u, [1] * n, DEFAULT_BLOCK_TOL)
+        if _witnessed(m, dec, r, tol):
             return dec
     basis = commutant_basis(m, tol, v=v, sizes=clusters)
     gamma = np.random.default_rng([seed, 0]).standard_normal(len(basis))
@@ -323,5 +341,5 @@ def s_number(m, tol: float = DEFAULT_TOL, seed: int = 0) -> BlockDecomposition:
         h += g * (x + x.conj().T) / 2.0
     w, v = _eigh(h)
     # eigh returns ascending eigenvalues, so clusters are already contiguous
-    dec = _merge_coupled(m, v, _cluster_sizes(w, DEFAULT_CLUSTER_GAP), DEFAULT_BLOCK_TOL)
-    return dec if _witnessed(m, dec, tol) else BlockDecomposition(u=v, block_sizes=(n,), s=1)
+    dec, r = _merge_coupled(m, v, _cluster_sizes(w, DEFAULT_CLUSTER_GAP), DEFAULT_BLOCK_TOL)
+    return dec if _witnessed(m, dec, r, tol) else BlockDecomposition(u=v, block_sizes=(n,), s=1)

@@ -427,18 +427,18 @@ class TestMergeCoupled:
         m[0, 2] = 10.0 * thresh
         m[1, 4] = 0.8 * thresh
         m[3, 5] = 0.8 * thresh
-        dec = blocks._merge_coupled(m, np.eye(6), [2, 2, 2], blocks.DEFAULT_BLOCK_TOL)
+        dec = blocks._merge_coupled(m, np.eye(6), [2, 2, 2], blocks.DEFAULT_BLOCK_TOL)[0]
         assert dec.s == 1
         assert np.array_equal(dec.u, np.eye(6))
         # below the threshold on every pair, nothing merges
         m[0, 2] = 0.8 * thresh
-        dec = blocks._merge_coupled(m, np.eye(6), [2, 2, 2], blocks.DEFAULT_BLOCK_TOL)
+        dec = blocks._merge_coupled(m, np.eye(6), [2, 2, 2], blocks.DEFAULT_BLOCK_TOL)[0]
         assert dec.block_sizes == (2, 2, 2)
 
     def test_merged_groups_in_order_of_first_member(self):
         m = np.diag([1.0, 2.0, 3.0, 4.0, 5.0]).astype(complex)
         m[0, 3] = m[1, 4] = 1.0
-        dec = blocks._merge_coupled(m, np.eye(5), [1] * 5, blocks.DEFAULT_BLOCK_TOL)
+        dec = blocks._merge_coupled(m, np.eye(5), [1] * 5, blocks.DEFAULT_BLOCK_TOL)[0]
         assert dec.block_sizes == (2, 2, 1)
         assert np.array_equal(dec.u, np.eye(5)[:, [0, 3, 1, 4, 2]])
 
@@ -454,39 +454,97 @@ class TestMergeCoupled:
         assert np.array_equal(blocks._components(adj), want)
 
 
+def merge_exits(monkeypatch):
+    """Check every merge s_number runs (simple route and commutant draw
+    alike) against the pairwise reference and, bit for bit, against the
+    merge without the early exits; count its residual-stop exits (a
+    handed-over r), its one-component exits (the last labelling puts every
+    column in component 0), its exits to one block from two groups or
+    more, and its splits."""
+    merge, components = blocks._merge_coupled, blocks._components
+    counts = dict.fromkeys(("stops", "one_component", "one_block", "splits"), 0)
+    labels = []
+
+    def spy(adjacency):
+        labels.append(components(adjacency))
+        return labels[-1]
+
+    def checked(m, u, sizes, block_tol):
+        labels.clear()
+        dec, r = merge(m, u, sizes, block_tol)
+        one_component = dec.s == 1 and bool(labels) and not labels[-1].any()
+        ref_sizes = reference_merge(m, u, list(sizes), block_tol)[1]
+        assert dec.block_sizes == tuple(ref_sizes)
+        assert dec.s == len(ref_sizes)
+        full_u, full_sizes = merge_without_exit(m, u, sizes, block_tol)
+        assert dec.block_sizes == full_sizes
+        assert np.array_equal(dec.u, full_u)
+        assert r is None or dec.s > 1
+        counts["stops"] += r is not None
+        counts["one_component"] += one_component
+        counts["one_block"] += dec.s == 1 and len(sizes) > 1
+        counts["splits"] += dec.s > 1
+        return dec, r
+
+    monkeypatch.setattr(blocks, "_components", spy)
+    monkeypatch.setattr(blocks, "_merge_coupled", checked)
+    return counts
+
+
+REPEATED = ("B,B", "B,B,B", "B,B,C", "J,J", "normal", "3I")
+
+
 class TestMergeEarlyExit:
     def test_exit_matches_the_full_merge(self, monkeypatch):
-        # every merge s_number runs (simple route and commutant draw alike)
-        # is checked against the pairwise reference and, bit for bit,
-        # against the merge without the early exit; the repeated blocks
-        # with the copy alignment declined add commutant-route splits
-        merge = blocks._merge_coupled
-        exits = splits = 0
-
-        def checked(m, u, sizes, block_tol):
-            nonlocal exits, splits
-            dec = merge(m, u, sizes, block_tol)
-            ref_sizes = reference_merge(m, u, list(sizes), block_tol)[1]
-            assert dec.block_sizes == tuple(ref_sizes)
-            assert dec.s == len(ref_sizes)
-            full_u, full_sizes = merge_without_exit(m, u, sizes, block_tol)
-            assert dec.block_sizes == full_sizes
-            assert np.array_equal(dec.u, full_u)
-            exits += dec.s == 1 and len(sizes) > 1
-            splits += dec.s > 1
-            return dec
-
-        monkeypatch.setattr(blocks, "_merge_coupled", checked)
+        counts = merge_exits(monkeypatch)
+        # planted splits stop on the residual after one merging pass, and a
+        # hidden Jordan block labels every column 0
+        for m in structured_matrices():
+            sv.s_number(m)
+        for name in REPEATED:
+            for seed in range(4):
+                sv.s_number(repeated_blocks(name)[0], seed=seed)
+        assert counts["stops"] > 0 and counts["one_component"] > 0
+        counts.update(dict.fromkeys(counts, 0))
+        # the repeated blocks with the copy alignment declined add
+        # commutant-route splits
         sweep = list(computed_sweep_matrices())
         assert len(sweep) >= 200
         for m in itertools.chain(differential_matrices(), near_diagonal_matrices(), sweep):
             sv.s_number(m)
         decline_clusters(monkeypatch)
-        for name in ("B,B", "B,B,B", "B,B,C", "J,J", "normal", "3I"):
+        for name in REPEATED:
             m = repeated_blocks(name)[0]
             for seed in range(4):
                 sv.s_number(m, seed=seed)
-        assert exits > 200 and splits > 50
+        assert counts["one_block"] > 200 and counts["splits"] > 50
+
+    @pytest.mark.parametrize("below", [1e-9, 1e-7, 5e-7])
+    def test_residual_inside_the_margin_takes_the_confirming_pass(self, below, monkeypatch):
+        # columns 0 and 2 merge; what is left couples columns 1 and 3 at
+        # r = thresh (1 - below), in (thresh (1 - 1e-6), thresh]: the stop
+        # must not fire, the confirming pass finds nothing to merge
+        m = np.diag([1.0, 2.0, 3.0, 4.0, 5.0]).astype(complex)
+        m[0, 2] = 1.0
+        thresh = blocks.DEFAULT_BLOCK_TOL * np.linalg.norm(m)
+        m[1, 3] = 0.6 * thresh * (1.0 - below)
+        m[3, 1] = 0.8 * thresh * (1.0 - below)
+        thresh = blocks.DEFAULT_BLOCK_TOL * np.linalg.norm(m)
+        r = sv.offblock_residual(m, np.eye(5)[:, [0, 2, 1, 3, 4]], (2, 1, 1, 1))
+        assert thresh * (1.0 - 1e-6) < r <= thresh
+        labellings = []
+        components = blocks._components
+
+        def spy(adjacency):
+            labellings.append(adjacency.shape[0])
+            return components(adjacency)
+
+        monkeypatch.setattr(blocks, "_components", spy)
+        dec, handed = blocks._merge_coupled(m, np.eye(5), [1] * 5, blocks.DEFAULT_BLOCK_TOL)
+        assert labellings == [5, 4] and handed is None
+        full_u, full_sizes = merge_without_exit(m, np.eye(5), [1] * 5, blocks.DEFAULT_BLOCK_TOL)
+        assert dec.block_sizes == full_sizes == (2, 1, 1, 1)
+        assert np.array_equal(dec.u, full_u)
 
     def test_connected_graph_skips_the_labelling(self, monkeypatch):
         calls = []
@@ -642,6 +700,56 @@ class TestResidualCheck:
             assert dec.s == 2
             r = sv.offblock_residual(m, dec.u, dec.block_sizes)
             assert r == pytest.approx(want, rel=1e-2)
+
+
+class TestHandedOverResidual:
+    def test_witness_verdict_matches_the_recomputed_residual(self, monkeypatch):
+        # every merge s_number runs: the verdict on the r the merge hands
+        # over equals the verdict on offblock_residual recomputed, and the
+        # two r agree within a few ulp of ||M||_F, the scale at which the
+        # entries of the two products of U* M U round
+        merge = blocks._merge_coupled
+        merges = []
+
+        def recorded(m, u, sizes, block_tol):
+            merges.append((m, *merge(m, u, sizes, block_tol)))
+            return merges[-1][1:]
+
+        monkeypatch.setattr(blocks, "_merge_coupled", recorded)
+        matrices = [(m, 0) for m in itertools.chain(
+            differential_matrices(), near_diagonal_matrices(), structured_matrices())]
+        matrices += [(repeated_blocks(name)[0], seed) for name in REPEATED for seed in range(4)]
+        handed = 0
+        for declined in (False, True):
+            if declined:
+                decline_clusters(monkeypatch)
+            for m, seed in matrices:
+                merges.clear()
+                sv.s_number(m, seed=seed)
+                for x, dec, r in merges:
+                    ref = sv.offblock_residual(x, dec.u, dec.block_sizes)
+                    if r is not None:
+                        handed += 1
+                        assert abs(r - ref) <= 4.0 * np.spacing(np.linalg.norm(x))
+                    verdict = blocks._witnessed(x, dec, r, blocks.DEFAULT_TOL)
+                    assert verdict == blocks._witnessed(x, dec, None, blocks.DEFAULT_TOL)
+        assert handed > 40
+
+    @pytest.mark.parametrize("name", ["B,B", "B,B,C"])
+    def test_residual_stop_is_not_recomputed(self, name, monkeypatch):
+        # planted splits end on the residual stop, so the witness reads the
+        # handed-over r and U* M U is formed once
+        calls = []
+        full = blocks.offblock_residual
+
+        def spy(m, u, block_sizes):
+            calls.append(block_sizes)
+            return full(m, u, block_sizes)
+
+        monkeypatch.setattr(blocks, "offblock_residual", spy)
+        m, s = repeated_blocks(name)
+        assert sv.s_number(m).s == s
+        assert calls == []
 
 
 class TestQRRoute:
