@@ -19,7 +19,20 @@ digest hashes, sweep by sweep, the CSV body followed by the summary as
 ``json.dumps(summary, sort_keys=True)``: it holds across a change of the
 JSON layout, so it compares checkouts on either side of a schema bump.
 
-After the two digests it prints one per ``TrialRecord`` field
+Each sweep writes its reports to fresh files: rewriting one file in
+place makes some file systems (ext4 with ``auto_da_alloc``) flush it to
+disk on every close, which held one run at ~40 s of wall time for ~2.5 s
+of CPU.
+
+A third digest hashes ``s_number``'s (s, block sizes, U bytes) on fixed
+structured inputs built here with numpy alone, each hidden under a Haar
+unitary: k blocks of order 4, one Jordan block, diag(B, B) and a normal
+matrix whose eigenvalues repeat four times each, at n = 8, 12, 16 and 24,
+every one at seeds 0 and 1.  The sweep grid reaches ``s_number`` almost
+only through generic matrices that the merge sees as one block at once,
+so this digest is the one that sees a change to its splits.
+
+After the three digests it prints one per ``TrialRecord`` field
 (``record.<name>``, over every record of the grid, each value as the JSON
 report writes it), one per summary key (``summary.<key>``) and one per
 report config field (``config.<name>``).  Diffing that output between two
@@ -40,6 +53,8 @@ from collections import defaultdict
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
 
 import specvar as sv  # noqa: E402
 
@@ -65,6 +80,51 @@ def grid():
                              s_mode="computed", real_eigenvalues=True)
 
 
+S_ORDERS = (8, 12, 16, 24)
+S_SEEDS = (0, 1)
+
+
+def s_number_inputs():
+    """The structured inputs of the ``s_number`` digest, from one fixed
+    generator."""
+    rng = np.random.default_rng(29)
+
+    def gaussian(n):
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+    def hidden(blocks):
+        n = sum(b.shape[0] for b in blocks)
+        m = np.zeros((n, n), dtype=np.complex128)
+        off = 0
+        for b in blocks:
+            m[off:off + b.shape[0], off:off + b.shape[0]] = b
+            off += b.shape[0]
+        q, r = np.linalg.qr(gaussian(n))
+        w = q * (np.diag(r) / np.abs(np.diag(r)))
+        return w @ m @ w.conj().T
+
+    for n in S_ORDERS:
+        yield hidden([gaussian(4) for _ in range(n // 4)])
+        yield hidden([(0.5 + 1j) * np.eye(n) + np.diag(np.ones(n - 1), k=1)])
+        b = gaussian(n // 2)
+        yield hidden([b, b])
+        lams = rng.standard_normal(n // 4) + 1j * rng.standard_normal(n // 4)
+        yield hidden([np.diag(np.repeat(lams, 4))])
+
+
+def s_number_digest() -> tuple[str, int]:
+    """(sha256 of every call's s, block sizes and U bytes, call count)."""
+    h = hashlib.sha256()
+    count = 0
+    for m in s_number_inputs():
+        for seed in S_SEEDS:
+            dec = sv.s_number(m, seed=seed)
+            h.update(repr((dec.s, dec.block_sizes)).encode())
+            h.update(np.ascontiguousarray(dec.u).tobytes())
+            count += 1
+    return h.hexdigest(), count
+
+
 def digests() -> tuple[str, str, int, dict]:
     """(full digest, stable digest, sweep count, field digests): the last
     maps each ``record.<name>``, ``summary.<key>`` and ``config.<name>``
@@ -73,8 +133,8 @@ def digests() -> tuple[str, str, int, dict]:
     fields = defaultdict(hashlib.sha256)
     count = 0
     with tempfile.TemporaryDirectory() as tmp:
-        json_path, csv_path = Path(tmp) / "r.json", Path(tmp) / "r.csv"
         for config in grid():
+            json_path, csv_path = Path(tmp) / f"{count}.json", Path(tmp) / f"{count}.csv"
             report = sv.run_sweep(config)
             sv.write_report(report, json_path)
             sv.write_report(report, csv_path, format="csv")
@@ -100,5 +160,7 @@ if __name__ == "__main__":
     full, stable, count, fields = digests()
     print(f"full    {full}  ({count} sweeps: JSON and CSV reports)")
     print(f"stable  {stable}  (CSV bodies and summaries)")
+    s_digest, s_count = s_number_digest()
+    print(f"s       {s_digest}  ({s_count} s_number calls on structured inputs)")
     for name, h in fields.items():
         print(f"{name:34s} {h.hexdigest()}")
