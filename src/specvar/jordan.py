@@ -145,7 +145,7 @@ def assemble(spec: JordanSpec) -> np.ndarray:
 def _scaling_vector(spec: JordanSpec, eps: float) -> np.ndarray:
     if not (0.0 < eps <= 1.0):
         raise DomainError(f"eps must lie in (0, 1], got {eps}")
-    return eps ** spec.positions
+    return np.float_power(eps, spec.positions)
 
 
 def scaling_matrix(spec: JordanSpec, eps: float) -> np.ndarray:
@@ -235,8 +235,10 @@ class _EpsTables(NamedTuple):
 
 @lru_cache(maxsize=256)
 def _eps_tables(grid: bytes, shape: tuple, m: int, drift: int) -> _EpsTables:
-    # read-only, once per key.  A scalar eps stays a float, whose powers are
-    # libm's, as a Python float's are; a grid's are numpy's
+    # read-only, once per key; a scalar eps stays a scalar.  Powers go
+    # through np.float_power, libm's pow for a grid and a scalar alike,
+    # where an array's ** may take a vectorized pow that differs in the
+    # last bit from host to host
     eps = np.frombuffer(grid, dtype=np.float64).reshape(shape)
     if not shape:
         eps = eps[()]
@@ -245,11 +247,11 @@ def _eps_tables(grid: bytes, shape: tuple, m: int, drift: int) -> _EpsTables:
     squared = eps * eps
     superdiag = drift * eps * eps
     tables = _EpsTables(
-        curb=eps ** (2 * (1 - m)),
+        curb=np.float_power(eps, 2 * (1 - m)),
         squared=squared,
         drift=squared * np.sqrt(drift),
         superdiag=superdiag,
-        powers=squared.reshape(-1, 1) ** np.arange(m - 1, -m, -1, dtype=np.float64),
+        powers=np.float_power(squared.reshape(-1, 1), np.arange(m - 1, -m, -1.0)),
         superdiag_error=np.abs(drift * squared - superdiag),
     )
     for table in tables:

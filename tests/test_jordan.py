@@ -2,11 +2,13 @@
 envelope."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 import specvar as sv
+from specvar import jordan
 from specvar.harness import EPS_GRID
 
 
@@ -121,6 +123,15 @@ class TestScaling:
             err = sv.envelope_margins(inst, eps)["superdiag_norm_error"]
             n_minus_p = spec.n - spec.p
             assert np.all(err <= 1e-13 * n_minus_p * eps * eps)
+
+    def test_powers_are_libm_pow(self):
+        # T(eps) entry by entry against math.pow, which an array's ** does
+        # not match on every host (a vectorized pow differs in the last bit)
+        spec = sv.make_jordan_spec([(0.0, 12), (1.0, 3)])
+        for eps in np.linspace(0.002, 1.0, 500):
+            t = np.diag(sv.scaling_matrix(spec, float(eps))).real
+            want = [math.pow(eps, k) for k in spec.positions]
+            assert t.tobytes() == np.array(want).tobytes()
 
     def test_structure_computed_once(self):
         spec = sv.make_jordan_spec([(1.0, 3), (2.0, 1), (0.5j, 2)])
@@ -444,16 +455,29 @@ class TestEnvelopeMarginsDifferential:
 
     @pytest.mark.parametrize("sizes", [(3, 1, 5), (1, 1)])
     def test_scalar_eps_and_one_point_grid(self, sizes):
-        # a float and a 1-point grid have the same bytes; each keeps its own
-        # arithmetic (libm's powers for a float, numpy's for an array, which
-        # differ in the last bit at some of these points where numpy's are
-        # vectorized)
+        # a float and a 1-point grid have the same bytes and take libm's
+        # powers alike, so they give the same value in their own shapes
         inst = zero_eigenvalue_instance(sizes, 10.0, 0.5, seed=12)
         for e in np.arange(1, 101) / 100:
             for point in (float(e), np.array([e]), float(e)):  # either after the other
                 got = sv.phi(inst, point)
                 assert np.shape(got) == np.shape(point)
                 assert np.array_equal(got, phi_formula(inst, point))
+                assert np.array_equal(np.ravel(got), np.ravel(phi_formula(inst, float(e))))
+
+    @pytest.mark.parametrize("grid", [EPS_GRID, OFF_GRID, np.linspace(0.002, 1.0, 500)])
+    def test_eps_tables_are_libm_pow(self, grid):
+        # eps^(2(1-m)) and the (k, 2m-1) table of eps^(2d) entry by entry
+        # against math.pow, for the grid and for each of its points alone
+        for m in range(1, 13):
+            tables = jordan._eps_tables(grid.tobytes(), grid.shape, m, 3)
+            curb = [math.pow(e, 2 * (1 - m)) for e in grid]
+            powers = [[math.pow(e * e, d) for d in range(m - 1, -m, -1)] for e in grid]
+            assert tables.curb.tobytes() == np.array(curb).tobytes()
+            assert tables.powers.tobytes() == np.array(powers).tobytes()
+            for e, want in zip(grid[::25], curb[::25]):
+                alone = jordan._eps_tables(e.tobytes(), (), m, 3)
+                assert np.shape(alone.curb) == () and alone.curb == want
 
     @pytest.mark.parametrize("bad", [np.array([0.5, 0.0]), np.array([1.5]), 0.0, -1.0])
     def test_domain_error_on_consecutive_calls(self, bad):
@@ -482,7 +506,8 @@ def phi_formula(inst, eps):
     """phi(eps) term by term, in the order of operations phi keeps."""
     n, p, m = inst.spec.n, inst.spec.p, inst.spec.m
     d = inst.delta_eq
-    first, half_cross = eps ** (2 * (1 - m)) * d * d, eps * eps * np.sqrt(n - p) * d
+    first = np.float_power(eps, 2 * (1 - m)) * d * d
+    half_cross = eps * eps * np.sqrt(n - p) * d
     return first + 2.0 * half_cross + (n - p) * eps * eps + abs(inst.trace_e) ** 2 / n
 
 
