@@ -167,10 +167,12 @@ def _offblock(block_sizes) -> np.ndarray:
 
 def offblock_residual(m, u, block_sizes) -> float:
     """||offblock(U* M U)||_F: coupling outside the prescribed diagonal
-    blocks."""
+    blocks, whose sizes must sum to the order of M."""
     m = as_matrix(m, square=True)
     u = as_matrix(u, square=True)
     b = u.conj().T @ m @ u
+    if sum(block_sizes) != b.shape[0]:
+        raise DimensionError(f"blocks {list(block_sizes)} for n={b.shape[0]}")
     return float(np.linalg.norm(b[_offblock(block_sizes)]))
 
 

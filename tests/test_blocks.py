@@ -168,6 +168,14 @@ class TestSNumber:
         res = sv.offblock_residual(m, dec.u, dec.block_sizes)
         assert res <= 1e-8 * np.linalg.norm(m)
 
+    def test_offblock_residual_needs_sizes_that_sum_to_n(self):
+        m = np.arange(16.0).reshape(4, 4)
+        want = np.linalg.norm([m[0, 1:], m[1:, 0]])
+        assert sv.offblock_residual(m, np.eye(4), (1, 3)) == pytest.approx(want, rel=1e-15)
+        for sizes in [(1, 2), (3, 2), ()]:
+            with pytest.raises(sv.DimensionError):
+                sv.offblock_residual(m, np.eye(4), sizes)
+
     def test_unitary_similarity_invariance(self):
         rng = np.random.default_rng(7)
         m = np.zeros((4, 4), dtype=complex)
