@@ -189,7 +189,7 @@ def _components(adjacency: np.ndarray) -> np.ndarray:
         reach = wider
 
 
-def _merge_coupled(m, u, sizes, block_tol):
+def _merge_coupled(m, u, sizes, block_tol) -> tuple[BlockDecomposition, float | None]:
     """Merge the column groups of U that couple in U* M U (both off-diagonal
     blocks together) beyond block_tol * ||M||_F, by connected components:
     the decomposition and the off-block residual r of its U* M U where the

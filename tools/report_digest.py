@@ -21,8 +21,8 @@ JSON layout, so it compares checkouts on either side of a schema bump.
 
 Each sweep writes its reports to fresh files: rewriting one file in
 place makes some file systems (ext4 with ``auto_da_alloc``) flush it to
-disk on every close, which held one run at ~40 s of wall time for ~2.5 s
-of CPU.
+disk on every close, which held a run on such a host at 77 s of wall time
+for 1.5 s of CPU (1.2 s of wall time with fresh files).
 
 A third digest hashes ``s_number``'s (s, block sizes, U bytes) on fixed
 structured inputs built here with numpy alone, each hidden under a Haar
